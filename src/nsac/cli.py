@@ -19,7 +19,6 @@ from .errors import ConfigError, InfeasibleInitialCondition, NsacError, Quadratu
 from .initial import make_initial
 from .integrate import run
 from .io import CsvWriter, read_csv, write_snapshot, write_summary
-from .model import PHI_TOL
 from .oracle import DataProfile, decay_norm, fit_exponent
 from .verify import run_property_suite
 
@@ -114,7 +113,7 @@ class _SeriesObserver:
         monotone = bool(np.all(np.diff(e) <= 1e-10 * e[0])) if e.size > 1 else True
         out = {
             "energy_monotone": monotone,
-            "max_principle": bool(self.phi_max_overall <= 1.0 + PHI_TOL),
+            "max_principle": bool(self.phi_max_overall <= 1.0 + self.cfg.step.phi_tol),
             "mass_conserved": bool(self.mass_drift_max <= 1e-12),
             "mass_drift_max": self.mass_drift_max,
             "phi_max_overall": self.phi_max_overall,

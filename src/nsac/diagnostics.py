@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EnergyReport, PhysParams, State, total_energy
+from .model import PHI_TOL, EnergyReport, PhysParams, State, total_energy
 from .oracle import DecayFit, fit_exponent
 from .spectral import SpectralField, negative_norm
 
@@ -168,7 +168,7 @@ class InvariantReport:
 
     @property
     def clean(self) -> bool:
-        ok = self.phi_excess <= 1e-6 and self.rho_window_violation <= 0 and not self.nan_fields
+        ok = self.phi_excess <= PHI_TOL and self.rho_window_violation <= 0 and not self.nan_fields
         if self.mass_drift is not None:
             ok = ok and abs(self.mass_drift) <= 1e-12
         return ok

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ICSpec, RunConfig
 from .errors import InfeasibleInitialCondition
-from .model import PHI_TOL, PhysParams, State
+from .model import PhysParams, State
 from .spectral import Grid, SpectralField, hk_norm_sq
 
 
@@ -58,7 +58,7 @@ def _combined_norm(grid: Grid, sigma_hat, u_hat, psi_hat, alpha: float) -> float
     return su + gp + l2
 
 
-def _random_perturbation(grid: Grid, params: PhysParams, ic: ICSpec) -> State:
+def _random_perturbation(grid: Grid, ic: ICSpec) -> State:
     rng = np.random.default_rng(ic.seed)
     sigma_hat = _band_limited_noise(rng, grid, ic.max_mode)
     u_hat = np.stack([_band_limited_noise(rng, grid, ic.max_mode) for _ in range(grid.dim)])
@@ -86,12 +86,10 @@ def _random_perturbation(grid: Grid, params: PhysParams, ic: ICSpec) -> State:
 
     phi_hat = alpha * psi_hat
     phi_hat[(0,) * grid.dim] += 1.0
-    state = State(grid, 0.0, alpha * sigma_hat, alpha * u_hat, phi_hat)
-    _check_feasible(state, params, ic.delta)
-    return state
+    return State(grid, 0.0, alpha * sigma_hat, alpha * u_hat, phi_hat)
 
 
-def _check_feasible(state: State, params: PhysParams, delta: float) -> None:
+def _check_feasible(state: State, params: PhysParams, delta: float, phi_tol: float) -> None:
     rho = params.rho_bar + state.sigma()
     if rho.min() < 0.5 * params.rho_bar or rho.max() > 2.0 * params.rho_bar:
         raise InfeasibleInitialCondition(
@@ -100,9 +98,9 @@ def _check_feasible(state: State, params: PhysParams, delta: float) -> None:
             f"(range [{rho.min():.6g}, {rho.max():.6g}])"
         )
     phi = state.phi()
-    if np.max(np.abs(phi)) > 1.0 + PHI_TOL:
+    if np.max(np.abs(phi)) > 1.0 + phi_tol:
         raise InfeasibleInitialCondition(
-            f"delta = {delta:g} violates the phase bound |phi| <= 1 + {PHI_TOL:g} at t = 0 "
+            f"delta = {delta:g} violates the phase bound |phi| <= 1 + {phi_tol:g} at t = 0 "
             f"(max |phi| = {np.max(np.abs(phi)):.6g})"
         )
 
@@ -139,13 +137,12 @@ def make_initial(cfg: RunConfig) -> State:
     if ic.kind == "equilibrium":
         return State.equilibrium(grid)
     if ic.kind == "random_perturbation":
-        return _random_perturbation(grid, params, ic)
-    if ic.kind == "tanh_interface":
-        state = _tanh_interface(grid, ic.width)
-        _check_feasible(state, params, ic.delta)
-        return state
-    if ic.kind == "manufactured":
-        state = _manufactured(grid, ic.amplitude)
-        _check_feasible(state, params, ic.amplitude)
-        return state
-    raise InfeasibleInitialCondition(f"unknown ic kind {ic.kind!r}")
+        state, size = _random_perturbation(grid, ic), ic.delta
+    elif ic.kind == "tanh_interface":
+        state, size = _tanh_interface(grid, ic.width), ic.delta
+    elif ic.kind == "manufactured":
+        state, size = _manufactured(grid, ic.amplitude), ic.amplitude
+    else:
+        raise InfeasibleInitialCondition(f"unknown ic kind {ic.kind!r}")
+    _check_feasible(state, params, size, cfg.step.phi_tol)
+    return state

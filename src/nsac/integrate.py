@@ -2,8 +2,9 @@
 
 The constant-coefficient linear operator (acoustic coupling between sigma and
 u, viscous Laplacian / grad-div, phase diffusion and optionally the linearized
-phase reaction) is solved exactly per Fourier mode: a (1+dim)x(1+dim) complex
-block couples (sigma_hat, u_hat) and a scalar multiplier handles phi_hat.
+phase reaction) is solved exactly per Fourier mode in closed form
+(``model.linear_solve``): an explicit 2x2 inverse for the longitudinal pair
+(sigma_hat, div u_hat), then scalar divisions for the velocity and phi_hat.
 Everything nonlinear or variable-coefficient is explicit.
 
 Treating the acoustic coupling implicitly keeps the scheme stable without an
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvariantViolation, VacuumError
-from .model import PhysParams, State, check_state, nonlinear_terms, pressure_prime
+from .model import PHI_TOL, PhysParams, State, check_state, linear_apply, linear_solve, nonlinear_terms, pressure_prime
 from .spectral import Grid
 
 _ARS_GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
@@ -45,7 +46,7 @@ class StepConfig:
     max_steps: int = 1_000_000
     scheme_order: int = 2
     reaction_shift: bool = True
-    phi_tol: float = 1e-6
+    phi_tol: float = PHI_TOL
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -76,69 +77,37 @@ def adaptive_dt(state: State, cfg: StepConfig, params: PhysParams) -> float:
 
 
 class Stepper:
-    """Per-mode factorized IMEX stepper for a fixed grid/params/config.
+    """IMEX stepper for a fixed grid/params/config.
 
-    Building the (1+dim)x(1+dim) implicit blocks costs one batched inversion
-    per distinct implicit coefficient ``alpha``; results are cached, so runs
-    with a steady time step factorize once.
+    The state travels as ``y = (sigma_hat, u_hat, phi_hat)`` stacked on axis
+    0. The implicit part is the closed-form per-mode solve
+    ``model.linear_solve``: nothing is factorized or cached, so a new time
+    step size costs the same as a repeated one.
     """
 
     def __init__(self, grid: Grid, params: PhysParams, cfg: StepConfig):
         self.grid = grid
         self.params = params
         self.cfg = cfg
-        d = grid.dim
         self.shift = 2.0 / (params.epsilon * params.rho_bar) if cfg.reaction_shift else 0.0
 
-        # linear symbol: block acting on (sigma_hat, u_hat) stacked on axis -1
-        kv = [np.broadcast_to(grid.kvec[i], grid.rshape) for i in range(d)]
-        B = np.zeros(grid.rshape + (1 + d, 1 + d), dtype=np.complex128)
-        rb = params.rho_bar
-        for j in range(d):
-            B[..., 0, 1 + j] = -rb * 1j * kv[j]
-        for i in range(d):
-            B[..., 1 + i, 0] = -(params.p_prime_bar / rb) * 1j * kv[i]
-            for j in range(d):
-                B[..., 1 + i, 1 + j] = -((params.nu + params.lam) / rb) * kv[i] * kv[j]
-            B[..., 1 + i, 1 + i] += -(params.nu / rb) * grid.k2
-        self._block = B
-        self._Lphi = -(params.epsilon / params.rho_bar**2) * grid.k2 - self.shift
-        self._eye = np.eye(1 + d, dtype=np.complex128)
-        self._solves: dict[float, np.ndarray] = {}
+    def _apply(self, y: np.ndarray) -> np.ndarray:
+        return linear_apply(self.grid, self.params, y, self.shift)
 
-    # -- linear algebra per mode ---------------------------------------------
-
-    def _solve_mats(self, alpha: float) -> np.ndarray:
-        """Batched ``(I - alpha B)^-1`` over all modes."""
-        if alpha not in self._solves:
-            self._solves[alpha] = np.linalg.inv(self._eye - alpha * self._block)
-            if len(self._solves) > 8:
-                self._solves.pop(next(iter(self._solves)))
-        return self._solves[alpha]
-
-    def _pack(self, state: State) -> np.ndarray:
-        return np.concatenate([state.sigma_hat[None], state.u_hat], axis=0)
+    def _solve(self, alpha: float, y: np.ndarray) -> np.ndarray:
+        return linear_solve(self.grid, self.params, alpha, y, self.shift)
 
     @staticmethod
-    def _matvec(mats: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # mats: (*rshape, m, m), y: (m, *rshape)
-        return np.einsum("...ij,j...->i...", mats, y)
+    def _pack(state: State) -> np.ndarray:
+        return np.concatenate([state.sigma_hat[None], state.u_hat, state.phi_hat[None]])
 
-    def _apply_block(self, y: np.ndarray) -> np.ndarray:
-        return self._matvec(self._block, y)
-
-    def _apply_solve(self, alpha: float, y: np.ndarray) -> np.ndarray:
-        return self._matvec(self._solve_mats(alpha), y)
-
-    def _nonlinear(self, state: State) -> tuple[np.ndarray, np.ndarray]:
+    def _nonlinear(self, state: State) -> np.ndarray:
         n_sigma, n_u, n_phi = nonlinear_terms(state, self.params)
-        if self.shift:
-            n_phi = n_phi + self.shift * state.phi_hat
-        return np.concatenate([n_sigma[None], n_u], axis=0), n_phi
+        return np.concatenate([n_sigma[None], n_u, (n_phi + self.shift * state.phi_hat)[None]])
 
-    def _make_state(self, t: float, y: np.ndarray, phi_hat: np.ndarray) -> State:
-        mask = self.grid.dealias_mask
-        return State(self.grid, t, y[0] * mask, y[1:] * mask, phi_hat * mask)
+    def _make_state(self, t: float, y: np.ndarray) -> State:
+        y = y * self.grid.dealias_mask
+        return State(self.grid, t, y[0], y[1:-1], y[-1])
 
     # -- schemes --------------------------------------------------------------
     #
@@ -147,16 +116,13 @@ class Stepper:
     # system, so exact steady states (equilibrium, pure phases) are preserved
     # bit for bit, not just to roundoff.
 
-    def step_euler(self, state: State, dt: float) -> tuple[State, tuple]:
+    def step_euler(self, state: State, dt: float) -> tuple[State, np.ndarray]:
         """IMEX Euler: implicit linear solve around an explicit nonlinear shot."""
-        n_acu, n_phi = self._nonlinear(state)
+        n = self._nonlinear(state)
         y = self._pack(state)
-        y_new = y + self._apply_solve(dt, dt * (self._apply_block(y) + n_acu))
-        phi = state.phi_hat
-        phi_new = phi + dt * (self._Lphi * phi + n_phi) / (1.0 - dt * self._Lphi)
-        return self._make_state(state.t + dt, y_new, phi_new), (n_acu, n_phi)
+        return self._make_state(state.t + dt, y + self._solve(dt, dt * (self._apply(y) + n))), n
 
-    def step_cnab2(self, state: State, dt: float, prev: tuple | None, dt_prev: float | None):
+    def step_cnab2(self, state: State, dt: float, prev: np.ndarray | None, dt_prev: float | None):
         """Crank-Nicolson linear part + variable-step Adams-Bashforth nonlinear part.
 
         Bootstraps with an Euler step when no history is available. The
@@ -165,40 +131,21 @@ class Stepper:
         """
         if prev is None:
             return self.step_euler(state, dt)
-        n_acu, n_phi = self._nonlinear(state)
+        n = self._nonlinear(state)
         b0 = -0.5 * dt / dt_prev
-        h = 0.5 * dt
         y = self._pack(state)
-        incr = dt * (self._apply_block(y) + n_acu + b0 * (prev[0] - n_acu))
-        y_new = y + self._apply_solve(h, incr)
-        phi = state.phi_hat
-        incr_phi = dt * (self._Lphi * phi + n_phi + b0 * (prev[1] - n_phi))
-        phi_new = phi + incr_phi / (1.0 - h * self._Lphi)
-        return self._make_state(state.t + dt, y_new, phi_new), (n_acu, n_phi)
+        incr = dt * (self._apply(y) + n + b0 * (prev - n))
+        return self._make_state(state.t + dt, y + self._solve(0.5 * dt, incr)), n
 
     def step_ars222(self, state: State, dt: float) -> State:
         """Self-contained two-stage second-order IMEX Runge-Kutta step."""
         g, dl = _ARS_GAMMA, _ARS_DELTA
         y0 = self._pack(state)
-        phi0 = state.phi_hat
-        n0_acu, n0_phi = self._nonlinear(state)
-
-        y1 = y0 + self._apply_solve(g * dt, g * dt * (self._apply_block(y0) + n0_acu))
-        phi1 = phi0 + g * dt * (self._Lphi * phi0 + n0_phi) / (1.0 - g * dt * self._Lphi)
-        mid = self._make_state(state.t + g * dt, y1, phi1)
-        n1_acu, n1_phi = self._nonlinear(mid)
-
-        incr = dt * (
-            self._apply_block(y0)
-            + n0_acu
-            + (1 - dl) * (n1_acu - n0_acu)
-        ) + (1 - g) * dt * self._apply_block(y1 - y0)
-        y2 = y0 + self._apply_solve(g * dt, incr)
-        incr_phi = dt * (
-            self._Lphi * phi0 + n0_phi + (1 - dl) * (n1_phi - n0_phi)
-        ) + (1 - g) * dt * self._Lphi * (phi1 - phi0)
-        phi2 = phi0 + incr_phi / (1.0 - g * dt * self._Lphi)
-        return self._make_state(state.t + dt, y2, phi2)
+        n0 = self._nonlinear(state)
+        y1 = y0 + self._solve(g * dt, g * dt * (self._apply(y0) + n0))
+        n1 = self._nonlinear(self._make_state(state.t + g * dt, y1))
+        incr = dt * (self._apply(y0) + n0 + (1 - dl) * (n1 - n0)) + (1 - g) * dt * self._apply(y1 - y0)
+        return self._make_state(state.t + dt, y0 + self._solve(g * dt, incr))
 
 
 def step(state: State, cfg: StepConfig, params: PhysParams) -> State:
@@ -223,10 +170,10 @@ def run(
 
     Observers are called with ``(step_index, state)`` at the given cadence,
     at step 0 and on the final state. The time step is the CFL-clamped
-    ``adaptive_dt`` bound, kept piecewise constant (shrunk only when the bound
-    tightens or to land exactly on ``t_end``) so the implicit factorization is
-    reused. On an invariant violation the summary records it and the partial
-    trajectory seen by the observers stands.
+    ``adaptive_dt`` bound, kept piecewise constant: it shrinks only when the
+    bound tightens or to land exactly on ``t_end``. On an invariant violation
+    the summary records it and the partial trajectory seen by the observers
+    stands.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")

@@ -61,10 +61,33 @@ class PhysParams:
         if self.pressure_gamma < 1:
             raise ValueError(f"adiabatic exponent must be >= 1, got {self.pressure_gamma}")
 
+    # Coefficients of the linearization around (rho_bar, 0, +-1), read by the
+    # solver, the oracle and the tendencies alike.
+
     @property
     def p_prime_bar(self) -> float:
         """Squared reference sound speed p'(rho_bar)."""
         return self.pressure_a * self.pressure_gamma * self.rho_bar ** (self.pressure_gamma - 1.0)
+
+    @property
+    def sound_coupling(self) -> float:
+        """``p'(rho_bar)/rho_bar``, the weight of ``grad sigma`` in the linear u-equation."""
+        return self.p_prime_bar / self.rho_bar
+
+    @property
+    def shear_diffusivity(self) -> float:
+        """``nu/rho_bar``, the decay rate of transverse velocity per ``|k|^2``."""
+        return self.nu / self.rho_bar
+
+    @property
+    def longitudinal_diffusivity(self) -> float:
+        """``(2 nu + lam)/rho_bar``, the viscous rate of ``div u`` per ``|k|^2``."""
+        return (2.0 * self.nu + self.lam) / self.rho_bar
+
+    @property
+    def phase_diffusivity(self) -> float:
+        """``eps/rho_bar^2``, the heat-flow rate of ``phi`` per ``|k|^2``."""
+        return self.epsilon / self.rho_bar**2
 
 
 def pressure(rho, params: PhysParams):
@@ -357,7 +380,7 @@ def nonlinear_terms(state: State, params: PhysParams) -> tuple[np.ndarray, np.nd
     state._cache.setdefault("grad_phi", grad_phi)
     state._cache.setdefault("lap_phi", lap_phi)
 
-    h1 = params.p_prime_bar / rb - pressure_prime(rho, params) / rho
+    h1 = params.sound_coupling - pressure_prime(rho, params) / rho
     h2 = 1.0 / rb - 1.0 / rho
 
     phi2 = g.inverse(g.forward_product(phi * phi))
@@ -374,7 +397,7 @@ def nonlinear_terms(state: State, params: PhysParams) -> tuple[np.ndarray, np.nd
             -advect + h1 * grad_sigma[i] - h2 * visc_var - (eps / rho) * grad_phi[i] * lap_phi
         )
     transport = sum(u[j] * grad_phi[j] for j in range(d))
-    var_diff = (eps / rho**2 - eps / rb**2) * lap_phi
+    var_diff = (eps / rho**2 - params.phase_diffusivity) * lap_phi
     products[2 * d] = -transport + var_diff + reaction
     hats = g.dealias(g.forward_many(products))
 
@@ -386,36 +409,11 @@ def nonlinear_terms(state: State, params: PhysParams) -> tuple[np.ndarray, np.nd
     return n_sigma, n_u, n_phi
 
 
-def linear_terms(state: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Constant-coefficient linear tendencies, split for the Tendency contract.
-
-    Returns (sigma_acoustic, u_viscous, u_acoustic, phi_diffusion) pieces:
-    the viscous block and phase diffusion are the stiff part, the acoustic
-    coupling joins the explicit side.
-    """
-    g = state.grid
-    d = g.dim
-    kv = g.kvec
-    nu, lam, rb = params.nu, params.lam, params.rho_bar
-
-    div_u_hat = sum(1j * kv[j] * state.u_hat[j] for j in range(d))
-    sigma_acoustic = -rb * div_u_hat
-
-    u_visc = np.empty_like(state.u_hat)
-    u_acoustic = np.empty_like(state.u_hat)
-    for i in range(d):
-        u_visc[i] = -(nu / rb) * g.k2 * state.u_hat[i] + ((nu + lam) / rb) * 1j * kv[i] * div_u_hat
-        u_acoustic[i] = -(params.p_prime_bar / rb) * 1j * kv[i] * state.sigma_hat
-
-    phi_diff = -(params.epsilon / rb**2) * g.k2 * state.phi_hat
-    return sigma_acoustic, u_visc, u_acoustic, phi_diff
-
-
 def rhs(state: State, params: PhysParams) -> Tendency:
     """Full right-hand side at a state, split into stiff and explicit parts."""
     _check_input_state(state)
     n_sigma, n_u, n_phi = nonlinear_terms(state, params)
-    sigma_ac, u_visc, u_ac, phi_diff = linear_terms(state, params)
+    sigma_ac, u_visc, u_ac, phi_diff = linear_terms(state.grid, params, state.sigma_hat, state.u_hat, state.phi_hat)
     zero = np.zeros(state.grid.rshape, dtype=np.complex128)
     return Tendency(
         sigma_stiff=zero,
@@ -425,6 +423,65 @@ def rhs(state: State, params: PhysParams) -> Tendency:
         u_explicit=u_ac + n_u,
         phi_explicit=n_phi,
     )
+
+
+# ---------------------------------------------------------------------------
+# Constant-coefficient linear operator B on y = (sigma_hat, u_hat, phi_hat)
+# ---------------------------------------------------------------------------
+
+
+def linear_terms(grid: Grid, params: PhysParams, sigma_hat, u_hat, phi_hat) -> tuple[np.ndarray, ...]:
+    """``B (sigma_hat, u_hat, phi_hat)`` split for the Tendency contract.
+
+    Per mode, with ``D = i k.u`` and the PhysParams coefficients a (shear),
+    b (longitudinal), c (sound coupling) and e (phase),
+    ``B (sigma, u, phi) = (-rho_bar D, -a |k|^2 u + (b - a) i k D - c i k sigma, -e |k|^2 phi)``.
+    Returns (sigma_acoustic, u_viscous, u_acoustic, phi_diffusion): the
+    viscous block and phase diffusion are the stiff part, the acoustic
+    coupling joins the explicit side.
+    """
+    ik = [1j * k for k in grid.kvec]
+    div_u_hat = sum(ik[j] * u_hat[j] for j in range(grid.dim))
+    a = params.shear_diffusivity
+    grad_div = params.longitudinal_diffusivity - a
+    u_visc = np.stack([-a * grid.k2 * u_hat[i] + grad_div * ik[i] * div_u_hat for i in range(grid.dim)])
+    u_acoustic = np.stack([-params.sound_coupling * ik[i] * sigma_hat for i in range(grid.dim)])
+    phi_diffusion = -params.phase_diffusivity * grid.k2 * phi_hat
+    return -params.rho_bar * div_u_hat, u_visc, u_acoustic, phi_diffusion
+
+
+def linear_apply(grid: Grid, params: PhysParams, y: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """``B y`` for ``y = (sigma_hat, u_hat, phi_hat)`` stacked on axis 0.
+
+    ``shift`` adds a constant decay rate to the phase row (the stepper's
+    implicit share of the linearized reaction).
+    """
+    sigma_acoustic, u_visc, u_acoustic, phi_diffusion = linear_terms(grid, params, y[0], y[1:-1], y[-1])
+    return np.concatenate([sigma_acoustic[None], u_visc + u_acoustic, (phi_diffusion - shift * y[-1])[None]])
+
+
+def linear_solve(grid: Grid, params: PhysParams, alpha: float, y: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """``(I - alpha B)^-1 y`` in closed form, with B and ``shift`` as in ``linear_apply``.
+
+    B maps (sigma, D) into itself through ``[[0, -rho_bar], [c |k|^2, -b |k|^2]]``,
+    solved by the explicit 2x2 inverse with
+    ``det = 1 + alpha b |k|^2 + alpha^2 p'(rho_bar) |k|^2 >= 1``; the velocity
+    and phase rows then cost one real division each. Nothing divides by
+    ``|k|^2``, so the zero mode passes through and zero maps to exact zeros.
+    """
+    a, b, c = params.shear_diffusivity, params.longitudinal_diffusivity, params.sound_coupling
+    ak2 = alpha * grid.k2
+    inv_det = 1.0 / (1.0 + ak2 * (b + alpha * params.p_prime_bar))
+    ik = [1j * k for k in grid.kvec]
+    r_sigma, r_u = y[0], y[1:-1]
+    r_div = sum(ik[j] * r_u[j] for j in range(grid.dim))
+    sigma = ((1.0 + b * ak2) * r_sigma - alpha * params.rho_bar * r_div) * inv_det
+    div = (c * ak2 * r_sigma + r_div) * inv_det
+    q = alpha * ((b - a) * div - c * sigma)  # (1 + alpha a |k|^2) u = r_u + i k q
+    inv_den = 1.0 / (1.0 + a * ak2)
+    u = [(r_u[i] + ik[i] * q) * inv_den for i in range(grid.dim)]
+    phi = y[-1] / (1.0 + params.phase_diffusivity * ak2 + alpha * shift)
+    return np.stack([sigma, *u, phi])
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,12 @@
 """Exact evolution of the constant-coefficient linearization on whole space.
 
 Linearized around the quiescent single-phase state, the system decouples in
-Fourier space into
-
-* a scalar heat flow for the phase field, ``phi_hat' = -(eps/rho_bar^2)|k|^2 phi_hat``,
-* an acoustic block coupling ``sigma_hat`` with the velocity:
-  ``sigma_hat' = -i rho_bar k . u_hat`` and
-  ``u_hat' = -(nu/rho_bar)|k|^2 u_hat - ((nu+lam)/rho_bar) k (k.u_hat)
-  - i (p'(rho_bar)/rho_bar) k sigma_hat``.
-
-Splitting the velocity into components parallel and transverse to ``k``
-reduces the block to a 2x2 longitudinal system plus scalar transverse decay,
-so squared derivative norms on R^3 become radial integrals
+Fourier space into the operator ``B`` of ``model.linear_terms``: a scalar
+heat flow for the phase field and an acoustic block coupling ``sigma_hat``
+with the velocity. Splitting the velocity into components parallel and
+transverse to ``k`` reduces the block to a 2x2 longitudinal system plus
+scalar transverse decay, so squared derivative norms on R^3 become radial
+integrals
 
     N_l(t) = 4 pi * int r^(2l+2) |amplification(t, r)|^2 a(r)^2 dr
 
@@ -51,15 +46,14 @@ def build_symbol(k, params: PhysParams) -> SymbolBlock:
     """Assemble the per-mode linear operator; the zero mode is conserved."""
     k = np.asarray(k, dtype=np.float64)
     d = k.size
-    rb = params.rho_bar
+    a, b = params.shear_diffusivity, params.longitudinal_diffusivity
     A = np.zeros((1 + d, 1 + d), dtype=np.complex128)
     k2 = float(k @ k)
     if k2 > 0:
-        A[0, 1:] = -1j * rb * k
-        A[1:, 0] = -1j * (params.p_prime_bar / rb) * k
-        A[1:, 1:] = -(params.nu / rb) * k2 * np.eye(d) - ((params.nu + params.lam) / rb) * np.outer(k, k)
-    phase = -(params.epsilon / rb**2) * k2
-    return SymbolBlock(k=k, acoustic=A, phase_factor=phase)
+        A[0, 1:] = -1j * params.rho_bar * k
+        A[1:, 0] = -1j * params.sound_coupling * k
+        A[1:, 1:] = -a * k2 * np.eye(d) - (b - a) * np.outer(k, k)
+    return SymbolBlock(k=k, acoustic=A, phase_factor=-params.phase_diffusivity * k2)
 
 
 def evolve_mode(block: SymbolBlock, init: np.ndarray, t: float) -> np.ndarray:
@@ -139,7 +133,7 @@ def _longitudinal_propagator(r: np.ndarray, t: float, params: PhysParams):
     from ``exp((m +- delta) t)`` whose real parts are nonpositive, so nothing
     overflows however stiff the mode.
     """
-    b = (2.0 * params.nu + params.lam) / params.rho_bar
+    b = params.longitudinal_diffusivity
     c = params.p_prime_bar
     r = np.asarray(r, dtype=np.float64)
     m = -0.5 * b * r**2 + 0j
@@ -157,7 +151,7 @@ def _longitudinal_propagator(r: np.ndarray, t: float, params: PhysParams):
     )
     e11 = C - S * m
     e12 = S * (-1j * params.rho_bar * r)
-    e21 = S * (-1j * (c / params.rho_bar) * r)
+    e21 = S * (-1j * params.sound_coupling * r)
     e22 = C + S * m
     return e11, e12, e21, e22
 
@@ -171,13 +165,13 @@ def _decay_envelope(t: float, component: str, params: PhysParams):
 
     def g(r: np.ndarray) -> np.ndarray:
         if component == "phi":
-            return np.exp(-2.0 * (params.epsilon / params.rho_bar**2) * r**2 * t)
+            return np.exp(-2.0 * params.phase_diffusivity * r**2 * t)
         e11, e12, e21, e22 = _longitudinal_propagator(r, t, params)
         if component == "sigma":
             return np.abs(e11 + e12) ** 2
         if component == "u":
             long2 = np.abs(e21 + e22) ** 2
-            trans2 = 2.0 * np.exp(-2.0 * (params.nu / params.rho_bar) * r**2 * t)
+            trans2 = 2.0 * np.exp(-2.0 * params.shear_diffusivity * r**2 * t)
             return long2 + trans2
         raise ValueError(f"unknown component {component!r}; use sigma, u or phi")
 
@@ -264,9 +258,9 @@ def decay_norm(
     g = _decay_envelope(t, component, params)
     p = 2.0 * l + 2.0 + 2.0 * profile.beta
     if component == "phi":
-        rate = 2.0 * params.epsilon / params.rho_bar**2
+        rate = 2.0 * params.phase_diffusivity
     else:
-        rate = (2.0 * params.nu + params.lam) / params.rho_bar
+        rate = params.longitudinal_diffusivity
     return 4.0 * np.pi * _adaptive_radial(g, p, t, rate)
 
 

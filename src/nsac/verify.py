@@ -277,7 +277,7 @@ def check_mini_run(grid: Grid, params: PhysParams, seed: int) -> PropertyResult:
     mono = bool(np.all(diffs <= 1e-10 * energies[0]))
     drift = max(abs(m - masses[0]) / abs(masses[0]) for m in masses)
     bound = max(phimax)
-    ok = summary.termination == "t_end" and mono and drift <= 1e-12 and bound <= 1.0 + 1e-6
+    ok = summary.termination == "t_end" and mono and drift <= 1e-12 and bound <= 1.0 + cfg.step.phi_tol
     return PropertyResult(
         "mini_run_invariants",
         ok,

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from nsac.cli import main
-from nsac.io import read_csv
+from nsac import State
+from nsac.cli import _SeriesObserver, main
+from nsac.config import build_run_config
+from nsac.io import CsvWriter, read_csv
 
 
 def base_overrides(tmp_path, tag=""):
@@ -70,6 +72,13 @@ class TestSimulate:
         summary = json.loads((tmp_path / "run.json").read_text())
         assert summary["termination"] == "infeasible_initial_condition"
         assert (tmp_path / "run.csv").exists()  # header-only, still flushed
+
+    def test_max_principle_uses_configured_phi_tol(self, tmp_path):
+        cfg = build_run_config({"grid.n": "8", "step.phi_tol": "1e-3"})
+        with CsvWriter(str(tmp_path / "obs.csv"), cfg.diag.s_list) as writer:
+            observer = _SeriesObserver(cfg, writer)
+            observer(0, State.equilibrium(cfg.grid, phi_value=1.0 + 1e-4))
+        assert observer.verdicts()["max_principle"] is True
 
     def test_unknown_key_is_config_error(self, tmp_path):
         rc = main(["simulate", "grid.bogus=3"] + base_overrides(tmp_path))

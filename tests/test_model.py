@@ -9,11 +9,14 @@ from nsac.model import (
     chemical_potential,
     g_potential,
     g_potential_prime,
+    linear_apply,
+    linear_solve,
     pressure,
     pressure_prime,
     rhs,
     total_energy,
 )
+from nsac.oracle import build_symbol
 from nsac.spectral import SpectralField
 from nsac.verify import direct_rhs_physical
 
@@ -268,6 +271,32 @@ class TestRhs:
         state = State.from_physical(grid16, 0.0, sigma, np.zeros((3,) + grid16.shape), np.ones(grid16.shape))
         with pytest.raises(Exception, match="sigma"):
             rhs(state, params)
+
+
+class TestLinearOperator:
+    @pytest.mark.parametrize("alpha", [1e-5, 0.0165, 10.0])
+    def test_closed_form_matches_dense_symbol(self, grid16, alpha):
+        # per mode against the oracle's dense block and phase rate: k = 0, an
+        # axis mode, an oblique mode and a mode on the Nyquist rows
+        params = PhysParams(lam=0.3, rho_bar=1.3)  # rho_bar != 1 keeps every coefficient visible
+        rng = np.random.default_rng(13)
+        shape = (5,) + grid16.rshape
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        applied = linear_apply(grid16, params, y)
+        solved = linear_solve(grid16, params, alpha, y)
+        n = grid16.n
+        for mode in [(0, 0, 0), (1, 0, 0), (3, n - 2, 5), (n // 2, 5, n // 2)]:
+            at = (slice(None),) + mode
+            k = np.array([grid16.kvec[i].ravel()[m] for i, m in enumerate(mode)])
+            block = build_symbol(k, params)
+            ref = np.linalg.inv(np.eye(4) - alpha * block.acoustic) @ y[at][:4]
+            assert np.max(np.abs(solved[at][:4] - ref)) <= 1e-14 * np.max(np.abs(ref))
+            ref = block.acoustic @ y[at][:4]
+            assert np.max(np.abs(applied[at][:4] - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert solved[at][4] == pytest.approx(y[at][4] / (1 - alpha * block.phase_factor), rel=1e-14)
+            assert applied[at][4] == pytest.approx(block.phase_factor * y[at][4], rel=1e-14)
+        # a zero input stays exactly zero, which keeps equilibria fixed points
+        assert np.all(linear_solve(grid16, params, alpha, np.zeros(shape, complex)) == 0)
 
 
 class TestTotalEnergy:
