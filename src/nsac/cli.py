@@ -15,10 +15,11 @@ import numpy as np
 
 from .config import RunConfig, build_run_config, load_config, serialize_config
 from .diagnostics import decay_suite, energy_ledger, level_energy, negative_functional
-from .errors import ConfigError, InfeasibleInitialCondition, NsacError, QuadratureError
+from .errors import ConfigError, InfeasibleInitialCondition, QuadratureError
 from .initial import make_initial
 from .integrate import run
 from .io import CsvWriter, read_csv, write_snapshot, write_summary
+from .model import energy_monotone, invariant_monitor
 from .oracle import DataProfile, decay_norm, fit_exponent
 from .verify import run_property_suite
 
@@ -47,7 +48,7 @@ def _build_config(args) -> RunConfig:
 
 
 class _SeriesObserver:
-    """Writes CSV rows and keeps in-memory series for verdicts and fits."""
+    """Writes CSV rows and keeps series and per-sample ``invariant_monitor`` verdicts."""
 
     def __init__(self, cfg: RunConfig, writer: CsvWriter):
         self.cfg = cfg
@@ -59,19 +60,26 @@ class _SeriesObserver:
         self.mass0 = None
         self.mass_drift_max = 0.0
         self.phi_max_overall = 0.0
+        self.max_principle = True
+        self.mass_conserved = True
+        self.admissible = True
+        self.last_state = None
         self.diss_cumulative = 0.0
         self._last = None  # (t, dissipation) for trapezoid accumulation
 
     def __call__(self, _step: int, state) -> None:
+        self.last_state = state
         params = self.cfg.phys
-        rep = energy_ledger(state, params)
-        mass = state.mass(params)
+        inv = invariant_monitor(state, params, mass_reference=self.mass0, phi_tol=self.cfg.step.phi_tol)
         if self.mass0 is None:
-            self.mass0 = mass
-        drift = abs(mass - self.mass0) / abs(self.mass0)
-        self.mass_drift_max = max(self.mass_drift_max, drift)
-        phi_max = float(np.max(np.abs(state.phi())))
-        self.phi_max_overall = max(self.phi_max_overall, phi_max)
+            self.mass0 = inv.mass
+        self.mass_drift_max = max(self.mass_drift_max, abs(inv.mass_drift or 0.0))
+        self.phi_max_overall = max(self.phi_max_overall, inv.phi_max)
+        self.max_principle &= inv.phase_bounded
+        self.mass_conserved &= inv.mass_conserved
+        self.admissible &= inv.clean
+
+        rep = energy_ledger(state, params)
 
         levels = {l: level_energy(state, l) for l in self.cfg.diag.l_list}
         lvl0 = levels.get(0) or level_energy(state, 0)
@@ -92,8 +100,8 @@ class _SeriesObserver:
 
         row = [
             state.t,
-            mass,
-            phi_max,
+            inv.mass,
+            inv.phi_max,
             rep.total,
             rep.kinetic,
             rep.g_part,
@@ -110,11 +118,11 @@ class _SeriesObserver:
 
     def verdicts(self) -> dict:
         e = np.asarray(self.energy)
-        monotone = bool(np.all(np.diff(e) <= 1e-10 * e[0])) if e.size > 1 else True
         out = {
-            "energy_monotone": monotone,
-            "max_principle": bool(self.phi_max_overall <= 1.0 + self.cfg.step.phi_tol),
-            "mass_conserved": bool(self.mass_drift_max <= 1e-12),
+            "energy_monotone": energy_monotone(e),
+            "max_principle": self.max_principle,
+            "mass_conserved": self.mass_conserved,
+            "admissible": self.admissible,
             "mass_drift_max": self.mass_drift_max,
             "phi_max_overall": self.phi_max_overall,
             "dissipation_cumulative": self.diss_cumulative,
@@ -142,49 +150,43 @@ class _SeriesObserver:
 
 
 def cmd_simulate(args) -> int:
+    """Run one configuration; CSV, snapshot and summary are written on any outcome."""
     cfg = _build_config(args)
     summary: dict = {"config": serialize_config(cfg)}
     writer = CsvWriter(cfg.out.csv, cfg.diag.s_list)
+    observer = _SeriesObserver(cfg, writer)
+    state = None
     try:
         state = make_initial(cfg)
-    except (InfeasibleInitialCondition, NsacError) as err:
-        writer.close()
+        result = run(state, cfg.step, cfg.phys, observers=(observer,), cadence=cfg.diag.cadence)
+        summary.update(
+            termination=result.termination,
+            steps=result.steps,
+            t_final=result.t_final,
+            violation=result.violation,
+            decay_fits=observer.decay_fits(),
+            **observer.verdicts(),
+        )
+    except InfeasibleInitialCondition as err:
         summary.update(termination="infeasible_initial_condition", error=str(err))
+    except Exception as err:
+        summary.update(termination="error", error_type=type(err).__name__, error=str(err))
+    finally:
+        writer.close()
+        final = observer.last_state or state
+        if final is not None:
+            write_snapshot(cfg.out.snapshot, final)
         write_summary(cfg.out.summary, summary)
-        print(f"error: {err}", file=sys.stderr)
+
+    if "error" in summary:
+        cause = summary.get("error_type", "infeasible initial condition")
+        print(f"error: {cause}: {summary['error']}", file=sys.stderr)
         return 1
-
-    observer = _SeriesObserver(cfg, writer)
-    final_holder = {}
-
-    def keep_final(_i, s):
-        final_holder["state"] = s
-
-    result = run(
-        state,
-        cfg.step,
-        cfg.phys,
-        observers=(observer, keep_final),
-        cadence=cfg.diag.cadence,
-    )
-    writer.close()
-    write_snapshot(cfg.out.snapshot, final_holder.get("state", state))
-
-    summary.update(
-        termination=result.termination,
-        steps=result.steps,
-        t_final=result.t_final,
-        violation=result.violation,
-        decay_fits=observer.decay_fits(),
-        **observer.verdicts(),
-    )
-    write_summary(cfg.out.summary, summary)
-    ok = result.termination == "t_end"
     print(
-        f"simulate: {result.termination} after {result.steps} steps (t = {result.t_final:g}); "
+        f"simulate: {summary['termination']} after {summary['steps']} steps (t = {summary['t_final']:g}); "
         f"artifacts: {cfg.out.csv}, {cfg.out.snapshot}, {cfg.out.summary}"
     )
-    return 0 if ok else 1
+    return 0 if summary["termination"] == "t_end" else 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Observer-side functionals: energy ledger, level energies, negative norms,
-invariant monitors and decay fitting.
+"""Observer-side functionals: energy ledger, level energies, negative norms
+and decay fitting. The invariant monitor lives beside the admissible set in
+``model`` and is re-exported here.
 
 All operations are read-only over immutable state snapshots and safe to run
 concurrently with integration.
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PHI_TOL, EnergyReport, PhysParams, State, total_energy
+from .model import EnergyReport, InvariantReport, PhysParams, State, invariant_monitor, total_energy  # noqa: F401  (re-exported)
 from .oracle import DecayFit, fit_exponent
 from .spectral import SpectralField, negative_norm
 
@@ -47,18 +48,6 @@ class LevelEnergy:
         return self.sigma_hk + self.u_hk + self.phi_grad + self.phi_sq
 
 
-def _windowed_hk_sq(grid, coeffs, lo: int, hi: int) -> float:
-    """``sum_{j=lo..hi} ||D^j f||^2`` via one pass over the mode magnitudes."""
-    mag2 = (coeffs.real**2 + coeffs.imag**2) * grid.weight
-    k2 = grid.k2
-    total = 0.0
-    pw = k2**lo if lo > 0 else np.ones_like(k2)
-    for _ in range(lo, hi + 1):
-        total += float(np.sum(pw * mag2))
-        pw = pw * k2
-    return grid.volume * total
-
-
 def phi_sq_minus_one_hat(state: State) -> np.ndarray:
     """De-aliased coefficients of ``phi^2 - 1`` (cached on the snapshot)."""
     if "phisq_hat" not in state._cache:
@@ -75,10 +64,10 @@ def level_energy(state: State, l: int) -> LevelEnergy:
     if l not in (0, 1, 2):
         raise ValueError(f"level must be 0, 1 or 2, got {l}")
     g = state.grid
-    sigma_hk = _windowed_hk_sq(g, state.sigma_hat, l, 3)
-    u_hk = sum(_windowed_hk_sq(g, state.u_hat[i], l, 3) for i in range(g.dim))
+    sigma_hk = g.window_sum_sq(state.sigma_hat, l, 3)
+    u_hk = sum(g.window_sum_sq(state.u_hat[i], l, 3) for i in range(g.dim))
     # ||D^(l+1) phi||^2 summed through total order 3 equals the gradient block
-    phi_grad = _windowed_hk_sq(g, state.phi_hat, l + 1, 3)
+    phi_grad = g.window_sum_sq(state.phi_hat, l + 1, 3)
     phi_sq = g.mode_sum_sq(phi_sq_minus_one_hat(state), order=0.0)
     return LevelEnergy(l=l, sigma_hk=sigma_hk, u_hk=u_hk, phi_grad=phi_grad, phi_sq=phi_sq)
 
@@ -143,79 +132,6 @@ def negative_functional(state: State, s: float) -> NegativeFunctional:
         sigma_mean=sigma_mean,
         u_mean=tuple(u_mean),
         phisq_mean=phisq_mean,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Invariant monitor
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """Snapshot health report; ``clean`` means every monitor is quiet."""
-
-    mass: float
-    mass_drift: float | None
-    phi_max: float
-    phi_excess: float
-    phi_excess_location: tuple | None
-    rho_min: float
-    rho_max: float
-    rho_window_violation: float
-    rho_violation_location: tuple | None
-    nan_fields: tuple
-
-    @property
-    def clean(self) -> bool:
-        ok = self.phi_excess <= PHI_TOL and self.rho_window_violation <= 0 and not self.nan_fields
-        if self.mass_drift is not None:
-            ok = ok and abs(self.mass_drift) <= 1e-12
-        return ok
-
-
-def invariant_monitor(
-    state: State, params: PhysParams | None = None, mass_reference: float | None = None
-) -> InvariantReport:
-    """Report mass, phase bound, density window and NaN status of a snapshot."""
-    params = params if params is not None else PhysParams()
-    nan_fields = []
-    for name, arr in (("sigma", state.sigma_hat), ("u", state.u_hat), ("phi", state.phi_hat)):
-        if not np.all(np.isfinite(arr)):
-            nan_fields.append(name)
-    mass = state.mass(params)
-    drift = None
-    if mass_reference is not None:
-        drift = (mass - mass_reference) / max(abs(mass_reference), 1e-300)
-
-    phi = state.phi()
-    phi_max = float(np.max(np.abs(phi)))
-    excess = max(phi_max - 1.0, 0.0)
-    phi_loc = None
-    if excess > 0:
-        phi_loc = tuple(int(i) for i in np.unravel_index(int(np.argmax(np.abs(phi))), phi.shape))
-
-    rho = params.rho_bar + state.sigma()
-    rho_min, rho_max = float(rho.min()), float(rho.max())
-    low = 0.5 * params.rho_bar - rho_min
-    high = rho_max - 2.0 * params.rho_bar
-    violation = max(low, high, 0.0)
-    rho_loc = None
-    if violation > 0:
-        idx = np.argmin(rho) if low >= high else np.argmax(rho)
-        rho_loc = tuple(int(i) for i in np.unravel_index(int(idx), rho.shape))
-
-    return InvariantReport(
-        mass=mass,
-        mass_drift=drift,
-        phi_max=phi_max,
-        phi_excess=excess,
-        phi_excess_location=phi_loc,
-        rho_min=rho_min,
-        rho_max=rho_max,
-        rho_window_violation=violation,
-        rho_violation_location=rho_loc,
-        nan_fields=tuple(nan_fields),
     )
 
 

@@ -15,47 +15,38 @@ import numpy as np
 
 from .config import ICSpec, RunConfig
 from .errors import InfeasibleInitialCondition
-from .model import PhysParams, State
-from .spectral import Grid, SpectralField, hk_norm_sq
+from .model import PhysParams, State, invariant_monitor
+from .spectral import Grid, SpectralField, band_limited_noise, hk_norm_sq
 
 
 def _band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> np.ndarray:
-    """Zero-mean real field with integer modes ``0 < |m| <= max_mode``."""
+    """Zero-mean field with integer modes ``0 < |m| <= max_mode``, unit rms."""
     if max_mode > grid.n // 3:
         raise InfeasibleInitialCondition(
             f"ic.max_mode = {max_mode} exceeds the de-aliased band n/3 = {grid.n // 3}"
         )
-    noise = rng.standard_normal(grid.shape)
-    c = grid.forward(noise)
-    m2 = (grid.length / (2.0 * np.pi)) ** 2 * grid.k2  # squared integer mode magnitude
-    keep = (m2 > 0.25) & (m2 <= max_mode**2 + 1e-9)
-    c = np.where(keep, c, 0.0)
-    phys = grid.inverse(c)
-    scale = float(np.sqrt(np.mean(phys**2)))
-    return c / scale if scale > 0 else c
+    f = band_limited_noise(rng, grid, max_mode)
+    scale = float(np.sqrt(np.mean(f.to_physical() ** 2)))
+    return f.coeffs / scale if scale > 0 else f.coeffs
 
 
-def _combined_norm(grid: Grid, sigma_hat, u_hat, psi_hat, alpha: float) -> float:
-    """The scaled smallness functional; monotone increasing in ``alpha``."""
-    su = np.sqrt(
-        alpha**2
-        * (
-            hk_norm_sq(SpectralField(grid, sigma_hat), 3)
-            + sum(hk_norm_sq(SpectralField(grid, u_hat[i]), 3) for i in range(grid.dim))
-        )
+def _smallness(grid: Grid, sigma_hat, u_hat, psi_hat):
+    """The smallness functional of the fields scaled by ``alpha``; monotone in ``alpha``.
+
+    The norms are taken once, so an evaluation costs pointwise work only.
+    """
+    su_sq = hk_norm_sq(SpectralField(grid, sigma_hat), 3) + sum(
+        hk_norm_sq(SpectralField(grid, u_hat[i]), 3) for i in range(grid.dim)
     )
-    gp_sq = 0.0
-    k2 = grid.k2
-    mag2 = (psi_hat.real**2 + psi_hat.imag**2) * grid.weight
-    pw = k2.copy()
-    for _ in range(3):  # ||grad psi||^2 + ||D^2 psi||^2 + ||D^3 psi||^2
-        gp_sq += float(np.sum(pw * mag2))
-        pw = pw * k2
-    gp = alpha * np.sqrt(grid.volume * gp_sq)
+    gp_sq = grid.window_sum_sq(psi_hat, 1, 3)  # ||grad psi||^2 + ||D^2 psi||^2 + ||D^3 psi||^2
     psi = grid.inverse(psi_hat)
-    phisq = (1.0 + alpha * psi) ** 2 - 1.0
-    l2 = np.sqrt(grid.volume * float(np.mean(phisq**2)))
-    return su + gp + l2
+
+    def norm(alpha: float) -> float:
+        phisq = (1.0 + alpha * psi) ** 2 - 1.0
+        l2 = np.sqrt(grid.volume * float(np.mean(phisq**2)))
+        return np.sqrt(alpha**2 * su_sq) + alpha * np.sqrt(gp_sq) + l2
+
+    return norm
 
 
 def _random_perturbation(grid: Grid, ic: ICSpec) -> State:
@@ -68,20 +59,21 @@ def _random_perturbation(grid: Grid, ic: ICSpec) -> State:
     bump = bump - bump.max()
     psi_hat = grid.forward(bump)
 
+    norm = _smallness(grid, sigma_hat, u_hat, psi_hat)
     target = ic.delta
     lo, hi = 0.0, 1.0
-    while _combined_norm(grid, sigma_hat, u_hat, psi_hat, hi) < target:
+    while norm(hi) < target:
         hi *= 2.0
         if hi > 1e6:
             raise InfeasibleInitialCondition("cannot reach the requested smallness norm")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _combined_norm(grid, sigma_hat, u_hat, psi_hat, mid) < target:
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
+        if norm(mid) < target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
     alpha = 0.5 * (lo + hi)
 
     phi_hat = alpha * psi_hat
@@ -90,18 +82,21 @@ def _random_perturbation(grid: Grid, ic: ICSpec) -> State:
 
 
 def _check_feasible(state: State, params: PhysParams, delta: float, phi_tol: float) -> None:
-    rho = params.rho_bar + state.sigma()
-    if rho.min() < 0.5 * params.rho_bar or rho.max() > 2.0 * params.rho_bar:
+    rep = invariant_monitor(state, params, phi_tol=phi_tol)
+    if rep.nan_fields:
         raise InfeasibleInitialCondition(
-            f"delta = {delta:g} pushes the density out of "
-            f"[{0.5 * params.rho_bar:g}, {2 * params.rho_bar:g}] before any stepping "
-            f"(range [{rho.min():.6g}, {rho.max():.6g}])"
+            f"delta = {delta:g} gives non-finite {', '.join(rep.nan_fields)} coefficients"
         )
-    phi = state.phi()
-    if np.max(np.abs(phi)) > 1.0 + phi_tol:
+    if not rep.in_window:
+        lo, hi = rep.rho_window
+        raise InfeasibleInitialCondition(
+            f"delta = {delta:g} pushes the density out of [{lo:g}, {hi:g}] before any stepping "
+            f"(range [{rep.rho_min:.6g}, {rep.rho_max:.6g}])"
+        )
+    if not rep.phase_bounded:
         raise InfeasibleInitialCondition(
             f"delta = {delta:g} violates the phase bound |phi| <= 1 + {phi_tol:g} at t = 0 "
-            f"(max |phi| = {np.max(np.abs(phi)):.6g})"
+            f"(max |phi| = {rep.phi_max:.6g})"
         )
 
 

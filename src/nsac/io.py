@@ -105,25 +105,29 @@ def write_snapshot(path: str, state: State) -> None:
 
 
 def read_snapshot(path: str) -> State:
+    """Load a snapshot; a file whose size does not match its header is rejected."""
     with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"not a snapshot file (magic {magic!r})")
-        (dim,) = struct.unpack("<I", fh.read(4))
-        ns = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        lengths = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        (t,) = struct.unpack("<d", fh.read(8))
-        if len(set(ns)) != 1 or len(set(lengths)) != 1:
-            raise ValueError("snapshot grid must be cubic")
-        grid = Grid(dim=dim, n=ns[0], length=lengths[0])
-        count = grid.npoints
-        fields = []
-        for _ in range(dim + 2):
-            buf = fh.read(8 * count)
-            fields.append(np.frombuffer(buf, dtype="<f8").reshape(grid.shape).astype(np.float64))
-    sigma, phi = fields[0], fields[-1]
-    u = np.stack(fields[1:-1])
-    return State.from_physical(grid, t, sigma, u, phi)
+        raw = fh.read()
+    if raw[:5] != SNAPSHOT_MAGIC:
+        raise ValueError(f"not a snapshot file (magic {raw[:5]!r})")
+    size = len(raw)
+    dim = struct.unpack_from("<I", raw, 5)[0] if size >= 9 else 1
+    header = 17 + 12 * dim
+    if size < header:
+        raise ValueError(f"snapshot {path}: header cut short, expected at least {header} bytes, got {size}")
+    ns = struct.unpack_from(f"<{dim}I", raw, 9)
+    lengths = struct.unpack_from(f"<{dim}d", raw, 9 + 4 * dim)
+    (t,) = struct.unpack_from("<d", raw, 9 + 12 * dim)
+    if len(set(ns)) != 1 or len(set(lengths)) != 1:
+        raise ValueError("snapshot grid must be cubic")
+    expected = header + 8 * (dim + 2) * ns[0] ** dim
+    if size != expected:
+        raise ValueError(
+            f"snapshot {path}: expected {expected} bytes for dim {dim}, n {ns[0]}, got {size}"
+        )
+    grid = Grid(dim=dim, n=ns[0], length=lengths[0])
+    fields = np.frombuffer(raw, dtype="<f8", offset=header).reshape((dim + 2,) + grid.shape)
+    return State.from_physical(grid, t, fields[0], fields[1:-1], fields[-1])
 
 
 def write_summary(path: str, summary: dict) -> None:

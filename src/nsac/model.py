@@ -19,15 +19,24 @@ gradient part is absorbed into the pressure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvariantViolation, VacuumError
 from .spectral import Grid, SpectralField
 
+# The admissible set: every threshold that runs, initial conditions and
+# verdicts are judged by.
+
 #: Allowed overshoot of |phi| beyond 1 before a run is declared broken.
 PHI_TOL = 1e-6
+#: Admissible density window ``[RHO_WINDOW[0] rho_bar, RHO_WINDOW[1] rho_bar]``.
+RHO_WINDOW = (0.5, 2.0)
+#: Largest relative drift of the total mass that counts as conserved.
+MASS_DRIFT_TOL = 1e-12
+#: Largest energy rise between samples, relative to the first energy ``E_0``.
+ENERGY_RISE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -235,38 +244,135 @@ class State:
         return self.grid.volume * (params.rho_bar + self.grid.mean_value(self.sigma_hat))
 
 
-def check_state(state: State, params: PhysParams, step: int | None = None, phi_tol: float = PHI_TOL) -> None:
-    """Enforce runtime invariants: finite fields, density window, phase bound.
+# ---------------------------------------------------------------------------
+# Admissible set
+# ---------------------------------------------------------------------------
 
-    The density window ``[rho_bar/2, 2 rho_bar]`` is the regime in which the
-    model's smallness assumptions are meaningful; leaving it is treated as
-    blow-up rather than silently continued.
+
+def energy_monotone(energies) -> bool:
+    """No rise between consecutive samples beyond ``ENERGY_RISE_TOL * E_0``."""
+    e = np.asarray(energies, dtype=np.float64)
+    return bool(np.all(np.diff(e) <= ENERGY_RISE_TOL * e[0])) if e.size > 1 else True
+
+
+def _nonfinite_fields(state: State) -> tuple[str, ...]:
+    arrays = (("sigma", state.sigma_hat), ("u", state.u_hat), ("phi", state.phi_hat))
+    return tuple(name for name, arr in arrays if not np.all(np.isfinite(arr)))
+
+
+def _location(arr: np.ndarray, index) -> tuple[int, ...]:
+    return tuple(int(i) for i in np.unravel_index(int(index), arr.shape))
+
+
+@dataclass(frozen=True)
+class InvariantReport:
+    """A snapshot against the admissible set: finite coefficients, density in
+    ``rho_window``, ``max |phi| <= 1 + phi_tol`` and, given a reference mass,
+    drift within ``MASS_DRIFT_TOL``. ``clean`` means all of them hold.
+
+    Grid locations are kept for broken bounds only: the lowest density if it is
+    below the window, else the highest; the largest ``|phi|``.
     """
-    for name, arr in (("sigma", state.sigma_hat), ("u", state.u_hat), ("phi", state.phi_hat)):
-        if not np.all(np.isfinite(arr)):
-            raise InvariantViolation(name, "non-finite coefficients", step=step)
+
+    mass: float
+    mass_drift: float | None
+    phi_max: float
+    phi_excess: float
+    phi_excess_location: tuple | None
+    rho_min: float
+    rho_max: float
+    rho_window_violation: float
+    rho_violation_location: tuple | None
+    nan_fields: tuple
+    phi_tol: float
+    rho_window: tuple
+
+    @property
+    def in_window(self) -> bool:
+        return self.rho_window_violation <= 0
+
+    @property
+    def phase_bounded(self) -> bool:
+        return bool(self.phi_max <= 1.0 + self.phi_tol)
+
+    @property
+    def mass_conserved(self) -> bool:
+        return self.mass_drift is None or bool(abs(self.mass_drift) <= MASS_DRIFT_TOL)
+
+    @property
+    def clean(self) -> bool:
+        return not self.nan_fields and self.in_window and self.phase_bounded and self.mass_conserved
+
+
+def invariant_monitor(
+    state: State,
+    params: PhysParams | None = None,
+    mass_reference: float | None = None,
+    phi_tol: float = PHI_TOL,
+) -> InvariantReport:
+    """Judge a snapshot against the admissible set (see ``InvariantReport``).
+
+    Costs no transform beyond the cached ``state.sigma()`` and ``state.phi()``.
+    """
+    params = params if params is not None else PhysParams()
+    mass = state.mass(params)
+    drift = None
+    if mass_reference is not None:
+        drift = (mass - mass_reference) / max(abs(mass_reference), 1e-300)
+
+    lo, hi = RHO_WINDOW[0] * params.rho_bar, RHO_WINDOW[1] * params.rho_bar
     rho = params.rho_bar + state.sigma()
-    rmin, rmax = float(rho.min()), float(rho.max())
-    if rmin < 0.5 * params.rho_bar or rmax > 2.0 * params.rho_bar:
-        idx = np.unravel_index(int(np.argmin(rho) if rmin < 0.5 * params.rho_bar else np.argmax(rho)), rho.shape)
+    rho_min, rho_max = float(rho.min()), float(rho.max())
+    violation = max(lo - rho_min, rho_max - hi, 0.0)
+    phi = state.phi()
+    phi_max = float(np.max(np.abs(phi)))
+    rep = InvariantReport(
+        mass=mass,
+        mass_drift=drift,
+        phi_max=phi_max,
+        phi_excess=max(phi_max - 1.0, 0.0),
+        phi_excess_location=None,
+        rho_min=rho_min,
+        rho_max=rho_max,
+        rho_window_violation=violation,
+        rho_violation_location=None,
+        nan_fields=_nonfinite_fields(state),
+        phi_tol=phi_tol,
+        rho_window=(lo, hi),
+    )
+    if not rep.in_window:
+        worst = np.argmin(rho) if rho_min < lo else np.argmax(rho)
+        rep = replace(rep, rho_violation_location=_location(rho, worst))
+    if not rep.phase_bounded:
+        rep = replace(rep, phi_excess_location=_location(phi, np.argmax(np.abs(phi))))
+    return rep
+
+
+def check_state(state: State, params: PhysParams, step: int | None = None, phi_tol: float = PHI_TOL) -> None:
+    """Raise ``InvariantViolation`` for the first broken bound: finiteness, density, phase.
+
+    Leaving the density window counts as blow-up, not as a state to continue
+    from: the window is where the model's smallness assumptions mean something.
+    """
+    rep = invariant_monitor(state, params, phi_tol=phi_tol)
+    if rep.nan_fields:
+        raise InvariantViolation(rep.nan_fields[0], "non-finite coefficients", step=step)
+    if not rep.in_window:
+        lo, hi = rep.rho_window
         raise InvariantViolation(
             "rho",
-            f"density left [{0.5 * params.rho_bar:g}, {2 * params.rho_bar:g}] "
-            f"(min {rmin:.6g}, max {rmax:.6g})",
+            f"density left [{lo:g}, {hi:g}] (min {rep.rho_min:.6g}, max {rep.rho_max:.6g})",
             step=step,
-            magnitude=rmin if rmin < 0.5 * params.rho_bar else rmax,
-            location=idx,
+            magnitude=rep.rho_min if rep.rho_min < lo else rep.rho_max,
+            location=rep.rho_violation_location,
         )
-    phi = state.phi()
-    pmax = float(np.max(np.abs(phi)))
-    if pmax > 1.0 + phi_tol:
-        idx = np.unravel_index(int(np.argmax(np.abs(phi))), phi.shape)
+    if not rep.phase_bounded:
         raise InvariantViolation(
             "phi",
-            f"|phi| exceeded 1 + {phi_tol:g} (max |phi| = {pmax:.9g})",
+            f"|phi| exceeded 1 + {phi_tol:g} (max |phi| = {rep.phi_max:.9g})",
             step=step,
-            magnitude=pmax - 1.0,
-            location=idx,
+            magnitude=rep.phi_max - 1.0,
+            location=rep.phi_excess_location,
         )
 
 
@@ -327,12 +433,6 @@ class Tendency:
             self.u_stiff + self.u_explicit,
             self.phi_stiff + self.phi_explicit,
         )
-
-
-def _check_input_state(state: State) -> None:
-    for name, arr in (("sigma", state.sigma_hat), ("u", state.u_hat), ("phi", state.phi_hat)):
-        if not np.all(np.isfinite(arr)):
-            raise InvariantViolation(name, "non-finite field passed to rhs")
 
 
 def nonlinear_terms(state: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,7 +511,9 @@ def nonlinear_terms(state: State, params: PhysParams) -> tuple[np.ndarray, np.nd
 
 def rhs(state: State, params: PhysParams) -> Tendency:
     """Full right-hand side at a state, split into stiff and explicit parts."""
-    _check_input_state(state)
+    nonfinite = _nonfinite_fields(state)
+    if nonfinite:
+        raise InvariantViolation(nonfinite[0], "non-finite field passed to rhs")
     n_sigma, n_u, n_phi = nonlinear_terms(state, params)
     sigma_ac, u_visc, u_ac, phi_diff = linear_terms(state.grid, params, state.sigma_hat, state.u_hat, state.phi_hat)
     zero = np.zeros(state.grid.rshape, dtype=np.complex128)

@@ -210,6 +210,16 @@ class Grid:
         mag2 = coeffs.real**2 + coeffs.imag**2
         return self.volume * float(np.sum(self.mode_weights(order) * mag2))
 
+    def window_sum_sq(self, coeffs: np.ndarray, lo: int, hi: int) -> float:
+        """``sum_{j=lo..hi} ||D^j f||^2`` in one pass over the mode magnitudes."""
+        mag2 = (coeffs.real**2 + coeffs.imag**2) * self.weight
+        total = 0.0
+        pw = self.k2**lo if lo > 0 else np.ones_like(self.k2)
+        for _ in range(lo, hi + 1):
+            total += float(np.sum(pw * mag2))
+            pw = pw * self.k2
+        return self.volume * total
+
     def mean_value(self, coeffs: np.ndarray) -> float:
         return float(coeffs[(0,) * self.dim].real)
 
@@ -221,15 +231,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Immutable complex coefficient array on a :class:`Grid`.
+    """Immutable complex coefficient array of a real field on a :class:`Grid`.
 
-    ``is_real_symmetric`` records that the coefficients came from a real field;
-    the rfft layout keeps the redundant Hermitian half implicit.
+    The rfft layout keeps the redundant Hermitian half implicit.
     """
 
     grid: Grid
     coeffs: np.ndarray
-    is_real_symmetric: bool = True
 
     def __post_init__(self):
         if self.coeffs.shape != self.grid.rshape:
@@ -264,8 +272,11 @@ class SpectralField:
         return float(num / den)
 
 
-def _as_coeffs(f: SpectralField) -> tuple[Grid, np.ndarray]:
-    return f.grid, f.coeffs
+def band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> SpectralField:
+    """One ``rng.standard_normal`` draw kept on the integer modes ``0 < |m| <= max_mode``."""
+    c = grid.forward(rng.standard_normal(grid.shape))
+    m2 = (grid.length / (2.0 * np.pi)) ** 2 * grid.k2  # squared integer mode magnitude
+    return SpectralField(grid, np.where((m2 > 0.25) & (m2 <= max_mode**2 + 1e-9), c, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,7 @@ def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
     For ``s < 0`` the input must be zero-mean; the zero mode is mapped to zero
     for every ``s != 0``.
     """
-    grid, c = _as_coeffs(f)
+    grid, c = f.grid, f.coeffs
     if s == 0:
         return f
     if s < 0:
@@ -300,28 +311,20 @@ def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
     with np.errstate(divide="ignore"):
         mult = np.where(grid.k2 > 0, grid.kmag, 1.0) ** s
     mult = np.where(grid.k2 > 0, mult, 0.0)
-    return SpectralField(grid, c * mult, f.is_real_symmetric)
+    return SpectralField(grid, c * mult)
 
 
 def sobolev_norm(f: SpectralField, l: int) -> float:
     """``||f||`` weighted by ``|k|^l`` (the homogeneous derivative seminorm)."""
     if l < 0 or int(l) != l:
         raise ValueError(f"derivative order must be a non-negative integer, got {l}")
-    grid, c = _as_coeffs(f)
+    grid, c = f.grid, f.coeffs
     return float(np.sqrt(grid.mode_sum_sq(c, order=float(l))))
 
 
 def hk_norm_sq(f: SpectralField, k: int) -> float:
     """Squared inhomogeneous Sobolev norm ``sum_{j<=k} ||D^j f||^2``."""
-    grid, c = _as_coeffs(f)
-    mag2 = (c.real**2 + c.imag**2) * grid.weight
-    total = 0.0
-    k2 = grid.k2
-    pw = np.ones_like(k2)
-    for _ in range(k + 1):
-        total += float(np.sum(pw * mag2))
-        pw = pw * k2
-    return grid.volume * total
+    return f.grid.window_sum_sq(f.coeffs, 0, k)
 
 
 def negative_norm(f: SpectralField, s: float) -> float:
@@ -333,7 +336,7 @@ def negative_norm(f: SpectralField, s: float) -> float:
     """
     if not (0.0 < s < 1.5):
         raise ValueError(f"negative-order index s must lie in (0, 1.5), got {s}")
-    grid, c = _as_coeffs(f)
+    grid, c = f.grid, f.coeffs
     _require_zero_mean(grid, c, "negative_norm")
     return float(np.sqrt(grid.mode_sum_sq(c, order=-s)))
 
@@ -348,7 +351,7 @@ def interpolation_check(f: SpectralField, l: int, s: float) -> tuple[float, floa
         raise ValueError("l must be >= 0")
     if not (0.0 <= s < 1.5):
         raise ValueError(f"s must lie in [0, 1.5), got {s}")
-    grid, c = _as_coeffs(f)
+    grid, c = f.grid, f.coeffs
     _require_zero_mean(grid, c, "interpolation_check")
     lo = grid.mode_sum_sq(c, order=float(l))
     if lo == 0.0:

@@ -18,8 +18,8 @@ from .config import ICSpec, RunConfig
 from .diagnostics import energy_ledger
 from .initial import make_initial
 from .integrate import StepConfig, run
-from .model import PhysParams, State, pressure, pressure_prime, rhs
-from .spectral import Grid, SpectralField, fractional_laplacian, gn_ratio, interpolation_check
+from .model import PhysParams, State, energy_monotone, invariant_monitor, pressure_prime, rhs
+from .spectral import Grid, SpectralField, band_limited_noise, fractional_laplacian, gn_ratio, interpolation_check
 
 
 @dataclass
@@ -27,14 +27,6 @@ class PropertyResult:
     name: str
     passed: bool
     detail: str
-
-
-def _random_zero_mean(rng, grid: Grid, max_mode: int) -> SpectralField:
-    noise = rng.standard_normal(grid.shape)
-    c = grid.forward(noise)
-    m2 = (grid.length / (2 * np.pi)) ** 2 * grid.k2
-    c = np.where((m2 > 0.25) & (m2 <= max_mode**2 + 1e-9), c, 0.0)
-    return SpectralField(grid, c)
 
 
 def direct_rhs_physical(state: State, params: PhysParams):
@@ -80,12 +72,13 @@ def direct_rhs_physical(state: State, params: PhysParams):
     return dsigma, du, dphi
 
 
-def _random_state(rng, grid: Grid, params: PhysParams, amplitude: float, max_mode: int) -> State:
-    sigma = amplitude * _random_zero_mean(rng, grid, max_mode).to_physical()
+def random_state(rng, grid: Grid, amplitude: float = 1e-2, max_mode: int = 2) -> State:
+    """Small band-limited perturbation of the quiescent single phase, ``phi <= 1``."""
+    sigma = amplitude * band_limited_noise(rng, grid, max_mode).to_physical()
     u = np.stack(
-        [amplitude * _random_zero_mean(rng, grid, max_mode).to_physical() for _ in range(grid.dim)]
+        [amplitude * band_limited_noise(rng, grid, max_mode).to_physical() for _ in range(grid.dim)]
     )
-    psi = amplitude * _random_zero_mean(rng, grid, max_mode).to_physical()
+    psi = amplitude * band_limited_noise(rng, grid, max_mode).to_physical()
     phi = 1.0 + psi - psi.max()
     return State.from_physical(grid, 0.0, sigma, u, phi)
 
@@ -105,7 +98,7 @@ def check_round_trip(grid: Grid, seed: int) -> PropertyResult:
 
 def check_parseval(grid: Grid, seed: int) -> PropertyResult:
     rng = np.random.default_rng(seed)
-    f = _random_zero_mean(rng, grid, grid.n // 3)
+    f = band_limited_noise(rng, grid, grid.n // 3)
     phys = f.to_physical()
     quad = grid.volume * float(np.mean(phys**2))
     mode = grid.mode_sum_sq(f.coeffs, 0.0)
@@ -115,7 +108,7 @@ def check_parseval(grid: Grid, seed: int) -> PropertyResult:
 
 def check_fractional_inverse(grid: Grid, seed: int) -> PropertyResult:
     rng = np.random.default_rng(seed)
-    f = _random_zero_mean(rng, grid, grid.n // 3)
+    f = band_limited_noise(rng, grid, grid.n // 3)
     worst = 0.0
     for s in (0.5, 1.0, 1.5):
         back = fractional_laplacian(fractional_laplacian(f, s), -s)
@@ -134,7 +127,7 @@ def check_interpolation(grid: Grid, seed: int) -> PropertyResult:
     ok = eq_err <= 1e-12
     detail = f"single-mode defect {eq_err:.3e}"
     for _ in range(20):
-        f = _random_zero_mean(rng, grid, grid.n // 3)
+        f = band_limited_noise(rng, grid, grid.n // 3)
         for (l, s) in ((0, 0.5), (1, 1.0), (2, 0.5)):
             lhs, rhs_ = interpolation_check(f, l, s)
             if lhs > rhs_ * (1.0 + 1e-12):
@@ -161,7 +154,7 @@ def gn_ensemble_max(grid: Grid, seed: int, count: int = 100, max_mode: int = 8) 
     rng = np.random.default_rng(seed)
     worst = {case: 0.0 for case in cases}
     for _ in range(count):
-        f = _random_zero_mean(rng, grid, max_mode)
+        f = band_limited_noise(rng, grid, max_mode)
         for case in cases:
             worst[case] = max(worst[case], gn_ratio(f, *case))
     return worst
@@ -200,7 +193,7 @@ def check_steady_state(grid: Grid, params: PhysParams) -> PropertyResult:
 
 def check_split_equivalence(grid: Grid, params: PhysParams, seed: int) -> PropertyResult:
     rng = np.random.default_rng(seed)
-    state = _random_state(rng, grid, params, amplitude=1e-2, max_mode=max(2, grid.n // 8))
+    state = random_state(rng, grid, amplitude=1e-2, max_mode=max(2, grid.n // 8))
     tend = rhs(state, params)
     split = tend.total()
     direct = direct_rhs_physical(state, params)
@@ -218,41 +211,26 @@ def check_product_dealiasing(grid: Grid, seed: int) -> PropertyResult:
     back. Detects a dropped de-aliasing step immediately.
     """
     rng = np.random.default_rng(seed)
-    fa = _random_zero_mean(rng, grid, grid.n // 3).to_physical()
-    fb = _random_zero_mean(rng, grid, grid.n // 3).to_physical()
+    fa = band_limited_noise(rng, grid, grid.n // 3).to_physical()
+    fb = band_limited_noise(rng, grid, grid.n // 3).to_physical()
     prod = grid.forward_product(fa * fb)
 
     fine = Grid(dim=grid.dim, n=2 * grid.n, length=grid.length)
-    pa = _pad_to(grid, fine, grid.forward(fa))
-    pb = _pad_to(grid, fine, grid.forward(fb))
-    exact_fine = fine.forward(fine.inverse(pa) * fine.inverse(pb))
-    exact = _truncate_to(fine, grid, exact_fine) * grid.dealias_mask
+    sel = _coarse_modes(grid, fine)
+    pa = np.zeros(fine.rshape, dtype=np.complex128)
+    pb = np.zeros(fine.rshape, dtype=np.complex128)
+    pa[sel], pb[sel] = grid.forward(fa), grid.forward(fb)
+    exact = fine.forward(fine.inverse(pa) * fine.inverse(pb))[sel] * grid.dealias_mask
 
     scale = max(float(np.max(np.abs(exact))), 1e-300)
     err = float(np.max(np.abs(prod - exact))) / scale
     return PropertyResult("quadratic_product_alias_free", err <= 1e-13, f"max rel err {err:.3e}")
 
 
-def _mode_index(grid: Grid):
-    idx = []
-    for ax in range(grid.dim):
-        m = grid._aux["modes"][ax]
-        idx.append(m)
-    return idx
-
-
-def _pad_to(coarse: Grid, fine: Grid, coeffs: np.ndarray) -> np.ndarray:
-    out = np.zeros(fine.rshape, dtype=np.complex128)
-    cm = _mode_index(coarse)
-    sel_out = np.ix_(*[np.asarray(m) % fine.n if ax < coarse.dim - 1 else np.asarray(m) for ax, m in enumerate(cm)])
-    out[sel_out] = coeffs
-    return out
-
-
-def _truncate_to(fine: Grid, coarse: Grid, coeffs: np.ndarray) -> np.ndarray:
-    cm = _mode_index(coarse)
-    sel = np.ix_(*[np.asarray(m) % fine.n if ax < coarse.dim - 1 else np.asarray(m) for ax, m in enumerate(cm)])
-    return coeffs[sel].copy()
+def _coarse_modes(coarse: Grid, fine: Grid):
+    """Index of the coarse grid's modes within the fine grid's rfft layout."""
+    modes = coarse._aux["modes"]
+    return np.ix_(*[m % fine.n if ax < coarse.dim - 1 else m for ax, m in enumerate(modes)])
 
 
 def check_mini_run(grid: Grid, params: PhysParams, seed: int) -> PropertyResult:
@@ -264,20 +242,18 @@ def check_mini_run(grid: Grid, params: PhysParams, seed: int) -> PropertyResult:
     )
     state = make_initial(cfg)
     energies = []
-    masses = []
-    phimax = []
+    reports = []
 
     def obs(_i, s):
         energies.append(energy_ledger(s, params).total)
-        masses.append(s.mass(params))
-        phimax.append(float(np.max(np.abs(s.phi()))))
+        mass0 = reports[0].mass if reports else None
+        reports.append(invariant_monitor(s, params, mass_reference=mass0, phi_tol=cfg.step.phi_tol))
 
     summary = run(state, cfg.step, params, observers=(obs,))
-    diffs = np.diff(energies)
-    mono = bool(np.all(diffs <= 1e-10 * energies[0]))
-    drift = max(abs(m - masses[0]) / abs(masses[0]) for m in masses)
-    bound = max(phimax)
-    ok = summary.termination == "t_end" and mono and drift <= 1e-12 and bound <= 1.0 + cfg.step.phi_tol
+    mono = energy_monotone(energies)
+    drift = max(abs(r.mass_drift or 0.0) for r in reports)
+    bound = max(r.phi_max for r in reports)
+    ok = summary.termination == "t_end" and mono and all(r.clean for r in reports)
     return PropertyResult(
         "mini_run_invariants",
         ok,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nsac import Grid, PhysParams, State
-from nsac.spectral import SpectralField
+from nsac import Grid, PhysParams
+from nsac.spectral import band_limited_noise as random_zero_mean_field  # noqa: F401
+from nsac.verify import random_state as random_admissible_state  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -18,22 +19,3 @@ def grid32():
 @pytest.fixture(scope="session")
 def params():
     return PhysParams()
-
-
-def random_zero_mean_field(rng, grid, max_mode):
-    """Zero-mean band-limited field with integer modes 0 < |m| <= max_mode."""
-    c = grid.forward(rng.standard_normal(grid.shape))
-    m2 = (grid.length / (2 * np.pi)) ** 2 * grid.k2
-    c = np.where((m2 > 0.25) & (m2 <= max_mode**2 + 1e-9), c, 0.0)
-    return SpectralField(grid, c)
-
-
-def random_admissible_state(rng, grid, amplitude=1e-2, max_mode=2):
-    """Small perturbation of the quiescent single-phase state, phi <= 1."""
-    sigma = amplitude * random_zero_mean_field(rng, grid, max_mode).to_physical()
-    u = np.stack(
-        [amplitude * random_zero_mean_field(rng, grid, max_mode).to_physical() for _ in range(grid.dim)]
-    )
-    psi = amplitude * random_zero_mean_field(rng, grid, max_mode).to_physical()
-    phi = 1.0 + psi - psi.max()
-    return State.from_physical(grid, 0.0, sigma, u, phi)

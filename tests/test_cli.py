@@ -80,6 +80,38 @@ class TestSimulate:
             observer(0, State.equilibrium(cfg.grid, phi_value=1.0 + 1e-4))
         assert observer.verdicts()["max_principle"] is True
 
+    def test_solver_error_still_writes_every_artifact(self, tmp_path, monkeypatch, capsys):
+        from nsac import cli
+        from nsac.io import read_snapshot
+
+        def broken_level_energy(state, l):
+            raise FloatingPointError("overflow in level energy")
+
+        monkeypatch.setattr(cli, "level_energy", broken_level_energy)
+        rc = main(["simulate", "ic.kind=equilibrium"] + base_overrides(tmp_path))
+        assert rc == 1
+        for name in ("run.csv", "run.nsac", "run.json"):
+            assert (tmp_path / name).exists()
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert summary["termination"] == "error"
+        assert summary["error_type"] == "FloatingPointError"
+        assert "overflow in level energy" in summary["error"]
+        assert read_snapshot(str(tmp_path / "run.nsac")).t == 0.0
+        assert "FloatingPointError" in capsys.readouterr().err
+
+    def test_invariant_violation_summary_is_written(self, tmp_path):
+        # a violation's grid location must be JSON-serializable
+        rc = main(
+            ["simulate", "ic.kind=tanh_interface", "ic.width=0.3", "grid.n=32", "step.dt=0.05",
+             "step.t_end=0.3", "diag.cadence=100"]
+            + base_overrides(tmp_path)[2:]
+        )
+        assert rc == 1
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert summary["termination"] == "invariant_violation"
+        assert summary["violation"]["field"] == "phi"
+        assert all(isinstance(i, int) for i in summary["violation"]["location"])
+
     def test_unknown_key_is_config_error(self, tmp_path):
         rc = main(["simulate", "grid.bogus=3"] + base_overrides(tmp_path))
         assert rc == 2

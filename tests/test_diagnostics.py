@@ -195,6 +195,65 @@ class TestInvariantMonitor:
         rep = invariant_monitor(state, params, mass_reference=state.mass(params))
         assert rep.mass_drift == 0.0
 
+    def test_clean_follows_the_run_phase_tolerance(self, grid16, params):
+        # a run with step.phi_tol = 1e-3 accepts this state, so its report must too
+        state = State.equilibrium(grid16, phi_value=1.0 + 1e-4)
+        assert invariant_monitor(state, params, phi_tol=1e-3).clean
+        assert not invariant_monitor(state, params).clean
+
+
+def _boundary_state(grid, params, kind):
+    state = State.equilibrium(grid, phi_value=1.0 + 1.5e-4 if kind == "phi" else 1.0)
+    sigma_hat = state.sigma_hat.copy()
+    if kind == "rho":
+        sigma_hat[0, 0, 0] = -0.51 * params.rho_bar
+    elif kind == "nan":
+        sigma_hat[1, 0, 0] = np.nan
+    return State(grid, 0.0, sigma_hat, state.u_hat, state.phi_hat)
+
+
+class TestAdmissibleSetViews:
+    """check_state, the report, the IC check and the CLI verdicts judge alike."""
+
+    @pytest.mark.parametrize(
+        "kind, phi_tol, admissible",
+        [("phi", 1e-4, False), ("phi", 1e-3, True), ("rho", 1e-6, False), ("nan", 1e-6, False)],
+    )
+    def test_views_agree(self, tmp_path, kind, phi_tol, admissible):
+        from nsac.cli import _SeriesObserver
+        from nsac.config import build_run_config
+        from nsac.errors import InfeasibleInitialCondition, InvariantViolation
+        from nsac.initial import _check_feasible
+        from nsac.io import CsvWriter
+        from nsac.model import check_state
+
+        cfg = build_run_config({"grid.n": "8", "phys.rho_bar": "1.3", "step.phi_tol": repr(phi_tol)})
+        params = cfg.phys
+        state = _boundary_state(cfg.grid, params, kind)
+
+        def accepts(fn, error):
+            try:
+                fn()
+            except error:
+                return False
+            return True
+
+        with CsvWriter(str(tmp_path / "obs.csv"), cfg.diag.s_list) as writer, np.errstate(all="ignore"):
+            observer = _SeriesObserver(cfg, writer)
+            observer(0, state)
+        verdicts = observer.verdicts()
+        views = {
+            "check_state": accepts(lambda: check_state(state, params, phi_tol=phi_tol), InvariantViolation),
+            "report": invariant_monitor(state, params, phi_tol=phi_tol).clean,
+            "ic_check": accepts(
+                lambda: _check_feasible(state, params, 1e-2, phi_tol), InfeasibleInitialCondition
+            ),
+            "cli": verdicts["admissible"],
+        }
+        assert views == dict.fromkeys(views, admissible)
+        if kind == "phi":
+            assert verdicts["max_principle"] is admissible
+
 
 class TestDecaySuite:
     def test_synthetic_power_law_passes(self):

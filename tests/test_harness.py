@@ -234,3 +234,18 @@ class TestSnapshot:
         path.write_bytes(b"JUNK!" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             read_snapshot(str(path))
+
+    @pytest.mark.parametrize(
+        "cut, pad",
+        [(8, 0), (3, 0), (29 + 3 * 8 * 8 - 20, 0), (0, 16)],
+        ids=["one_double_short", "three_bytes_short", "cut_header", "sixteen_trailing_bytes"],
+    )
+    def test_size_must_match_header(self, tmp_path, cut, pad):
+        grid = Grid(dim=1, n=8, length=1.0)
+        state = State.from_physical(grid, 0.5, np.zeros(8), np.zeros((1, 8)), np.ones(8))
+        path = tmp_path / "tiny.nsac"
+        write_snapshot(str(path), state)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - cut] + b"\x00" * pad)
+        with pytest.raises(ValueError, match=r"expected (at least )?\d+ bytes.*got \d+"):
+            read_snapshot(str(path))
