@@ -14,7 +14,6 @@ import numpy as np
 
 from .model import EnergyReport, InvariantReport, PhysParams, State, invariant_monitor, total_energy  # noqa: F401  (re-exported)
 from .oracle import DecayFit, fit_exponent
-from .spectral import SpectralField, negative_norm
 
 
 def energy_ledger(state: State, params: PhysParams) -> EnergyReport:
@@ -50,26 +49,34 @@ class LevelEnergy:
 
 def phi_sq_minus_one_hat(state: State) -> np.ndarray:
     """De-aliased coefficients of ``phi^2 - 1`` (cached on the snapshot)."""
-    if "phisq_hat" not in state._cache:
+
+    def build():
         g = state.grid
         phi = state.phi()
-        c = g.forward_product(phi * phi).copy()
+        c = g.forward_product(phi * phi)
         c[(0,) * g.dim] -= 1.0
-        state._cache["phisq_hat"] = c
-    return state._cache["phisq_hat"]
+        return c
+
+    return state._phys("phisq_hat", build)
+
+
+def _phisq_spectrum(state: State) -> np.ndarray:
+    return state._phys("phisq_shells", lambda: state.grid.shell_spectrum(phi_sq_minus_one_hat(state)))
 
 
 def level_energy(state: State, l: int) -> LevelEnergy:
-    """Evaluate the level-``l`` norm combination spectrally."""
+    """Evaluate the level-``l`` norm combination from the cached shell spectra."""
     if l not in (0, 1, 2):
         raise ValueError(f"level must be 0, 1 or 2, got {l}")
     g = state.grid
-    sigma_hk = g.window_sum_sq(state.sigma_hat, l, 3)
-    u_hk = sum(g.window_sum_sq(state.u_hat[i], l, 3) for i in range(g.dim))
-    # ||D^(l+1) phi||^2 summed through total order 3 equals the gradient block
-    phi_grad = g.window_sum_sq(state.phi_hat, l + 1, 3)
-    phi_sq = g.mode_sum_sq(phi_sq_minus_one_hat(state), order=0.0)
-    return LevelEnergy(l=l, sigma_hk=sigma_hk, u_hk=u_hk, phi_grad=phi_grad, phi_sq=phi_sq)
+    return LevelEnergy(
+        l=l,
+        sigma_hk=g.shell_window(state.spectrum("sigma"), l, 3),
+        u_hk=g.shell_window(state.spectrum("u"), l, 3),
+        # ||D^(l+1) phi||^2 summed through total order 3 equals the gradient block
+        phi_grad=g.shell_window(state.spectrum("phi"), l + 1, 3),
+        phi_sq=g.shell_sum(_phisq_spectrum(state)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -98,29 +105,16 @@ class NegativeFunctional:
     phisq_mean: float
 
 
-def _neg_sq(grid, coeffs, s: float) -> tuple[float, float]:
-    mean = grid.mean_value(coeffs)
-    c = coeffs.copy()
-    c[(0,) * grid.dim] = 0.0
-    return negative_norm(SpectralField(grid, c), s) ** 2, mean
-
-
 def negative_functional(state: State, s: float) -> NegativeFunctional:
     if not (0.0 < s < 1.5):
         raise ValueError(f"s must lie in (0, 1.5), got {s}")
     g = state.grid
-    sigma_neg, sigma_mean = _neg_sq(g, state.sigma_hat, s)
-    u_neg = 0.0
-    u_mean = []
-    for i in range(g.dim):
-        part, mean = _neg_sq(g, state.u_hat[i], s)
-        u_neg += part
-        u_mean.append(mean)
-    gradphi_neg = 0.0
-    for i in range(g.dim):
-        part, _ = _neg_sq(g, 1j * g.kvec[i] * state.phi_hat, s)
-        gradphi_neg += part
-    phisq_neg, phisq_mean = _neg_sq(g, phi_sq_minus_one_hat(state), s)
+    # a negative-order shell sum skips shell 0, which removes the mean
+    sigma_neg = g.shell_sum(state.spectrum("sigma"), -s)
+    u_neg = g.shell_sum(state.spectrum("u"), -s)
+    # sum_i |k_i phi|^2 = |k|^2 |phi|^2, so grad phi has the spectrum k^2 S_phi
+    gradphi_neg = g.shell_sum(g.shell_k2 * state.spectrum("phi"), -s)
+    phisq_neg = g.shell_sum(_phisq_spectrum(state), -s)
     total = sigma_neg + u_neg + gradphi_neg + phisq_neg
     return NegativeFunctional(
         s=s,
@@ -129,9 +123,9 @@ def negative_functional(state: State, s: float) -> NegativeFunctional:
         gradphi_neg=gradphi_neg,
         phisq_neg=phisq_neg,
         total=total,
-        sigma_mean=sigma_mean,
-        u_mean=tuple(u_mean),
-        phisq_mean=phisq_mean,
+        sigma_mean=g.mean_value(state.sigma_hat),
+        u_mean=tuple(g.mean_value(c) for c in state.u_hat),
+        phisq_mean=g.mean_value(phi_sq_minus_one_hat(state)),
     )
 
 

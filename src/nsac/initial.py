@@ -16,7 +16,7 @@ import numpy as np
 from .config import ICSpec, RunConfig
 from .errors import InfeasibleInitialCondition
 from .model import PhysParams, State, invariant_monitor
-from .spectral import Grid, SpectralField, band_limited_noise, hk_norm_sq
+from .spectral import Grid, band_limited_noise
 
 
 def _band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> np.ndarray:
@@ -35,10 +35,9 @@ def _smallness(grid: Grid, sigma_hat, u_hat, psi_hat):
 
     The norms are taken once, so an evaluation costs pointwise work only.
     """
-    su_sq = hk_norm_sq(SpectralField(grid, sigma_hat), 3) + sum(
-        hk_norm_sq(SpectralField(grid, u_hat[i]), 3) for i in range(grid.dim)
-    )
-    gp_sq = grid.window_sum_sq(psi_hat, 1, 3)  # ||grad psi||^2 + ||D^2 psi||^2 + ||D^3 psi||^2
+    su_sq = sum(grid.shell_window(grid.shell_spectrum(c), 0, 3) for c in (sigma_hat, u_hat))
+    # ||grad psi||^2 + ||D^2 psi||^2 + ||D^3 psi||^2
+    gp_sq = grid.shell_window(grid.shell_spectrum(psi_hat), 1, 3)
     psi = grid.inverse(psi_hat)
 
     def norm(alpha: float) -> float:

@@ -161,9 +161,11 @@ def g_potential_prime(rho, params: PhysParams):
 class State:
     """Fields at one time instant, stored spectrally with lazy physical views.
 
-    The physical-space cache makes repeated evaluation (tendency, energy
-    ledger, invariant monitor) share transforms; a State is immutable, so
-    the cache never invalidates and snapshots are safe to share.
+    The cache makes repeated evaluation (tendency, energy ledger, invariant
+    monitor) share transforms, and every norm is read off cached shell
+    spectra, taken once per field however many norms a sample reports; a
+    State is immutable, so the cache never invalidates and snapshots are
+    safe to share.
     """
 
     grid: Grid
@@ -230,11 +232,12 @@ class State:
 
         return self._phys("grad_phi", build)
 
+    def spectrum(self, name: str) -> np.ndarray:
+        """Shell spectrum of ``"sigma"``, ``"u"`` (components summed) or ``"phi"``."""
+        return self._phys(name + "_shells", lambda: self.grid.shell_spectrum(getattr(self, name + "_hat")))
+
     def sigma_field(self) -> SpectralField:
         return SpectralField(self.grid, self.sigma_hat)
-
-    def phi_field(self) -> SpectralField:
-        return SpectralField(self.grid, self.phi_hat)
 
     def u_fields(self) -> list[SpectralField]:
         return [SpectralField(self.grid, self.u_hat[i]) for i in range(self.grid.dim)]
@@ -624,10 +627,10 @@ def total_energy(state: State, params: PhysParams) -> EnergyReport:
 
     kinetic = 0.5 * V * float(np.mean(rho * np.sum(u * u, axis=0)))
     g_part = V * float(np.mean(g_potential(rho, params)))
-    gradient_part = 0.5 * params.epsilon * g.mode_sum_sq(state.phi_hat, order=1.0)
+    gradient_part = 0.5 * params.epsilon * g.shell_sum(state.spectrum("phi"), order=1.0)
     double_well = V / (4.0 * params.epsilon) * float(np.mean(rho * (phi**2 - 1.0) ** 2))
 
-    grad_u_sq = sum(g.mode_sum_sq(state.u_hat[i], order=1.0) for i in range(g.dim))
+    grad_u_sq = g.shell_sum(state.spectrum("u"), order=1.0)
     div_u_hat = sum(1j * g.kvec[j] * state.u_hat[j] for j in range(g.dim))
     div_u_sq = g.mode_sum_sq(div_u_hat, order=0.0)
     mu = chemical_potential(state, params)

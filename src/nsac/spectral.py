@@ -7,7 +7,8 @@ on the conventions fixed here:
   with wavenumbers ``k = 2*pi*m/L`` for integer mode vectors ``m``, stored in
   ``rfftn`` layout (last axis halved, Hermitian half implicit).
 * ``||f||_L2^2 = V * sum_k |F_k|^2`` where ``V`` is the box volume; the
-  ``l``-th derivative norm is the mode sum weighted by ``|k|^(2l)``.
+  ``l``-th derivative norm is the mode sum weighted by ``|k|^(2l)``, read off
+  the integer shells ``|k|^2 = k0^2 |m|^2`` of the shell spectrum ``S(|m|^2)``.
 * Products of fields are de-aliased with the two-thirds rule; cubic terms must
   be assembled from pairwise de-aliased products.
 """
@@ -50,8 +51,8 @@ def _is_power_of_two(n: int) -> bool:
 class Grid:
     """Cubic periodic box ``[0, length)^dim`` sampled on ``n`` points per axis.
 
-    Precomputes wavenumber arrays, the two-thirds de-aliasing mask and the
-    Hermitian doubling weights used by every mode sum.
+    Precomputes wavenumber arrays, the two-thirds de-aliasing mask, and the
+    Hermitian doubling weights and integer shell index used by every mode sum.
     """
 
     dim: int
@@ -76,12 +77,14 @@ class Grid:
         modes = [np.rint(np.fft.fftfreq(n) * n).astype(np.int64) for _ in range(dim - 1)]
         modes.append(np.arange(n // 2 + 1, dtype=np.int64))
         kvec = []
+        shell = np.zeros(rshape, dtype=np.int64)  # integer |m|^2, 0 .. dim (n/2)^2
         for ax, m in enumerate(modes):
             sh = [1] * dim
             sh[ax] = m.size
             kvec.append((k0 * m.astype(np.float64)).reshape(sh))
+            shell += (m * m).reshape(sh)
+        shell_k2 = k0**2 * np.arange(dim * (n // 2) ** 2 + 1, dtype=np.float64)  # |k|^2 per shell
         k2 = reduce(np.add, (np.broadcast_to(k * k, rshape) for k in kvec)).copy()
-        kmag = np.sqrt(k2)
 
         # Hermitian weights: interior half-axis modes stand for a conjugate pair
         wlast = np.ones(n // 2 + 1)
@@ -97,7 +100,7 @@ class Grid:
             sh[ax] = m.size
             mask &= (np.abs(m) <= cut).reshape(sh)
 
-        for arr in (k2, kmag, weight, mask):
+        for arr in (k2, weight, mask, shell, shell_k2):
             arr.flags.writeable = False
         self._aux.update(
             shape=shape,
@@ -105,10 +108,10 @@ class Grid:
             modes=modes,
             kvec=tuple(kvec),
             k2=k2,
-            kmag=kmag,
             weight=weight,
             dealias_mask=mask,
-            npoints=n**dim,
+            shell=shell,
+            shell_k2=shell_k2,
             volume=self.length**dim,
             dx=self.length / n,
         )
@@ -132,10 +135,6 @@ class Grid:
         return self._aux["k2"]
 
     @property
-    def kmag(self):
-        return self._aux["kmag"]
-
-    @property
     def weight(self):
         return self._aux["weight"]
 
@@ -144,8 +143,12 @@ class Grid:
         return self._aux["dealias_mask"]
 
     @property
-    def npoints(self):
-        return self._aux["npoints"]
+    def shell(self):
+        return self._aux["shell"]
+
+    @property
+    def shell_k2(self):
+        return self._aux["shell_k2"]
 
     @property
     def volume(self):
@@ -196,29 +199,26 @@ class Grid:
 
     # -- mode sums ----------------------------------------------------------
 
-    def mode_weights(self, order: float) -> np.ndarray:
-        """``|k|^(2*order)`` with the zero mode excluded for ``order != 0``."""
+    def shell_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
+        """``S(m2)``: ``weight |F|^2`` summed over each shell and over any leading stack axes."""
+        mag2 = np.sum(coeffs.real**2 + coeffs.imag**2, axis=tuple(range(coeffs.ndim - self.dim)))
+        return np.bincount(self.shell.ravel(), weights=(self.weight * mag2).ravel(), minlength=self.shell_k2.size)
+
+    def shell_sum(self, spectrum: np.ndarray, order: float = 0.0) -> float:
+        """``V * sum_m2 S(m2) |k|^(2*order)``; the zero shell counts only at order 0."""
         if order == 0:
-            return self.weight
-        with np.errstate(divide="ignore"):
-            w = np.where(self.k2 > 0, self.kmag, 1.0) ** (2.0 * order)
-        w = np.where(self.k2 > 0, w, 0.0)
-        return self.weight * w
+            return self.volume * float(np.sum(spectrum))
+        return self.volume * float(np.dot(spectrum[1:], self.shell_k2[1:] ** order))
+
+    def shell_window(self, spectrum: np.ndarray, lo: int, hi: int) -> float:
+        """``sum_{j=lo..hi} ||D^j f||^2`` from the shell spectrum of ``f``."""
+        return sum(self.shell_sum(spectrum, j) for j in range(lo, hi + 1))
 
     def mode_sum_sq(self, coeffs: np.ndarray, order: float = 0.0) -> float:
-        """``V * sum_k |k|^(2*order) |F_k|^2`` (the squared order-`order` norm)."""
-        mag2 = coeffs.real**2 + coeffs.imag**2
-        return self.volume * float(np.sum(self.mode_weights(order) * mag2))
-
-    def window_sum_sq(self, coeffs: np.ndarray, lo: int, hi: int) -> float:
-        """``sum_{j=lo..hi} ||D^j f||^2`` in one pass over the mode magnitudes."""
-        mag2 = (coeffs.real**2 + coeffs.imag**2) * self.weight
-        total = 0.0
-        pw = self.k2**lo if lo > 0 else np.ones_like(self.k2)
-        for _ in range(lo, hi + 1):
-            total += float(np.sum(pw * mag2))
-            pw = pw * self.k2
-        return self.volume * total
+        """``V * sum_k |k|^(2*order) |F_k|^2``; order 0 is Parseval's sum and needs no shells."""
+        if order == 0:
+            return self.volume * float(np.sum(self.weight * (coeffs.real**2 + coeffs.imag**2)))
+        return self.shell_sum(self.shell_spectrum(coeffs), order)
 
     def mean_value(self, coeffs: np.ndarray) -> float:
         return float(coeffs[(0,) * self.dim].real)
@@ -259,7 +259,7 @@ class SpectralField:
         return self.grid.mean_value(self.coeffs)
 
     def real_symmetry_defect(self) -> float:
-        """Relative imaginary残 of the inverse transform; ~1e-16 for real data.
+        """Relative round-trip defect ``||forward(inverse(F)) - F|| / ||F||``; ~1e-16 for real data.
 
         The rfft half-spectrum is Hermitian by construction except on the
         self-conjugate planes (last-axis index 0 and Nyquist); measure the
@@ -275,8 +275,7 @@ class SpectralField:
 def band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> SpectralField:
     """One ``rng.standard_normal`` draw kept on the integer modes ``0 < |m| <= max_mode``."""
     c = grid.forward(rng.standard_normal(grid.shape))
-    m2 = (grid.length / (2.0 * np.pi)) ** 2 * grid.k2  # squared integer mode magnitude
-    return SpectralField(grid, np.where((m2 > 0.25) & (m2 <= max_mode**2 + 1e-9), c, 0.0))
+    return SpectralField(grid, np.where((grid.shell > 0) & (grid.shell <= max_mode**2), c, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +308,7 @@ def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
     if s < 0:
         _require_zero_mean(grid, c, "fractional_laplacian with s < 0")
     with np.errstate(divide="ignore"):
-        mult = np.where(grid.k2 > 0, grid.kmag, 1.0) ** s
+        mult = np.sqrt(np.where(grid.k2 > 0, grid.k2, 1.0)) ** s
     mult = np.where(grid.k2 > 0, mult, 0.0)
     return SpectralField(grid, c * mult)
 
@@ -324,7 +323,7 @@ def sobolev_norm(f: SpectralField, l: int) -> float:
 
 def hk_norm_sq(f: SpectralField, k: int) -> float:
     """Squared inhomogeneous Sobolev norm ``sum_{j<=k} ||D^j f||^2``."""
-    return f.grid.window_sum_sq(f.coeffs, 0, k)
+    return f.grid.shell_window(f.grid.shell_spectrum(f.coeffs), 0, k)
 
 
 def negative_norm(f: SpectralField, s: float) -> float:
@@ -353,11 +352,12 @@ def interpolation_check(f: SpectralField, l: int, s: float) -> tuple[float, floa
         raise ValueError(f"s must lie in [0, 1.5), got {s}")
     grid, c = f.grid, f.coeffs
     _require_zero_mean(grid, c, "interpolation_check")
-    lo = grid.mode_sum_sq(c, order=float(l))
+    spectrum = grid.shell_spectrum(c)
+    lo = grid.shell_sum(spectrum, order=float(l))
     if lo == 0.0:
         raise ValueError("zero field: interpolation ratio undefined")
-    hi = grid.mode_sum_sq(c, order=float(l) + 1.0)
-    neg = grid.mode_sum_sq(c, order=-s)
+    hi = grid.shell_sum(spectrum, order=float(l) + 1.0)
+    neg = grid.shell_sum(spectrum, order=-s)
     theta = 1.0 / (l + s + 1.0)
     lhs = np.sqrt(lo)
     rhs = np.sqrt(hi) ** (1.0 - theta) * np.sqrt(neg) ** theta

@@ -117,6 +117,41 @@ class TestSimulate:
         assert rc == 2
 
 
+class TestSampleCost:
+    """What one observer sample costs, counted rather than timed."""
+
+    def test_fft_fields_and_spectra_per_sample(self, tmp_path, monkeypatch):
+        from nsac.initial import make_initial
+        from nsac.spectral import Grid
+
+        cfg = build_run_config(
+            {"grid.n": "16", "ic.kind": "random_perturbation", "diag.l_list": "0,1,2", "diag.s_list": "0.5,1.0"}
+        )
+        # the IC check caches sigma and phi, as check_state does before a run samples a state
+        state = make_initial(cfg)
+        counts = {"fft_fields": 0, "spectra": 0}
+
+        def count(name, key, fields):
+            original = getattr(Grid, name)
+
+            def counted(self, arr, *args, **kwargs):
+                counts[key] += fields(arr)
+                return original(self, arr, *args, **kwargs)
+
+            monkeypatch.setattr(Grid, name, counted)
+
+        for name in ("forward", "inverse"):
+            count(name, "fft_fields", lambda arr: 1)
+        for name in ("forward_many", "inverse_many"):
+            count(name, "fft_fields", lambda arr: arr.shape[0])
+        count("shell_spectrum", "spectra", lambda arr: 1)
+
+        with CsvWriter(str(tmp_path / "obs.csv"), cfg.diag.s_list) as writer:
+            _SeriesObserver(cfg, writer)(0, state)
+        # u (3 fields), Lap phi and phi^2; spectra of sigma, u, phi and phi^2 - 1
+        assert counts == {"fft_fields": 5, "spectra": 4}
+
+
 class TestVerify:
     def test_fresh_build_passes(self, capsys):
         rc = main(["verify", "--n", "16", "--seed", "3"])

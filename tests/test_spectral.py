@@ -271,3 +271,87 @@ class TestLpNorm:
         rng = np.random.default_rng(9)
         f = random_zero_mean_field(rng, grid16, 5)
         assert abs(lp_norm(f, 2.0) - sobolev_norm(f, 0)) <= 1e-10 * sobolev_norm(f, 0)
+
+
+def _reference_mode_sum(grid, coeffs, order):
+    """The full-grid formula ``V * sum weight |k|^(2 order) |F|^2``, zero mode dropped for order != 0."""
+    k2 = np.asarray(grid.k2)
+    power = np.zeros_like(k2)
+    power[k2 > 0] = np.sqrt(k2[k2 > 0]) ** (2.0 * order)
+    if order == 0:
+        power[k2 == 0] = 1.0
+    mag2 = np.abs(coeffs) ** 2
+    return grid.volume * float(np.sum(grid.weight * power * mag2))
+
+
+def _reference_window(grid, coeffs, lo, hi):
+    return sum(_reference_mode_sum(grid, coeffs, j) for j in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("dim, n", [(d, n) for d in (1, 2, 3) for n in (16, 32)])
+class TestShellSums:
+    """Shell-spectrum sums against the full-grid mode sums they replace.
+
+    Unfiltered random fields put content on every mode, the Nyquist planes
+    included.
+    """
+
+    @staticmethod
+    def _state(dim, n, seed=5):
+        from nsac import State
+
+        grid = Grid(dim=dim, n=n, length=3.0)
+        rng = np.random.default_rng(seed)
+        phi = 1.0 + 0.1 * rng.standard_normal(grid.shape)
+        return State.from_physical(
+            grid, 0.0, rng.standard_normal(grid.shape), rng.standard_normal((dim,) + grid.shape), phi
+        )
+
+    def test_shell_index_spans_every_shell(self, dim, n):
+        grid = Grid(dim=dim, n=n, length=3.0)
+        assert grid.shell.max() == dim * (n // 2) ** 2
+        assert grid.shell_k2.size == dim * (n // 2) ** 2 + 1
+        np.testing.assert_allclose(grid.shell_k2[grid.shell], grid.k2, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("order", [-1.2, -0.5, 0.0, 1.0, 3.0])
+    def test_mode_sum_sq(self, dim, n, order):
+        state = self._state(dim, n)
+        for coeffs in (state.sigma_hat, state.phi_hat):
+            ref = _reference_mode_sum(state.grid, coeffs, order)
+            assert state.grid.mode_sum_sq(coeffs, order) == pytest.approx(ref, rel=1e-13)
+
+    def test_hk_norm_sq(self, dim, n):
+        state = self._state(dim, n)
+        for k in (0, 1, 3):
+            ref = _reference_window(state.grid, state.sigma_hat, 0, k)
+            assert hk_norm_sq(SpectralField(state.grid, state.sigma_hat), k) == pytest.approx(ref, rel=1e-13)
+
+    def test_level_energy(self, dim, n):
+        from nsac.diagnostics import level_energy, phi_sq_minus_one_hat
+
+        state = self._state(dim, n)
+        g = state.grid
+        for l in (0, 1, 2):
+            lv = level_energy(state, l)
+            assert lv.sigma_hk == pytest.approx(_reference_window(g, state.sigma_hat, l, 3), rel=1e-13)
+            u_ref = sum(_reference_window(g, state.u_hat[i], l, 3) for i in range(dim))
+            assert lv.u_hk == pytest.approx(u_ref, rel=1e-13)
+            assert lv.phi_grad == pytest.approx(_reference_window(g, state.phi_hat, l + 1, 3), rel=1e-13)
+            phisq_ref = _reference_mode_sum(g, phi_sq_minus_one_hat(state), 0.0)
+            assert lv.phi_sq == pytest.approx(phisq_ref, rel=1e-13)
+
+    def test_negative_functional(self, dim, n):
+        from nsac.diagnostics import negative_functional, phi_sq_minus_one_hat
+
+        state = self._state(dim, n)
+        g = state.grid
+        for s in (0.5, 1.0, 1.3):
+            nf = negative_functional(state, s)
+            assert nf.sigma_neg == pytest.approx(_reference_mode_sum(g, state.sigma_hat, -s), rel=1e-13)
+            u_ref = sum(_reference_mode_sum(g, state.u_hat[i], -s) for i in range(dim))
+            assert nf.u_neg == pytest.approx(u_ref, rel=1e-13)
+            # explicit gradient arrays i k_j phi_hat
+            grad_ref = sum(_reference_mode_sum(g, 1j * g.kvec[j] * state.phi_hat, -s) for j in range(dim))
+            assert nf.gradphi_neg == pytest.approx(grad_ref, rel=1e-13)
+            phisq_ref = _reference_mode_sum(g, phi_sq_minus_one_hat(state), -s)
+            assert nf.phisq_neg == pytest.approx(phisq_ref, rel=1e-13)
