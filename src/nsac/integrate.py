@@ -57,6 +57,10 @@ class StepConfig:
             raise ValueError(f"scheme_order must be 1 or 2, got {self.scheme_order}")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
+        for name in ("t_end", "phi_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -97,13 +101,10 @@ class Stepper:
     def _solve(self, alpha: float, y: np.ndarray) -> np.ndarray:
         return linear_solve(self.grid, self.params, alpha, y, self.shift)
 
-    @staticmethod
-    def _pack(state: State) -> np.ndarray:
-        return np.concatenate([state.sigma_hat[None], state.u_hat, state.phi_hat[None]])
-
     def _nonlinear(self, state: State) -> np.ndarray:
-        n_sigma, n_u, n_phi = nonlinear_terms(state, self.params)
-        return np.concatenate([n_sigma[None], n_u, (n_phi + self.shift * state.phi_hat)[None]])
+        n = nonlinear_terms(state, self.params)
+        n[-1] += self.shift * state.phi_hat
+        return n
 
     def _make_state(self, t: float, y: np.ndarray) -> State:
         y = y * self.grid.dealias_mask
@@ -119,7 +120,7 @@ class Stepper:
     def step_euler(self, state: State, dt: float) -> tuple[State, np.ndarray]:
         """IMEX Euler: implicit linear solve around an explicit nonlinear shot."""
         n = self._nonlinear(state)
-        y = self._pack(state)
+        y = state.stacked()
         return self._make_state(state.t + dt, y + self._solve(dt, dt * (self._apply(y) + n))), n
 
     def step_cnab2(self, state: State, dt: float, prev: np.ndarray | None, dt_prev: float | None):
@@ -133,14 +134,14 @@ class Stepper:
             return self.step_euler(state, dt)
         n = self._nonlinear(state)
         b0 = -0.5 * dt / dt_prev
-        y = self._pack(state)
+        y = state.stacked()
         incr = dt * (self._apply(y) + n + b0 * (prev - n))
         return self._make_state(state.t + dt, y + self._solve(0.5 * dt, incr)), n
 
     def step_ars222(self, state: State, dt: float) -> State:
         """Self-contained two-stage second-order IMEX Runge-Kutta step."""
         g, dl = _ARS_GAMMA, _ARS_DELTA
-        y0 = self._pack(state)
+        y0 = state.stacked()
         n0 = self._nonlinear(state)
         y1 = y0 + self._solve(g * dt, g * dt * (self._apply(y0) + n0))
         n1 = self._nonlinear(self._make_state(state.t + g * dt, y1))
@@ -197,18 +198,19 @@ def run(
         final = dt >= t_end - state.t - 1e-14 * max(1.0, abs(t_end))
         try:
             if cfg.scheme_order == 1:
-                state, _ = stepper.step_euler(state, dt)
+                new, nl = stepper.step_euler(state, dt)
             else:
-                state, prev_nl = stepper.step_cnab2(state, dt, prev_nl, dt_prev)
-                dt_prev = dt
+                new, nl = stepper.step_cnab2(state, dt, prev_nl, dt_prev)
             if final:
-                state = replace(state, t=t_end)
-            check_state(state, params, step=steps + 1, phi_tol=cfg.phi_tol)
+                new = replace(new, t=t_end)
+            check_state(new, params, step=steps + 1, phi_tol=cfg.phi_tol)
         except InvariantViolation as err:
             return RunSummary(steps, state.t, "invariant_violation", violation=err.as_dict())
         except VacuumError as err:
             wrapped = InvariantViolation("rho", str(err), step=steps + 1)
             return RunSummary(steps, state.t, "invariant_violation", violation=wrapped.as_dict())
+        # adopt the candidate only once it is admissible, so t_final matches steps
+        state, prev_nl, dt_prev = new, nl, dt
         steps += 1
         if steps % cadence == 0 or final:
             for obs in observers:

@@ -57,7 +57,7 @@ class PhysParams:
     def __post_init__(self):
         if not self.nu > 0:
             raise ValueError(f"shear viscosity must be positive, got {self.nu}")
-        if self.lam + 2.0 * self.nu / 3.0 < 0:
+        if not self.lam + 2.0 * self.nu / 3.0 >= 0:
             raise ValueError(
                 f"need lambda + 2 nu / 3 >= 0, got {self.lam + 2 * self.nu / 3}"
             )
@@ -67,7 +67,7 @@ class PhysParams:
             raise ValueError(f"reference density must be positive, got {self.rho_bar}")
         if not self.pressure_a > 0:
             raise ValueError(f"pressure coefficient must be positive, got {self.pressure_a}")
-        if self.pressure_gamma < 1:
+        if not self.pressure_gamma >= 1:
             raise ValueError(f"adiabatic exponent must be >= 1, got {self.pressure_gamma}")
 
     # Coefficients of the linearization around (rho_bar, 0, +-1), read by the
@@ -205,6 +205,10 @@ class State:
         phi = zero.copy()
         phi[(0,) * grid.dim] = phi_value
         return cls(grid, t, zero, np.stack([zero.copy() for _ in range(grid.dim)]), phi)
+
+    def stacked(self) -> np.ndarray:
+        """``(sigma_hat, u_hat, phi_hat)`` stacked on axis 0: the layout of every tendency."""
+        return np.concatenate([self.sigma_hat[None], self.u_hat, self.phi_hat[None]])
 
     def _phys(self, key, builder):
         if key not in self._cache:
@@ -409,45 +413,31 @@ def capillary_divergence(phi: SpectralField, params: PhysParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Tendencies
+# Tendencies on the stacked state y = (sigma_hat, u_hat, phi_hat)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tendency:
-    """Time derivative of (sigma, u, phi) split into stiff and explicit parts.
+def _viscous_row(grid: Grid, params: PhysParams, u_hat, div_u_hat) -> np.ndarray:
+    """B's viscous row ``-a |k|^2 u + (b - a) i k D`` with ``D = i k.u``.
 
-    The stiff triple holds exactly the constant-coefficient dissipative terms
-    (viscous Laplacian / grad-div for u, phase diffusion for phi); everything
-    else, including the linear acoustic coupling, sits in the explicit triple.
-    The two sum to the full right-hand side.
+    In physical space this is ``(nu Lap u + (nu+lam) grad div u) / rho_bar``.
     """
-
-    sigma_stiff: np.ndarray
-    u_stiff: np.ndarray
-    phi_stiff: np.ndarray
-    sigma_explicit: np.ndarray
-    u_explicit: np.ndarray
-    phi_explicit: np.ndarray
-
-    def total(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            self.sigma_stiff + self.sigma_explicit,
-            self.u_stiff + self.u_explicit,
-            self.phi_stiff + self.phi_explicit,
-        )
+    a = params.shear_diffusivity
+    grad_div = params.longitudinal_diffusivity - a
+    return np.stack([-a * grid.k2 * u_hat[i] + grad_div * (1j * grid.kvec[i]) * div_u_hat for i in range(grid.dim)])
 
 
-def nonlinear_terms(state: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectral tendencies of all nonlinear / variable-coefficient terms.
+def nonlinear_terms(state: State, params: PhysParams) -> np.ndarray:
+    """Spectral tendency of every nonlinear / variable-coefficient term.
 
-    Returns the triple (sigma, u, phi); the constant-coefficient linear part
-    (acoustic coupling, viscosity, phase diffusion) is excluded so the time
-    integrator can treat it exactly per mode.
+    Returns one ``(dim + 2, *rshape)`` array in the layout of ``linear_apply``.
+    The constant-coefficient part ``B`` (acoustic coupling, viscosity, phase
+    diffusion) is excluded so the time integrator can treat it exactly per
+    mode.
     """
     g = state.grid
     d = g.dim
-    nu, lam, eps, rb = params.nu, params.lam, params.epsilon, params.rho_bar
+    eps = params.epsilon
 
     sigma = state.sigma()
     u = state.u()
@@ -461,30 +451,27 @@ def nonlinear_terms(state: State, params: PhysParams) -> tuple[np.ndarray, np.nd
     div_u_hat = sum(ik[j] * state.u_hat[j] for j in range(d))
 
     # one batched inverse for every derivative this evaluation needs:
-    # grad sigma (d), grad of each u_i (d*d), Lap u (d), grad div u (d),
+    # grad sigma (d), grad of each u_i (d*d), B's viscous row (d),
     # grad phi (d), Lap phi (1)
     o = d + d * d
-    buf = np.empty((o + 3 * d + 1,) + g.rshape, dtype=np.complex128)
+    buf = np.empty((o + 2 * d + 1,) + g.rshape, dtype=np.complex128)
+    buf[o : o + d] = _viscous_row(g, params, state.u_hat, div_u_hat)
     for i in range(d):
         np.multiply(ik[i], state.sigma_hat, out=buf[i])
         for j in range(d):
             np.multiply(ik[j], state.u_hat[i], out=buf[d + i * d + j])
-        np.multiply(-g.k2, state.u_hat[i], out=buf[o + i])
-        np.multiply(ik[i], div_u_hat, out=buf[o + d + i])
-        np.multiply(ik[i], state.phi_hat, out=buf[o + 2 * d + i])
-    np.multiply(-g.k2, state.phi_hat, out=buf[o + 3 * d])
+        np.multiply(ik[i], state.phi_hat, out=buf[o + d + i])
+    np.multiply(-g.k2, state.phi_hat, out=buf[o + 2 * d])
     derivs = g.inverse_many(buf)
     grad_sigma = derivs[:d]
     grad_u = derivs[d:o].reshape((d, d) + g.shape)
-    lap_u = derivs[o : o + d]
-    grad_div_u = derivs[o + d : o + 2 * d]
-    grad_phi = derivs[o + 2 * d : o + 3 * d]
-    lap_phi = derivs[o + 3 * d]
-    state._cache.setdefault("grad_phi", grad_phi)
-    state._cache.setdefault("lap_phi", lap_phi)
+    viscous = derivs[o : o + d]
+    grad_phi = derivs[o + d : o + 2 * d]
+    lap_phi = derivs[o + 2 * d]
 
     h1 = params.sound_coupling - pressure_prime(rho, params) / rho
-    h2 = 1.0 / rb - 1.0 / rho
+    # -h2 (nu Lap u + (nu+lam) grad div u) = -(sigma/rho) times the viscous row
+    visc_weight = sigma / rho
 
     phi2 = g.inverse(g.forward_product(phi * phi))
     reaction = (phi - phi2 * phi) / (eps * rho)
@@ -495,74 +482,45 @@ def nonlinear_terms(state: State, params: PhysParams) -> tuple[np.ndarray, np.nd
         products[j] = sigma * u[j]
     for i in range(d):
         advect = sum(u[j] * grad_u[i][j] for j in range(d))
-        visc_var = nu * lap_u[i] + (nu + lam) * grad_div_u[i]
         products[d + i] = (
-            -advect + h1 * grad_sigma[i] - h2 * visc_var - (eps / rho) * grad_phi[i] * lap_phi
+            -advect + h1 * grad_sigma[i] - visc_weight * viscous[i] - (eps / rho) * grad_phi[i] * lap_phi
         )
     transport = sum(u[j] * grad_phi[j] for j in range(d))
     var_diff = (eps / rho**2 - params.phase_diffusivity) * lap_phi
     products[2 * d] = -transport + var_diff + reaction
     hats = g.dealias(g.forward_many(products))
 
-    n_sigma = np.zeros(g.rshape, dtype=np.complex128)
-    for j in range(d):
-        n_sigma -= ik[j] * hats[j]
-    n_u = hats[d : 2 * d]
-    n_phi = hats[2 * d]
-    return n_sigma, n_u, n_phi
+    out = np.empty((d + 2,) + g.rshape, dtype=np.complex128)
+    out[0] = -sum(ik[j] * hats[j] for j in range(d))
+    out[1:] = hats[d:]
+    return out
 
 
-def rhs(state: State, params: PhysParams) -> Tendency:
-    """Full right-hand side at a state, split into stiff and explicit parts."""
+def rhs(state: State, params: PhysParams) -> np.ndarray:
+    """Full right-hand side at a state, stacked like ``State.stacked``."""
     nonfinite = _nonfinite_fields(state)
     if nonfinite:
         raise InvariantViolation(nonfinite[0], "non-finite field passed to rhs")
-    n_sigma, n_u, n_phi = nonlinear_terms(state, params)
-    sigma_ac, u_visc, u_ac, phi_diff = linear_terms(state.grid, params, state.sigma_hat, state.u_hat, state.phi_hat)
-    zero = np.zeros(state.grid.rshape, dtype=np.complex128)
-    return Tendency(
-        sigma_stiff=zero,
-        u_stiff=u_visc,
-        phi_stiff=phi_diff,
-        sigma_explicit=sigma_ac + n_sigma,
-        u_explicit=u_ac + n_u,
-        phi_explicit=n_phi,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Constant-coefficient linear operator B on y = (sigma_hat, u_hat, phi_hat)
-# ---------------------------------------------------------------------------
-
-
-def linear_terms(grid: Grid, params: PhysParams, sigma_hat, u_hat, phi_hat) -> tuple[np.ndarray, ...]:
-    """``B (sigma_hat, u_hat, phi_hat)`` split for the Tendency contract.
-
-    Per mode, with ``D = i k.u`` and the PhysParams coefficients a (shear),
-    b (longitudinal), c (sound coupling) and e (phase),
-    ``B (sigma, u, phi) = (-rho_bar D, -a |k|^2 u + (b - a) i k D - c i k sigma, -e |k|^2 phi)``.
-    Returns (sigma_acoustic, u_viscous, u_acoustic, phi_diffusion): the
-    viscous block and phase diffusion are the stiff part, the acoustic
-    coupling joins the explicit side.
-    """
-    ik = [1j * k for k in grid.kvec]
-    div_u_hat = sum(ik[j] * u_hat[j] for j in range(grid.dim))
-    a = params.shear_diffusivity
-    grad_div = params.longitudinal_diffusivity - a
-    u_visc = np.stack([-a * grid.k2 * u_hat[i] + grad_div * ik[i] * div_u_hat for i in range(grid.dim)])
-    u_acoustic = np.stack([-params.sound_coupling * ik[i] * sigma_hat for i in range(grid.dim)])
-    phi_diffusion = -params.phase_diffusivity * grid.k2 * phi_hat
-    return -params.rho_bar * div_u_hat, u_visc, u_acoustic, phi_diffusion
+    return nonlinear_terms(state, params) + linear_apply(state.grid, params, state.stacked())
 
 
 def linear_apply(grid: Grid, params: PhysParams, y: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """``B y`` for ``y = (sigma_hat, u_hat, phi_hat)`` stacked on axis 0.
 
+    Per mode, with ``D = i k.u`` and the PhysParams coefficients a (shear),
+    b (longitudinal), c (sound coupling) and e (phase),
+    ``B (sigma, u, phi) = (-rho_bar D, -a |k|^2 u + (b - a) i k D - c i k sigma, -e |k|^2 phi)``.
     ``shift`` adds a constant decay rate to the phase row (the stepper's
     implicit share of the linearized reaction).
     """
-    sigma_acoustic, u_visc, u_acoustic, phi_diffusion = linear_terms(grid, params, y[0], y[1:-1], y[-1])
-    return np.concatenate([sigma_acoustic[None], u_visc + u_acoustic, (phi_diffusion - shift * y[-1])[None]])
+    ik = [1j * k for k in grid.kvec]
+    sigma_hat, u_hat, phi_hat = y[0], y[1:-1], y[-1]
+    div_u_hat = sum(ik[j] * u_hat[j] for j in range(grid.dim))
+    u_row = _viscous_row(grid, params, u_hat, div_u_hat)
+    for i in range(grid.dim):
+        u_row[i] -= params.sound_coupling * ik[i] * sigma_hat
+    phi_row = -params.phase_diffusivity * grid.k2 * phi_hat - shift * phi_hat
+    return np.concatenate([(-params.rho_bar * div_u_hat)[None], u_row, phi_row[None]])
 
 
 def linear_solve(grid: Grid, params: PhysParams, alpha: float, y: np.ndarray, shift: float = 0.0) -> np.ndarray:

@@ -116,6 +116,10 @@ class TestSimulate:
         rc = main(["simulate", "grid.bogus=3"] + base_overrides(tmp_path))
         assert rc == 2
 
+    def test_negative_t_end_is_config_error(self, tmp_path):
+        rc = main(["simulate"] + base_overrides(tmp_path) + ["step.t_end=-1"])
+        assert rc == 2
+
 
 class TestSampleCost:
     """What one observer sample costs, counted rather than timed."""

@@ -16,6 +16,11 @@ class TestStepConfig:
             (dict(dt=0.0, t_end=1.0), "dt"),
             (dict(dt=0.1, t_end=1.0, cfl=1.5), "cfl"),
             (dict(dt=0.1, t_end=1.0, scheme_order=3), "scheme_order"),
+            (dict(dt=0.1, t_end=-1.0), "t_end"),
+            (dict(dt=0.1, t_end=float("nan")), "t_end"),
+            (dict(dt=0.1, t_end=float("inf")), "t_end"),
+            (dict(dt=0.1, t_end=1.0, phi_tol=-1.0), "phi_tol"),
+            (dict(dt=0.1, t_end=1.0, phi_tol=float("nan")), "phi_tol"),
         ],
     )
     def test_validation(self, kwargs, msg):
@@ -147,10 +152,52 @@ class TestRun:
         u[0] = np.sin(x)
         state = State.from_physical(grid, 0.0, sigma, u, np.ones(grid.shape))
         cfg = StepConfig(dt=5e-3, t_end=2.0)
-        summary = run(state, cfg, params)
+        seen = []
+        summary = run(state, cfg, params, observers=(lambda i, s: seen.append(s.t),))
         assert summary.termination == "invariant_violation"
         assert summary.violation["field"] == "rho"
         assert summary.violation["step"] is not None
+        # the summary reports the last accepted state, not the rejected candidate
+        assert summary.t_final == seen[-1]
+        assert len(seen) == summary.steps + 1
+
+
+class TestStepCost:
+    """What one time step costs, counted rather than timed."""
+
+    def test_fft_fields_per_cnab2_step(self, grid16, params, monkeypatch):
+        cfg = RunConfig(
+            grid=grid16,
+            phys=params,
+            step=StepConfig(dt=0.02, t_end=0.1, scheme_order=2),
+            ic=ICSpec(kind="random_perturbation", delta=1e-2, max_mode=3, seed=5),
+        )
+        state = make_initial(cfg)
+        fields = [0]
+
+        def count(name, per_call):
+            original = getattr(Grid, name)
+
+            def counted(self, arr, *args, **kwargs):
+                fields[0] += per_call(arr)
+                return original(self, arr, *args, **kwargs)
+
+            monkeypatch.setattr(Grid, name, counted)
+
+        for name in ("forward", "inverse"):
+            count(name, lambda arr: 1)
+        for name in ("forward_many", "inverse_many"):
+            count(name, lambda arr: arr.shape[0])
+
+        # the observer only reads the counter: step 1 is the Euler bootstrap,
+        # steps 2 onwards are CNAB2 with their CFL bound and post-step check
+        marks = []
+        summary = run(state, cfg.step, params, observers=(lambda i, s: marks.append(fields[0]),))
+        assert summary.termination == "t_end" and summary.steps == 5
+        per_step = np.diff(marks)
+        # views of sigma, u, phi (5), the derivative stack (19), phi^2 (2),
+        # the explicit products (7)
+        assert per_step[1:].tolist() == [33] * 4
 
 
 class TestConservation:
