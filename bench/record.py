@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Record parent/change benchmark pairs into ``BENCH_<pr>.json``.
+
+Run from the repository root, with the parent commit checked out elsewhere:
+
+    python3 bench/record.py --parent ../nsac-parent --change . --pr 6 \\
+        --plan decay64=1,2,3,4,5,6,7,8,9,7919 --plan dense32=1,2 --plan oracle-sweep=1
+
+Each seed of a plan is one pair: ``perfbench/run.py --trace 0`` runs once in
+each checkout with the same seed, and the side that runs first alternates
+from pair to pair. Every run's result line is kept. Per workload and
+end-to-end metric the file holds each side's median and quartiles, the number
+of pairs the change won (ties count for neither side) and whether a gain is
+resolved: the change wins at least nine pairs in ten and its median beats the
+parent's by more than the parent's interquartile range. The run length, the metrics and their directions come from
+``BENCHMARK.json`` in the change checkout. The file is written into the
+change checkout after every pair, so an interrupted recording keeps the pairs
+it finished.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def percentile(values, pct: float) -> float:
+    """Linear interpolation between closest ranks (numpy's default)."""
+    xs = sorted(values)
+    pos = (len(xs) - 1) * pct / 100.0
+    lo = int(pos)
+    hi = min(lo + 1, len(xs) - 1)
+    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
+
+
+def spread(values) -> dict:
+    return {"q1": percentile(values, 25), "median": percentile(values, 50), "q3": percentile(values, 75)}
+
+
+def summarise(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per-metric comparison of the paired runs of one workload.
+
+    ``runs`` holds one entry per side and pair, ``{"pair", "side", "correct",
+    "attempted", "failed", "metrics": {name: value}}``; ``better`` maps each
+    metric to ``"lower"`` or ``"higher"``. A pair missing either side is left
+    out.
+    """
+    by_pair: dict[int, dict] = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run
+    pairs = [p for _, p in sorted(by_pair.items()) if all(side in p for side in SIDES)]
+    out = {
+        "pairs": len(pairs),
+        "all_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
+        "attempted": {side: [p[side]["attempted"] for p in pairs] for side in SIDES},
+        "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
+        "metrics": {},
+    }
+    if not pairs:
+        return out
+    for name, direction in better.items():
+        sign = 1.0 if direction == "lower" else -1.0
+        values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
+        parent, change = (spread(values[side]) for side in SIDES)
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        gain = sign * (parent["median"] - change["median"])
+        out["metrics"][name] = {
+            "better": direction,
+            "parent": parent,
+            "change": change,
+            "change_wins": wins,
+            "gain_resolved": 10 * wins >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
+        }
+    return out
+
+
+def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    machine = next((json.loads(line[8:]) for line in lines if line.startswith("machine ")), None)
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "machine": machine,
+    }
+
+
+def revision(checkout: Path) -> str | None:
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
+def parse_plan(text: str) -> tuple[str, list[int]]:
+    workload, _, seeds = text.partition("=")
+    if not workload or not seeds:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD=SEED,SEED,..., got {text!r}")
+    return workload, [int(s) for s in seeds.split(",") if s.strip()]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--pr", required=True, help="label of the output file, BENCH_<pr>.json")
+    parser.add_argument("--plan", type=parse_plan, action="append", required=True,
+                        help="WORKLOAD=SEED,SEED,...: one pair per seed")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = float(spec["run_seconds"])
+    out_path = args.change / f"BENCH_{args.pr}.json"
+    checkouts = {"parent": args.parent, "change": args.change}
+    record = {
+        "pr": args.pr,
+        "command": spec["command"] + ["--trace", "0", "--seconds", repr(seconds)],
+        "revisions": {side: revision(path) for side, path in checkouts.items()},
+        "workloads": {},
+    }
+    for workload, seeds in args.plan:
+        runs: list[dict] = []
+        machine = None
+        for pair, seed in enumerate(seeds):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                print(f"{workload} pair {pair} seed {seed}: {side}", file=sys.stderr, flush=True)
+                result = run_side(checkouts[side], workload, seed, seconds)
+                found = result.pop("machine")
+                machine = machine or found
+                runs.append({"pair": pair, "seed": seed, "side": side, "first": position == 0, **result})
+            summary = summarise(runs, better)
+            record["workloads"][workload] = {"summary": summary, "machine": machine, "runs": runs}
+            out_path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

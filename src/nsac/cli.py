@@ -163,6 +163,7 @@ def cmd_simulate(args) -> int:
             termination=result.termination,
             steps=result.steps,
             t_final=result.t_final,
+            dt_limits=result.dt_limits,
             violation=result.violation,
             decay_fits=observer.decay_fits(),
             **observer.verdicts(),

@@ -19,7 +19,7 @@ nonlinear terms (one nonlinear evaluation per step), while the standalone
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,19 +65,32 @@ class StepConfig:
 
 @dataclass
 class RunSummary:
+    """Outcome of `run`.
+
+    ``dt_limits`` counts the accepted steps by what set their ``dt``: ``cap``
+    (the configured ``dt``), ``cfl`` (the `adaptive_dt` speed bound) or
+    ``t_end`` (shortened to land on it).
+    """
+
     steps: int
     t_final: float
     termination: str  # "t_end" | "max_steps" | "invariant_violation"
     violation: dict | None = None
+    dt_limits: dict = field(default_factory=lambda: dict.fromkeys(("cap", "cfl", "t_end"), 0))
 
 
 def adaptive_dt(state: State, cfg: StepConfig, params: PhysParams) -> float:
-    """Advective/acoustic bound ``min(cfg.dt, cfl * dx / max(|u| + c_sound))``."""
+    """Bound of the explicit remainder, ``min(cfg.dt, cfl * dx / max(|u| + |c(rho) - c(rho_bar)|))``.
+
+    ``c = sqrt(p')``. The acoustic coupling at ``rho_bar`` is solved
+    implicitly, so only advection and the pressure correction beyond it carry
+    a speed; a quiescent state (speed zero) gets ``cfg.dt``.
+    """
     u = state.u()
-    rho = params.rho_bar + state.sigma()
-    speed = np.sqrt(np.sum(u * u, axis=0)) + np.sqrt(pressure_prime(rho, params))
+    c = np.sqrt(pressure_prime(params.rho_bar + state.sigma(), params))
+    speed = np.sqrt(np.sum(u * u, axis=0)) + np.abs(c - np.sqrt(params.p_prime_bar))
     vmax = float(np.max(speed))
-    return min(cfg.dt, cfg.cfl * state.grid.dx / vmax)
+    return cfg.dt if vmax == 0 else min(cfg.dt, cfg.cfl * state.grid.dx / vmax)
 
 
 class Stepper:
@@ -169,12 +182,12 @@ def run(
 ) -> RunSummary:
     """March to ``cfg.t_end``, invoking observers on immutable snapshots.
 
-    Observers are called with ``(step_index, state)`` at the given cadence,
-    at step 0 and on the final state. The time step is the CFL-clamped
-    ``adaptive_dt`` bound, kept piecewise constant: it shrinks only when the
-    bound tightens or to land exactly on ``t_end``. On an invariant violation
-    the summary records it and the partial trajectory seen by the observers
-    stands.
+    Observers are called with ``(step_index, state)`` at step 0, at the given
+    cadence and once on the last accepted state, however the run stops. The
+    time step is the ``adaptive_dt`` bound of the explicit terms, kept
+    piecewise constant: it shrinks only when the bound tightens or to land
+    exactly on ``t_end``. On an invariant violation the summary records it
+    and the partial trajectory seen by the observers stands.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
@@ -184,13 +197,15 @@ def run(
         obs(0, state)
 
     t_end = cfg.t_end
-    steps = 0
+    summary = RunSummary(0, state.t, "t_end")
+    steps = seen = 0
     dt_curr: float | None = None
     prev_nl = None
     dt_prev = None
     while state.t < t_end - 1e-14 * max(1.0, abs(t_end)):
         if steps >= cfg.max_steps:
-            return RunSummary(steps, state.t, "max_steps")
+            summary.termination = "max_steps"
+            break
         bound = adaptive_dt(state, cfg, params)
         if dt_curr is None or bound < dt_curr:
             dt_curr = bound
@@ -204,15 +219,21 @@ def run(
             if final:
                 new = replace(new, t=t_end)
             check_state(new, params, step=steps + 1, phi_tol=cfg.phi_tol)
-        except InvariantViolation as err:
-            return RunSummary(steps, state.t, "invariant_violation", violation=err.as_dict())
-        except VacuumError as err:
-            wrapped = InvariantViolation("rho", str(err), step=steps + 1)
-            return RunSummary(steps, state.t, "invariant_violation", violation=wrapped.as_dict())
+        except (InvariantViolation, VacuumError) as err:
+            if isinstance(err, VacuumError):
+                err = InvariantViolation("rho", str(err), step=steps + 1)
+            summary.termination, summary.violation = "invariant_violation", err.as_dict()
+            break
         # adopt the candidate only once it is admissible, so t_final matches steps
         state, prev_nl, dt_prev = new, nl, dt
         steps += 1
-        if steps % cadence == 0 or final:
+        summary.dt_limits["t_end" if dt < dt_curr else "cap" if dt_curr == cfg.dt else "cfl"] += 1
+        if steps % cadence == 0:
             for obs in observers:
                 obs(steps, state)
-    return RunSummary(steps, state.t, "t_end")
+            seen = steps
+    if seen != steps:
+        for obs in observers:
+            obs(steps, state)
+    summary.steps, summary.t_final = steps, state.t
+    return summary

@@ -87,7 +87,7 @@ def decay_run(params):
     # Two-segment time-step schedule: the dissipation integral is dominated by
     # the first fraction of a time unit, where the stiffest excited modes need
     # dt * rate < 1/2 for the sampled dissipation to integrate faithfully; the
-    # long tail then runs at the CFL-bound step.
+    # long tail then runs at the configured cap of 0.05.
     grid = Grid(dim=3, n=64, length=2 * np.pi)
     cfg = RunConfig(
         grid=grid,

@@ -1,0 +1,66 @@
+"""The pair summary of ``bench/record.py``, on canned benchmark results."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location("record", Path(__file__).parents[1] / "bench" / "record.py")
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
+
+
+def canned(pairs):
+    """Runs for ``[(parent cpu_s, change cpu_s), ...]``, with ops/s the inverse."""
+    runs = []
+    for pair, values in enumerate(pairs):
+        for side, cpu in zip(record.SIDES, values):
+            metrics = {"cpu_s": cpu, "ops_per_cpu_s": 1.0 / cpu}
+            runs.append({"pair": pair, "side": side, "correct": True, "attempted": 54, "failed": 0,
+                         "metrics": metrics})
+    return runs
+
+
+BETTER = {"cpu_s": "lower", "ops_per_cpu_s": "higher"}
+
+
+def test_medians_quartiles_and_wins():
+    # ten pairs, the change faster in nine and tied in one
+    pairs = [(12.0 + 0.1 * i, 8.0 + 0.1 * i) for i in range(9)] + [(9.0, 9.0)]
+    out = record.summarise(canned(pairs), BETTER)
+    cpu = out["metrics"]["cpu_s"]
+    assert out["pairs"] == 10 and out["all_correct"] and out["failed"] == {"parent": 0, "change": 0}
+    assert cpu["parent"]["median"] == pytest.approx(12.35)
+    assert cpu["parent"]["q1"] == pytest.approx(12.125)
+    assert cpu["parent"]["q3"] == pytest.approx(12.575)
+    assert cpu["change"]["median"] == pytest.approx(8.45)
+    assert cpu["change_wins"] == 9
+    assert cpu["gain_resolved"]
+    # a higher-is-better metric counts wins the other way round
+    assert out["metrics"]["ops_per_cpu_s"]["change_wins"] == 9
+    assert out["metrics"]["ops_per_cpu_s"]["gain_resolved"]
+
+
+def test_gain_within_parent_spread_is_not_resolved():
+    pairs = [(10.0 + i, 9.9 + i) for i in range(10)]
+    cpu = record.summarise(canned(pairs), BETTER)["metrics"]["cpu_s"]
+    assert cpu["change_wins"] == 10
+    assert not cpu["gain_resolved"]  # the 0.1 gain is inside the parent's 4.5 IQR
+
+
+def test_eight_wins_in_ten_is_not_resolved():
+    pairs = [(12.0, 8.0)] * 8 + [(8.0, 12.0)] * 2
+    assert not record.summarise(canned(pairs), BETTER)["metrics"]["cpu_s"]["gain_resolved"]
+
+
+def test_unfinished_pair_is_left_out():
+    runs = canned([(12.0, 8.0), (12.0, 8.0)])[:-1]
+    out = record.summarise(runs, BETTER)
+    assert out["pairs"] == 1
+    assert out["attempted"] == {"parent": [54], "change": [54]}
+
+
+def test_plan_parsing():
+    assert record.parse_plan("decay64=1,2,7919") == ("decay64", [1, 2, 7919])
+    with pytest.raises(Exception):
+        record.parse_plan("decay64")

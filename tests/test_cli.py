@@ -112,6 +112,22 @@ class TestSimulate:
         assert summary["violation"]["field"] == "phi"
         assert all(isinstance(i, int) for i in summary["violation"]["location"])
 
+    def test_max_steps_stop_writes_the_last_accepted_state(self, tmp_path):
+        from nsac.io import read_snapshot
+
+        rc = main(
+            ["simulate", "grid.n=16", "step.dt=0.01", "step.t_end=1", "step.max_steps=5", "diag.cadence=10",
+             "ic.seed=3"]
+            + base_overrides(tmp_path)[3:]
+        )
+        assert rc == 1
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert summary["termination"] == "max_steps"
+        assert summary["t_final"] == pytest.approx(0.05, rel=1e-12)
+        assert summary["dt_limits"] == {"cap": 5, "cfl": 0, "t_end": 0}
+        assert read_snapshot(str(tmp_path / "run.nsac")).t == summary["t_final"]
+        assert read_csv(f"{tmp_path}/run.csv")["t"][-1] == summary["t_final"]
+
     def test_unknown_key_is_config_error(self, tmp_path):
         rc = main(["simulate", "grid.bogus=3"] + base_overrides(tmp_path))
         assert rc == 2

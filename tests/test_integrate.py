@@ -5,6 +5,7 @@ from nsac import Grid, PhysParams, State, StepConfig, adaptive_dt, run, step
 from nsac.config import ICSpec, RunConfig
 from nsac.diagnostics import energy_ledger
 from nsac.initial import make_initial
+from nsac.model import pressure_prime
 
 from conftest import random_admissible_state
 
@@ -79,9 +80,18 @@ class TestStep:
 
 class TestAdaptiveDt:
     def test_quiescent_bound(self, grid16, params):
+        # the acoustic coupling is implicit, so a state at rest is not bounded
         cfg = StepConfig(dt=10.0, t_end=1.0)
         state = State.equilibrium(grid16)
-        expected = cfg.cfl * grid16.dx / np.sqrt(params.p_prime_bar)
+        assert adaptive_dt(state, cfg, params) == pytest.approx(cfg.dt, rel=1e-12)
+
+    def test_sound_speed_excess_bound(self, grid16, params):
+        # only the departure of c = sqrt(p') from its reference value is explicit
+        cfg = StepConfig(dt=10.0, t_end=1.0)
+        sigma = np.full(grid16.shape, 0.2)
+        state = State.from_physical(grid16, 0.0, sigma, np.zeros((3,) + grid16.shape), np.ones(grid16.shape))
+        c = lambda rho: np.sqrt(pressure_prime(rho, params))
+        expected = cfg.cfl * grid16.dx / abs(c(params.rho_bar + 0.2) - c(params.rho_bar))
         assert adaptive_dt(state, cfg, params) == pytest.approx(expected, rel=1e-12)
 
     def test_config_cap(self, grid16, params):
@@ -129,6 +139,23 @@ class TestRun:
         assert summary.t_final == 0.1
         assert holder["t"] == 0.1
 
+    @pytest.mark.parametrize(
+        "speed, dt, t_end, dt_limits",
+        [
+            (0.0, 0.03, 0.1, {"cap": 3, "cfl": 0, "t_end": 1}),
+            (0.5, 10.0, 1.0, {"cap": 0, "cfl": 3, "t_end": 1}),
+        ],
+    )
+    def test_dt_limits(self, grid16, params, speed, dt, t_end, dt_limits):
+        # uniform translation is an exact solution; at speed 0.5 the CFL bound
+        # 0.4 dx / 0.5 = 0.314 sets three steps before the landing on t_end
+        u = np.zeros((3,) + grid16.shape)
+        u[0] = speed
+        state = State.from_physical(grid16, 0.0, np.zeros(grid16.shape), u, np.ones(grid16.shape))
+        summary = run(state, StepConfig(dt=dt, t_end=t_end), params)
+        assert summary.termination == "t_end"
+        assert summary.dt_limits == dt_limits
+
     def test_max_steps_cap(self, grid16, params):
         cfg = StepConfig(dt=1e-4, t_end=10.0, max_steps=5)
         summary = run(State.equilibrium(grid16), cfg, params)
@@ -143,23 +170,40 @@ class TestRun:
         assert all(i % 5 == 0 or i == hits[-1] for i in hits)
 
     def test_window_violation_recorded(self, params):
-        # density starts just inside the window; a compressive velocity pushes
-        # it out within a few steps
-        grid = Grid(dim=3, n=16, length=2 * np.pi)
-        x = grid.meshgrid()[0]
-        sigma = -0.45 - 0.04 * np.cos(x)
-        u = np.zeros((3,) + grid.shape)
-        u[0] = np.sin(x)
-        state = State.from_physical(grid, 0.0, sigma, u, np.ones(grid.shape))
         cfg = StepConfig(dt=5e-3, t_end=2.0)
         seen = []
-        summary = run(state, cfg, params, observers=(lambda i, s: seen.append(s.t),))
+        summary = run(compressed_state(), cfg, params, observers=(lambda i, s: seen.append(s.t),))
         assert summary.termination == "invariant_violation"
         assert summary.violation["field"] == "rho"
         assert summary.violation["step"] is not None
         # the summary reports the last accepted state, not the rejected candidate
         assert summary.t_final == seen[-1]
         assert len(seen) == summary.steps + 1
+
+    @pytest.mark.parametrize("stop", ["max_steps", "invariant_violation"])
+    def test_observers_see_last_accepted_state(self, params, stop):
+        # a run that stops between cadence points still shows its last state
+        if stop == "max_steps":
+            state = State.equilibrium(Grid(dim=3, n=16, length=2 * np.pi))
+            cfg = StepConfig(dt=0.01, t_end=1.0, max_steps=5)
+        else:
+            state = compressed_state()
+            cfg = StepConfig(dt=5e-3, t_end=2.0)
+        seen = []
+        summary = run(state, cfg, params, observers=(lambda i, s: seen.append((i, s.t)),), cadence=1000)
+        assert summary.termination == stop
+        assert seen[-1] == (summary.steps, summary.t_final)
+        assert len(seen) == 2 and summary.steps > 0
+
+
+def compressed_state():
+    """Density just inside the window, pushed out within a few steps by compression."""
+    grid = Grid(dim=3, n=16, length=2 * np.pi)
+    x = grid.meshgrid()[0]
+    sigma = -0.45 - 0.04 * np.cos(x)
+    u = np.zeros((3,) + grid.shape)
+    u[0] = np.sin(x)
+    return State.from_physical(grid, 0.0, sigma, u, np.ones(grid.shape))
 
 
 class TestStepCost:
@@ -233,6 +277,27 @@ class TestConservation:
 
         summary = run(state, cfg.step, params, observers=(obs,))
         assert summary.termination == "t_end"
+        e = np.asarray(energies)
+        assert np.all(np.diff(e) <= 1e-10 * e[0])
+        assert max(phimax) <= 1.0 + 1e-6
+
+    def test_perturbation_runs_at_the_cap(self, params):
+        # |u| and |c(rho) - c(rho_bar)| stay far below 0.4 dx / 0.1, so the cap sets every step
+        grid = Grid(dim=3, n=32, length=2 * np.pi)
+        cfg = RunConfig(
+            grid=grid,
+            phys=params,
+            step=StepConfig(dt=0.1, t_end=1.0, scheme_order=2),
+            ic=ICSpec(kind="random_perturbation", delta=1e-2, max_mode=3, seed=5),
+        )
+        energies, phimax = [], []
+
+        def obs(_i, s):
+            energies.append(energy_ledger(s, params).total)
+            phimax.append(float(np.max(np.abs(s.phi()))))
+
+        summary = run(make_initial(cfg), cfg.step, params, observers=(obs,))
+        assert summary.termination == "t_end" and summary.steps == 10
         e = np.asarray(energies)
         assert np.all(np.diff(e) <= 1e-10 * e[0])
         assert max(phimax) <= 1.0 + 1e-6
