@@ -14,12 +14,11 @@ import sys
 import numpy as np
 
 from .config import RunConfig, build_run_config, load_config, serialize_config
-from .diagnostics import decay_suite, energy_ledger, level_energy, negative_functional
+from .diagnostics import SeriesObserver, decay_suite
 from .errors import ConfigError, InfeasibleInitialCondition, QuadratureError
 from .initial import make_initial
 from .integrate import run
 from .io import CsvWriter, read_csv, write_snapshot, write_summary
-from .model import energy_monotone, invariant_monitor
 from .oracle import DataProfile, decay_norm, fit_exponent
 from .verify import run_property_suite
 
@@ -47,126 +46,25 @@ def _build_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-class _SeriesObserver:
-    """Writes CSV rows and keeps series and per-sample ``invariant_monitor`` verdicts."""
-
-    def __init__(self, cfg: RunConfig, writer: CsvWriter):
-        self.cfg = cfg
-        self.writer = writer
-        self.t = []
-        self.energy = []
-        self.level = {l: [] for l in cfg.diag.l_list}
-        self.neg = {s: [] for s in cfg.diag.s_list}
-        self.mass0 = None
-        self.mass_drift_max = 0.0
-        self.phi_max_overall = 0.0
-        self.max_principle = True
-        self.mass_conserved = True
-        self.admissible = True
-        self.last_state = None
-        self.diss_cumulative = 0.0
-        self._last = None  # (t, dissipation) for trapezoid accumulation
-
-    def __call__(self, _step: int, state) -> None:
-        self.last_state = state
-        params = self.cfg.phys
-        inv = invariant_monitor(state, params, mass_reference=self.mass0, phi_tol=self.cfg.step.phi_tol)
-        if self.mass0 is None:
-            self.mass0 = inv.mass
-        self.mass_drift_max = max(self.mass_drift_max, abs(inv.mass_drift or 0.0))
-        self.phi_max_overall = max(self.phi_max_overall, inv.phi_max)
-        self.max_principle &= inv.phase_bounded
-        self.mass_conserved &= inv.mass_conserved
-        self.admissible &= inv.clean
-
-        rep = energy_ledger(state, params)
-
-        levels = {l: level_energy(state, l) for l in self.cfg.diag.l_list}
-        lvl0 = levels.get(0) or level_energy(state, 0)
-        negs = [negative_functional(state, s).total for s in self.cfg.diag.s_list]
-
-        diss = rep.diss_visc + rep.diss_div + rep.diss_mu
-        if self._last is not None:
-            t0, d0 = self._last
-            self.diss_cumulative += 0.5 * (state.t - t0) * (d0 + diss)
-        self._last = (state.t, diss)
-
-        self.t.append(state.t)
-        self.energy.append(rep.total)
-        for l, lv in levels.items():
-            self.level[l].append(lv.combined)
-        for s, val in zip(self.cfg.diag.s_list, negs):
-            self.neg[s].append(val)
-
-        row = [
-            state.t,
-            inv.mass,
-            inv.phi_max,
-            rep.total,
-            rep.kinetic,
-            rep.g_part,
-            rep.gradient_part,
-            rep.double_well,
-            rep.diss_visc,
-            rep.diss_div,
-            rep.diss_mu,
-            lvl0.sigma_hk + lvl0.u_hk,
-            lvl0.phi_grad,
-            lvl0.phi_sq,
-        ] + negs
-        self.writer.write(row)
-
-    def verdicts(self) -> dict:
-        e = np.asarray(self.energy)
-        out = {
-            "energy_monotone": energy_monotone(e),
-            "max_principle": self.max_principle,
-            "mass_conserved": self.mass_conserved,
-            "admissible": self.admissible,
-            "mass_drift_max": self.mass_drift_max,
-            "phi_max_overall": self.phi_max_overall,
-            "dissipation_cumulative": self.diss_cumulative,
-        }
-        if e.size:
-            out["dissipation_within_budget"] = bool(self.diss_cumulative <= 1.1 * e[0])
-        return out
-
-    def decay_fits(self) -> list[dict]:
-        fits = []
-        t = np.asarray(self.t)
-        window = (self.cfg.diag.fit_t_lo, min(self.cfg.diag.fit_t_hi, float(t[-1]) if t.size else 0.0))
-        for l in self.cfg.diag.l_list:
-            series = np.asarray(self.level[l])
-            for s in self.cfg.diag.s_list:
-                entry = {"l": l, "s": s}
-                try:
-                    fit = decay_suite(t, series, l, s, tol=self.cfg.diag.fit_tol, window=window)
-                    entry.update(fit.as_dict())
-                    entry["pass"] = entry.pop("passed")
-                except (ValueError, ZeroDivisionError) as err:
-                    entry.update({"pass": False, "error": str(err)})
-                fits.append(entry)
-        return fits
-
-
 def cmd_simulate(args) -> int:
     """Run one configuration; CSV, snapshot and summary are written on any outcome."""
     cfg = _build_config(args)
     summary: dict = {"config": serialize_config(cfg)}
     writer = CsvWriter(cfg.out.csv, cfg.diag.s_list)
-    observer = _SeriesObserver(cfg, writer)
+    series = SeriesObserver(cfg)
     state = None
     try:
         state = make_initial(cfg)
-        result = run(state, cfg.step, cfg.phys, observers=(observer,), cadence=cfg.diag.cadence)
+        observe = (lambda i, s: writer.write(series(i, s)),)
+        result = run(state, cfg.step, cfg.phys, observers=observe, cadence=cfg.diag.cadence)
         summary.update(
             termination=result.termination,
             steps=result.steps,
             t_final=result.t_final,
             dt_limits=result.dt_limits,
             violation=result.violation,
-            decay_fits=observer.decay_fits(),
-            **observer.verdicts(),
+            decay_fits=series.decay_fits(),
+            **series.verdicts(),
         )
     except InfeasibleInitialCondition as err:
         summary.update(termination="infeasible_initial_condition", error=str(err))
@@ -174,7 +72,7 @@ def cmd_simulate(args) -> int:
         summary.update(termination="error", error_type=type(err).__name__, error=str(err))
     finally:
         writer.close()
-        final = observer.last_state or state
+        final = series.last_state or state
         if final is not None:
             write_snapshot(cfg.out.snapshot, final)
         write_summary(cfg.out.summary, summary)

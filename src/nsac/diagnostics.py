@@ -1,6 +1,7 @@
-"""Observer-side functionals: energy ledger, level energies, negative norms
-and decay fitting. The invariant monitor lives beside the admissible set in
-``model`` and is re-exported here.
+"""Observer-side functionals: energy ledger, level energies, negative norms,
+decay fitting and ``SeriesObserver``, the one sample row and verdicts of a
+run. The invariant monitor lives beside the admissible set in ``model`` and is
+re-exported here.
 
 All operations are read-only over immutable state snapshots and safe to run
 concurrently with integration.
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
+from .model import DISSIPATION_BUDGET, energy_monotone
 from .model import EnergyReport, InvariantReport, PhysParams, State, invariant_monitor, total_energy  # noqa: F401  (re-exported)
 from .oracle import DecayFit, fit_exponent
 
@@ -169,3 +172,109 @@ def decay_suite(
         tol=tol,
         passed=passed,
     )
+
+
+# ---------------------------------------------------------------------------
+# The series of a run
+# ---------------------------------------------------------------------------
+
+#: Columns of a sample row in order; one ``Eneg_s<s>`` column per ``diag.s_list`` entry follows.
+CSV_BASE_COLUMNS = (
+    "t",
+    "mass",
+    "phi_max",
+    "E_total",
+    "E_kin",
+    "E_G",
+    "E_grad",
+    "E_dw",
+    "D_visc",
+    "D_div",
+    "D_mu",
+    "H3_sigma_u",
+    "H2_gradphi",
+    "L2_phisq",
+)
+
+
+class SeriesObserver:
+    """A ``run`` observer that returns each sample's row and keeps the series.
+
+    Each sample takes one ``invariant_monitor`` report at ``step.phi_tol``, one
+    energy ledger, the level energies of ``diag.l_list`` and the negative
+    functionals of ``diag.s_list``. A verdict holds when every sample passed it.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.t, self.energy = [], []
+        self.level = {l: [] for l in cfg.diag.l_list}
+        self.mass0 = self.last_state = self._last = None  # _last: (t, dissipation) for the trapezoid
+        self.mass_drift_max = self.phi_max_overall = self.diss_cumulative = 0.0
+        self.max_principle = self.mass_conserved = self.admissible = True
+
+    def __call__(self, _step: int, state: State) -> list:
+        self.last_state = state
+        params, diag = self.cfg.phys, self.cfg.diag
+        inv = invariant_monitor(state, params, mass_reference=self.mass0, phi_tol=self.cfg.step.phi_tol)
+        if self.mass0 is None:
+            self.mass0 = inv.mass
+        self.mass_drift_max = max(self.mass_drift_max, abs(inv.mass_drift or 0.0))
+        self.phi_max_overall = max(self.phi_max_overall, inv.phi_max)
+        self.max_principle &= inv.phase_bounded
+        self.mass_conserved &= inv.mass_conserved
+        self.admissible &= inv.clean
+
+        rep = energy_ledger(state, params)
+        levels = {l: level_energy(state, l) for l in diag.l_list}
+        lvl0 = levels.get(0) or level_energy(state, 0)
+        negs = [negative_functional(state, s).total for s in diag.s_list]
+
+        diss = rep.diss_visc + rep.diss_div + rep.diss_mu
+        if self._last is not None:
+            t0, d0 = self._last
+            self.diss_cumulative += 0.5 * (state.t - t0) * (d0 + diss)
+        self._last = (state.t, diss)
+        self.t.append(state.t)
+        self.energy.append(rep.total)
+        for l, lv in levels.items():
+            self.level[l].append(lv.combined)
+        return [
+            state.t, inv.mass, inv.phi_max,
+            rep.total, rep.kinetic, rep.g_part, rep.gradient_part, rep.double_well,
+            rep.diss_visc, rep.diss_div, rep.diss_mu,
+            lvl0.sigma_hk + lvl0.u_hk, lvl0.phi_grad, lvl0.phi_sq,
+        ] + negs
+
+    def verdicts(self) -> dict:
+        e = np.asarray(self.energy)
+        out = {
+            "energy_monotone": energy_monotone(e),
+            "max_principle": self.max_principle,
+            "mass_conserved": self.mass_conserved,
+            "admissible": self.admissible,
+            "mass_drift_max": self.mass_drift_max,
+            "phi_max_overall": self.phi_max_overall,
+            "dissipation_cumulative": self.diss_cumulative,
+        }
+        if e.size:
+            out["dissipation_within_budget"] = bool(self.diss_cumulative <= DISSIPATION_BUDGET * e[0])
+        return out
+
+    def decay_fits(self) -> list[dict]:
+        fits = []
+        t = np.asarray(self.t)
+        diag = self.cfg.diag
+        window = (diag.fit_t_lo, min(diag.fit_t_hi, float(t[-1]) if t.size else 0.0))
+        for l in diag.l_list:
+            series = np.asarray(self.level[l])
+            for s in diag.s_list:
+                entry = {"l": l, "s": s}
+                try:
+                    fit = decay_suite(t, series, l, s, tol=diag.fit_tol, window=window)
+                    entry.update(fit.as_dict())
+                    entry["pass"] = entry.pop("passed")
+                except (ValueError, ZeroDivisionError) as err:
+                    entry.update({"pass": False, "error": str(err)})
+                fits.append(entry)
+        return fits

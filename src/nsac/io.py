@@ -18,27 +18,11 @@ import struct
 
 import numpy as np
 
+from .diagnostics import CSV_BASE_COLUMNS
 from .model import State
 from .spectral import Grid
 
 SNAPSHOT_MAGIC = b"NSAC1"
-
-CSV_BASE_COLUMNS = (
-    "t",
-    "mass",
-    "phi_max",
-    "E_total",
-    "E_kin",
-    "E_G",
-    "E_grad",
-    "E_dw",
-    "D_visc",
-    "D_div",
-    "D_mu",
-    "H3_sigma_u",
-    "H2_gradphi",
-    "L2_phisq",
-)
 
 
 def csv_header(s_list=()) -> str:

@@ -37,6 +37,8 @@ RHO_WINDOW = (0.5, 2.0)
 MASS_DRIFT_TOL = 1e-12
 #: Largest energy rise between samples, relative to the first energy ``E_0``.
 ENERGY_RISE_TOL = 1e-10
+#: Largest cumulative (trapezoid) dissipation over a run, relative to ``E_0``.
+DISSIPATION_BUDGET = 1.1
 
 
 @dataclass(frozen=True)

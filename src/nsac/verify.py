@@ -15,10 +15,10 @@ import numpy as np
 
 from . import spectral
 from .config import ICSpec, RunConfig
-from .diagnostics import energy_ledger
+from .diagnostics import SeriesObserver
 from .initial import make_initial
 from .integrate import StepConfig, run
-from .model import PhysParams, State, energy_monotone, invariant_monitor, pressure_prime, rhs
+from .model import PhysParams, State, pressure_prime, rhs
 from .spectral import Grid, SpectralField, band_limited_noise, fractional_laplacian, gn_ratio, interpolation_check
 
 
@@ -238,25 +238,15 @@ def check_mini_run(grid: Grid, params: PhysParams, seed: int) -> PropertyResult:
         step=StepConfig(dt=0.02, t_end=1.0, scheme_order=2),
         ic=ICSpec(kind="random_perturbation", delta=1e-2, max_mode=3, seed=seed),
     )
-    state = make_initial(cfg)
-    energies = []
-    reports = []
-
-    def obs(_i, s):
-        energies.append(energy_ledger(s, params).total)
-        mass0 = reports[0].mass if reports else None
-        reports.append(invariant_monitor(s, params, mass_reference=mass0, phi_tol=cfg.step.phi_tol))
-
-    summary = run(state, cfg.step, params, observers=(obs,))
-    mono = energy_monotone(energies)
-    drift = max(abs(r.mass_drift or 0.0) for r in reports)
-    bound = max(r.phi_max for r in reports)
-    ok = summary.termination == "t_end" and mono and all(r.clean for r in reports)
+    series = SeriesObserver(cfg)
+    summary = run(make_initial(cfg), cfg.step, params, observers=(series,))
+    v = series.verdicts()
+    ok = summary.termination == "t_end" and v["energy_monotone"] and v["admissible"]
     return PropertyResult(
         "mini_run_invariants",
         ok,
-        f"termination {summary.termination}, mass drift {drift:.2e}, "
-        f"max |phi| {bound:.9f}, energy monotone {mono}",
+        f"termination {summary.termination}, mass drift {v['mass_drift_max']:.2e}, "
+        f"max |phi| {v['phi_max_overall']:.9f}, energy monotone {v['energy_monotone']}",
     )
 
 

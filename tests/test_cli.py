@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from nsac import State
-from nsac.cli import _SeriesObserver, main
+from nsac.cli import main
 from nsac.config import build_run_config
-from nsac.io import CsvWriter, read_csv
+from nsac.diagnostics import SeriesObserver
+from nsac.io import read_csv
 
 
 def base_overrides(tmp_path, tag=""):
@@ -75,19 +76,18 @@ class TestSimulate:
 
     def test_max_principle_uses_configured_phi_tol(self, tmp_path):
         cfg = build_run_config({"grid.n": "8", "step.phi_tol": "1e-3"})
-        with CsvWriter(str(tmp_path / "obs.csv"), cfg.diag.s_list) as writer:
-            observer = _SeriesObserver(cfg, writer)
-            observer(0, State.equilibrium(cfg.grid, phi_value=1.0 + 1e-4))
+        observer = SeriesObserver(cfg)
+        observer(0, State.equilibrium(cfg.grid, phi_value=1.0 + 1e-4))
         assert observer.verdicts()["max_principle"] is True
 
     def test_solver_error_still_writes_every_artifact(self, tmp_path, monkeypatch, capsys):
-        from nsac import cli
+        from nsac import diagnostics
         from nsac.io import read_snapshot
 
         def broken_level_energy(state, l):
             raise FloatingPointError("overflow in level energy")
 
-        monkeypatch.setattr(cli, "level_energy", broken_level_energy)
+        monkeypatch.setattr(diagnostics, "level_energy", broken_level_energy)
         rc = main(["simulate", "ic.kind=equilibrium"] + base_overrides(tmp_path))
         assert rc == 1
         for name in ("run.csv", "run.nsac", "run.json"):
@@ -166,8 +166,7 @@ class TestSampleCost:
             count(name, "fft_fields", lambda arr: arr.shape[0])
         count("shell_spectrum", "spectra", lambda arr: 1)
 
-        with CsvWriter(str(tmp_path / "obs.csv"), cfg.diag.s_list) as writer:
-            _SeriesObserver(cfg, writer)(0, state)
+        SeriesObserver(cfg)(0, state)
         # u (3 fields), Lap phi and phi^2; spectra of sigma, u, phi and phi^2 - 1
         assert counts == {"fft_fields": 5, "spectra": 4}
 

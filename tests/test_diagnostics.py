@@ -220,11 +220,10 @@ class TestAdmissibleSetViews:
         [("phi", 1e-4, False), ("phi", 1e-3, True), ("rho", 1e-6, False), ("nan", 1e-6, False)],
     )
     def test_views_agree(self, tmp_path, kind, phi_tol, admissible):
-        from nsac.cli import _SeriesObserver
+        from nsac.diagnostics import SeriesObserver
         from nsac.config import build_run_config
         from nsac.errors import InfeasibleInitialCondition, InvariantViolation
         from nsac.initial import _check_feasible
-        from nsac.io import CsvWriter
         from nsac.model import check_state
 
         cfg = build_run_config({"grid.n": "8", "phys.rho_bar": "1.3", "step.phi_tol": repr(phi_tol)})
@@ -238,8 +237,8 @@ class TestAdmissibleSetViews:
                 return False
             return True
 
-        with CsvWriter(str(tmp_path / "obs.csv"), cfg.diag.s_list) as writer, np.errstate(all="ignore"):
-            observer = _SeriesObserver(cfg, writer)
+        with np.errstate(all="ignore"):
+            observer = SeriesObserver(cfg)
             observer(0, state)
         verdicts = observer.verdicts()
         views = {
