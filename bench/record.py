@@ -12,7 +12,11 @@ from pair to pair. Every run's result line is kept. Per workload and
 end-to-end metric the file holds each side's median and quartiles, the number
 of pairs the change won (ties count for neither side) and whether a gain is
 resolved: the change wins at least nine pairs in ten and its median beats the
-parent's by more than the parent's interquartile range. The run length, the metrics and their directions come from
+parent's by more than the parent's interquartile range. After each run the
+files the workload wrote for that seed under ``perfbench/_work/`` are hashed,
+and each pair records whether both sides wrote the same bytes
+(``outputs_identical``; null for a workload that writes no files). The run
+length, the metrics and their directions come from
 ``BENCHMARK.json`` in the change checkout. The file is written into the
 change checkout after every pair, so an interrupted recording keeps the pairs
 it finished.
@@ -21,12 +25,16 @@ it finished.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+#: Files a workload writes per seed, by suffix. dense32's -summary.json embeds
+#: checkout paths, so it is left out; decay64 writes no files.
+OUTPUT_SUFFIXES = {"dense32": (".csv", ".nsac"), "oracle-sweep": (".csv", ".json")}
 
 
 def percentile(values, pct: float) -> float:
@@ -46,9 +54,9 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     """Per-metric comparison of the paired runs of one workload.
 
     ``runs`` holds one entry per side and pair, ``{"pair", "side", "correct",
-    "attempted", "failed", "metrics": {name: value}}``; ``better`` maps each
-    metric to ``"lower"`` or ``"higher"``. A pair missing either side is left
-    out.
+    "attempted", "failed", "metrics": {name: value}, "outputs": {file: sha256}
+    or None}``; ``better`` maps each metric to ``"lower"`` or ``"higher"``. A
+    pair missing either side is left out.
     """
     by_pair: dict[int, dict] = {}
     for run in runs:
@@ -59,8 +67,10 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
         "all_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
         "attempted": {side: [p[side]["attempted"] for p in pairs] for side in SIDES},
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
+        "outputs_identical": [outputs_identical(p) for p in pairs],
         "metrics": {},
     }
+    out["identical_pairs"] = out["outputs_identical"].count(True)
     if not pairs:
         return out
     for name, direction in better.items():
@@ -79,7 +89,23 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def outputs_identical(pair: dict) -> bool | None:
+    """Whether both sides wrote the same files; None when either hashed none."""
+    parent, change = (pair[side].get("outputs") for side in SIDES)
+    return None if parent is None or change is None else parent == change
+
+
+def output_paths(checkout: Path, workload: str, seed: int) -> list[Path] | None:
+    """Files ``workload`` writes for ``seed``; None for a workload that writes none."""
+    if workload not in OUTPUT_SUFFIXES:
+        return None
+    return [checkout / "perfbench" / "_work" / f"{workload}-seed{seed}{sfx}" for sfx in OUTPUT_SUFFIXES[workload]]
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    paths = output_paths(checkout, workload, seed)
+    for path in paths or ():
+        path.unlink(missing_ok=True)  # hash only what this run writes
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
@@ -92,6 +118,9 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "machine": machine,
+        "outputs": None if paths is None else {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None for p in paths
+        },
     }
 
 

@@ -107,23 +107,23 @@ def cmd_linear_decay(args) -> int:
 
     lines = ["component,kind,l,s,t,value"]
     fits = []
-    for comp in components:
-        tol = args.tol_heat if comp == "phi" else args.tol_flow
-        for s in ss:
-            profile = DataProfile(s=s, kind=args.profile)
-            for l in ls:
-                try:
+    try:  # nothing is written unless every fit is made
+        for comp in components:
+            tol = args.tol_heat if comp == "phi" else args.tol_flow
+            for s in ss:
+                profile = DataProfile(s=s, kind=args.profile)
+                for l in ls:
                     values = [decay_norm(l, s, float(t), profile, comp, params) for t in ts]
-                except QuadratureError as err:
-                    print(f"error: {err}", file=sys.stderr)
-                    return 1
-                for t, v in zip(ts, values):
-                    lines.append(f"{comp},{args.profile},{l},{s!r},{t!r},{v!r}")
-                target_s = 1.5 if args.profile == "l1" else s
-                fit = decay_suite(ts, values, l, target_s, tol=tol)
-                entry = {"component": comp, "l": l, "s": s, "profile": args.profile}
-                entry.update(fit.as_dict())
-                fits.append(entry)
+                    for t, v in zip(ts, values):
+                        lines.append(f"{comp},{args.profile},{l},{s!r},{t!r},{v!r}")
+                    target_s = 1.5 if args.profile == "l1" else s
+                    fit = decay_suite(ts, values, l, target_s, tol=tol)
+                    entry = {"component": comp, "l": l, "s": s, "profile": args.profile}
+                    entry.update(fit.as_dict())
+                    fits.append(entry)
+    except (QuadratureError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1 if isinstance(err, QuadratureError) else 2
 
     with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -170,6 +170,9 @@ def cmd_fit(args) -> int:
         print(f"error: column {args.column!r} not in {sorted(data)}", file=sys.stderr)
         return 2
     t = data["t"]
+    if not t.size:
+        print(f"error: {args.csv} holds no samples", file=sys.stderr)
+        return 2
     window = (args.t_lo if args.t_lo is not None else float(t.min()),
               args.t_hi if args.t_hi is not None else float(t.max()))
     try:

@@ -240,10 +240,20 @@ class SeriesObserver:
         for l, lv in levels.items():
             self.level[l].append(lv.combined)
         return [
-            state.t, inv.mass, inv.phi_max,
-            rep.total, rep.kinetic, rep.g_part, rep.gradient_part, rep.double_well,
-            rep.diss_visc, rep.diss_div, rep.diss_mu,
-            lvl0.sigma_hk + lvl0.u_hk, lvl0.phi_grad, lvl0.phi_sq,
+            state.t,
+            inv.mass,
+            inv.phi_max,
+            rep.total,
+            rep.kinetic,
+            rep.g_part,
+            rep.gradient_part,
+            rep.double_well,
+            rep.diss_visc,
+            rep.diss_div,
+            rep.diss_mu,
+            lvl0.sigma_hk + lvl0.u_hk,
+            lvl0.phi_grad,
+            lvl0.phi_sq,
         ] + negs
 
     def verdicts(self) -> dict:

@@ -197,12 +197,13 @@ def run(
         obs(0, state)
 
     t_end = cfg.t_end
+    t_tol = 1e-14 * max(1.0, abs(t_end))
     summary = RunSummary(0, state.t, "t_end")
     steps = seen = 0
     dt_curr: float | None = None
     prev_nl = None
     dt_prev = None
-    while state.t < t_end - 1e-14 * max(1.0, abs(t_end)):
+    while state.t < t_end - t_tol:
         if steps >= cfg.max_steps:
             summary.termination = "max_steps"
             break
@@ -210,7 +211,8 @@ def run(
         if dt_curr is None or bound < dt_curr:
             dt_curr = bound
         dt = min(dt_curr, t_end - state.t)
-        final = dt >= t_end - state.t - 1e-14 * max(1.0, abs(t_end))
+        # land on t_end when roundoff would leave a sliver of at most 1e-9 dt
+        final = dt >= t_end - state.t - max(t_tol, 1e-9 * dt_curr)
         try:
             if cfg.scheme_order == 1:
                 new, nl = stepper.step_euler(state, dt)

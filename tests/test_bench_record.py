@@ -64,3 +64,28 @@ def test_plan_parsing():
     assert record.parse_plan("decay64=1,2,7919") == ("decay64", [1, 2, 7919])
     with pytest.raises(Exception):
         record.parse_plan("decay64")
+
+
+FILES = {"dense32-seed1.csv": "a1", "dense32-seed1.nsac": "b2"}
+
+
+@pytest.mark.parametrize(
+    "parent, change, identical",
+    [(FILES, dict(FILES), True), (FILES, {**FILES, "dense32-seed1.nsac": "c3"}, False), (None, None, None)],
+    ids=["identical", "differing", "no_files"],
+)
+def test_outputs_identical(parent, change, identical):
+    runs = canned([(12.0, 8.0), (12.0, 8.0)])
+    for run in runs:
+        run["outputs"] = parent if run["side"] == "parent" else change
+    out = record.summarise(runs, BETTER)
+    assert out["outputs_identical"] == [identical, identical]
+    assert out["identical_pairs"] == (2 if identical else 0)
+
+
+def test_output_paths():
+    names = [p.name for p in record.output_paths(Path("checkout"), "dense32", 3)]
+    assert names == ["dense32-seed3.csv", "dense32-seed3.nsac"]  # not the path-bearing summary
+    assert [p.name for p in record.output_paths(Path("c"), "oracle-sweep", 1)] == [
+        "oracle-sweep-seed1.csv", "oracle-sweep-seed1.json"]
+    assert record.output_paths(Path("checkout"), "decay64", 7919) is None

@@ -53,6 +53,37 @@ class TestSimulate:
         assert main(args + base_overrides(tmp_path, "b")) == 0
         assert filecmp.cmp(f"{tmp_path}/runa.csv", f"{tmp_path}/runb.csv", shallow=False)
 
+    def test_each_column_is_the_functional_its_header_names(self, tmp_path, params):
+        from nsac.diagnostics import energy_ledger, invariant_monitor, level_energy, negative_functional
+        from nsac.io import read_snapshot
+
+        argv = ["simulate", "ic.kind=random_perturbation", "ic.delta=0.01", "ic.max_mode=3", "ic.seed=4"]
+        assert main(argv + base_overrides(tmp_path)) == 0
+        last = {name: column[-1] for name, column in read_csv(f"{tmp_path}/run.csv").items()}
+        # the functionals taken directly on the state read back from the snapshot
+        state = read_snapshot(f"{tmp_path}/run.nsac")
+        inv, rep, lvl0 = invariant_monitor(state, params), energy_ledger(state, params), level_energy(state, 0)
+        expected = {
+            "t": state.t,
+            "mass": inv.mass,
+            "phi_max": inv.phi_max,
+            "E_total": rep.total,
+            "E_kin": rep.kinetic,
+            "E_G": rep.g_part,
+            "E_grad": rep.gradient_part,
+            "E_dw": rep.double_well,
+            "D_visc": rep.diss_visc,
+            "D_div": rep.diss_div,
+            "D_mu": rep.diss_mu,
+            "H3_sigma_u": lvl0.sigma_hk + lvl0.u_hk,
+            "H2_gradphi": lvl0.phi_grad,
+            "L2_phisq": lvl0.phi_sq,
+            "Eneg_s0.5": negative_functional(state, 0.5).total,
+            "Eneg_s1": negative_functional(state, 1.0).total,
+        }
+        assert list(last) == list(expected)
+        assert last == pytest.approx(expected, rel=1e-10)
+
     def test_config_file_with_cli_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
@@ -135,6 +166,29 @@ class TestSimulate:
     def test_negative_t_end_is_config_error(self, tmp_path):
         rc = main(["simulate"] + base_overrides(tmp_path) + ["step.t_end=-1"])
         assert rc == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--csv", "{tmp}/run.csv"],
+            ["linear-decay", "--l", "0", "--s", "0.5", "--components", "phi", "--points", "5"],
+            ["linear-decay", "--l", "0", "--s", "2", "--components", "phi", "--points", "15"],
+        ],
+        ids=["fit_header_only_csv", "too_few_points", "s_out_of_range"],
+    )
+    def test_one_error_line_exit_2_and_no_output(self, tmp_path, capsys, argv):
+        # an infeasible initial condition leaves a header-only CSV
+        main(["simulate", "ic.kind=random_perturbation", "ic.delta=100", "ic.max_mode=2"] + base_overrides(tmp_path))
+        capsys.readouterr()
+        outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
+        argv = [a.format(tmp=tmp_path) for a in argv] + (outputs if argv[0] == "linear-decay" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "lin.csv").exists() and not (tmp_path / "lin.json").exists()
 
 
 class TestSampleCost:

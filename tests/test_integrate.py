@@ -156,6 +156,15 @@ class TestRun:
         assert summary.termination == "t_end"
         assert summary.dt_limits == dt_limits
 
+    def test_roundoff_short_of_t_end_lands_without_a_sliver_step(self, params):
+        # 980 steps of 0.05 from t = 1 reach 49.9999999999993: that remainder is
+        # roundoff, not a 981st step of 7e-13 (the acceptance fixture's tail)
+        grid = Grid(dim=3, n=8, length=2 * np.pi)
+        summary = run(State.equilibrium(grid, t=1.0), StepConfig(dt=0.05, t_end=50.0), params)
+        assert summary.steps == 980
+        assert summary.t_final == 50.0
+        assert summary.dt_limits == {"cap": 980, "cfl": 0, "t_end": 0}
+
     def test_max_steps_cap(self, grid16, params):
         cfg = StepConfig(dt=1e-4, t_end=10.0, max_steps=5)
         summary = run(State.equilibrium(grid16), cfg, params)
