@@ -19,7 +19,7 @@ from .errors import ConfigError, InfeasibleInitialCondition, QuadratureError
 from .initial import make_initial
 from .integrate import run
 from .io import CsvWriter, read_csv, write_snapshot, write_summary
-from .oracle import DataProfile, decay_norm, fit_exponent
+from .oracle import MIN_FIT_SAMPLES, DataProfile, decay_norm, fit_exponent
 from .verify import run_property_suite
 
 
@@ -103,6 +103,12 @@ def cmd_linear_decay(args) -> int:
     ls = _parse_list(args.l, int)
     ss = _parse_list(args.s, float)
     components = _parse_list(args.components, str)
+    if args.points < MIN_FIT_SAMPLES:
+        print(
+            f"error: --points {args.points} is below {MIN_FIT_SAMPLES}, the fewest samples fit_exponent fits",
+            file=sys.stderr,
+        )
+        return 2
     ts = np.geomspace(args.t_lo, args.t_hi, args.points)
 
     lines = ["component,kind,l,s,t,value"]
@@ -258,6 +264,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:  # an input that cannot be read or an output that cannot be created
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

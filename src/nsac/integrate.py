@@ -24,7 +24,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvariantViolation, VacuumError
-from .model import PHI_TOL, PhysParams, State, check_state, linear_apply, linear_solve, nonlinear_terms, pressure_prime
+from .model import (
+    PHI_TOL,
+    PhysParams,
+    State,
+    TendencyWorkspace,
+    check_state,
+    linear_apply,
+    linear_solve,
+    nonlinear_terms,
+    pressure_prime,
+)
 from .spectral import Grid
 
 _ARS_GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
@@ -100,6 +110,13 @@ class Stepper:
     0. The implicit part is the closed-form per-mode solve
     ``model.linear_solve``: nothing is factorized or cached, so a new time
     step size costs the same as a repeated one.
+
+    Scratch arrays are allocated once, here: the tendency workspace, the
+    stacked state, the increment and the Adams-Bashforth history term. Of
+    what an Euler or CNAB2 step allocates, only the solve's output outlives
+    it, as the new State's arrays (a State owns its arrays and views). The
+    tendency a step returns is a view into the workspace and holds until the
+    step after next.
     """
 
     def __init__(self, grid: Grid, params: PhysParams, cfg: StepConfig):
@@ -107,21 +124,31 @@ class Stepper:
         self.params = params
         self.cfg = cfg
         self.shift = 2.0 / (params.epsilon * params.rho_bar) if cfg.reaction_shift else 0.0
+        self.work = TendencyWorkspace(grid)
+        self._y, self._incr, self._hist = (
+            np.empty((grid.dim + 2,) + grid.rshape, dtype=np.complex128) for _ in range(3)
+        )
 
-    def _apply(self, y: np.ndarray) -> np.ndarray:
-        return linear_apply(self.grid, self.params, y, self.shift)
+    def _apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return linear_apply(self.grid, self.params, y, self.shift, out=out)
 
     def _solve(self, alpha: float, y: np.ndarray) -> np.ndarray:
         return linear_solve(self.grid, self.params, alpha, y, self.shift)
 
     def _nonlinear(self, state: State) -> np.ndarray:
-        n = nonlinear_terms(state, self.params)
+        n = nonlinear_terms(state, self.params, self.work)
         n[-1] += self.shift * state.phi_hat
         return n
 
     def _make_state(self, t: float, y: np.ndarray) -> State:
-        y = y * self.grid.dealias_mask
+        """The State on ``y`` cut to the 2/3 band; masks ``y`` in place, so ``y`` must be a fresh array."""
+        np.multiply(y, self.grid.dealias_mask, out=y)
         return State(self.grid, t, y[0], y[1:-1], y[-1])
+
+    def _advance(self, t: float, y: np.ndarray, alpha: float, incr: np.ndarray) -> State:
+        """The State at ``t`` on ``y + (I - alpha B)^-1 incr``, summed into the solve's output."""
+        new = self._solve(alpha, incr)
+        return self._make_state(t, np.add(y, new, out=new))
 
     # -- schemes --------------------------------------------------------------
     #
@@ -133,8 +160,9 @@ class Stepper:
     def step_euler(self, state: State, dt: float) -> tuple[State, np.ndarray]:
         """IMEX Euler: implicit linear solve around an explicit nonlinear shot."""
         n = self._nonlinear(state)
-        y = state.stacked()
-        return self._make_state(state.t + dt, y + self._solve(dt, dt * (self._apply(y) + n))), n
+        y = state.stacked(out=self._y)
+        incr = np.add(self._apply(y, out=self._incr), n, out=self._incr)
+        return self._advance(state.t + dt, y, dt, np.multiply(dt, incr, out=incr)), n
 
     def step_cnab2(self, state: State, dt: float, prev: np.ndarray | None, dt_prev: float | None):
         """Crank-Nicolson linear part + variable-step Adams-Bashforth nonlinear part.
@@ -147,9 +175,12 @@ class Stepper:
             return self.step_euler(state, dt)
         n = self._nonlinear(state)
         b0 = -0.5 * dt / dt_prev
-        y = state.stacked()
-        incr = dt * (self._apply(y) + n + b0 * (prev - n))
-        return self._make_state(state.t + dt, y + self._solve(0.5 * dt, incr)), n
+        y = state.stacked(out=self._y)
+        # dt * ((B y + N) + b0 (N_prev - N)), evaluated in that order
+        incr = np.add(self._apply(y, out=self._incr), n, out=self._incr)
+        hist = np.subtract(prev, n, out=self._hist)
+        np.add(incr, np.multiply(b0, hist, out=hist), out=incr)
+        return self._advance(state.t + dt, y, 0.5 * dt, np.multiply(dt, incr, out=incr)), n
 
     def step_ars222(self, state: State, dt: float) -> State:
         """Self-contained two-stage second-order IMEX Runge-Kutta step."""
@@ -157,9 +188,9 @@ class Stepper:
         y0 = state.stacked()
         n0 = self._nonlinear(state)
         y1 = y0 + self._solve(g * dt, g * dt * (self._apply(y0) + n0))
-        n1 = self._nonlinear(self._make_state(state.t + g * dt, y1))
+        n1 = self._nonlinear(self._make_state(state.t + g * dt, y1.copy()))
         incr = dt * (self._apply(y0) + n0 + (1 - dl) * (n1 - n0)) + (1 - g) * dt * self._apply(y1 - y0)
-        return self._make_state(state.t + dt, y0 + self._solve(g * dt, incr))
+        return self._advance(state.t + dt, y0, g * dt, incr)
 
 
 def step(state: State, cfg: StepConfig, params: PhysParams) -> State:

@@ -208,9 +208,9 @@ class State:
         phi[(0,) * grid.dim] = phi_value
         return cls(grid, t, zero, np.stack([zero.copy() for _ in range(grid.dim)]), phi)
 
-    def stacked(self) -> np.ndarray:
+    def stacked(self, out: np.ndarray | None = None) -> np.ndarray:
         """``(sigma_hat, u_hat, phi_hat)`` stacked on axis 0: the layout of every tendency."""
-        return np.concatenate([self.sigma_hat[None], self.u_hat, self.phi_hat[None]])
+        return np.concatenate([self.sigma_hat[None], self.u_hat, self.phi_hat[None]], out=out)
 
     def _phys(self, key, builder):
         if key not in self._cache:
@@ -419,27 +419,56 @@ def capillary_divergence(phi: SpectralField, params: PhysParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _viscous_row(grid: Grid, params: PhysParams, u_hat, div_u_hat) -> np.ndarray:
-    """B's viscous row ``-a |k|^2 u + (b - a) i k D`` with ``D = i k.u``.
+def _viscous_row(grid: Grid, params: PhysParams, u_hat, div_u_hat, out: np.ndarray | None = None) -> np.ndarray:
+    """B's viscous row ``-a |k|^2 u + (b - a) i k D`` with ``D = i k.u``, written into ``out`` if given.
 
     In physical space this is ``(nu Lap u + (nu+lam) grad div u) / rho_bar``.
     """
     a = params.shear_diffusivity
     grad_div = params.longitudinal_diffusivity - a
-    return np.stack([-a * grid.k2 * u_hat[i] + grad_div * (1j * grid.kvec[i]) * div_u_hat for i in range(grid.dim)])
+    if out is None:
+        out = np.empty((grid.dim,) + grid.rshape, dtype=np.complex128)
+    shear = -a * grid.k2
+    for i in range(grid.dim):
+        np.add(shear * u_hat[i], grad_div * (1j * grid.kvec[i]) * div_u_hat, out=out[i])
+    return out
 
 
-def nonlinear_terms(state: State, params: PhysParams) -> np.ndarray:
+class TendencyWorkspace:
+    """The arrays `nonlinear_terms` fills in place on one grid, allocated once.
+
+    ``spec`` is the spectral derivative stack, overwritten by its batched
+    inverse into ``phys``; ``products`` holds the ``2 dim + 1`` explicit
+    products. Their transforms go to ``hats[turn]``, and ``turn`` flips on
+    every call, so the tendency one call returns (a view of its ``hats``)
+    stays intact through the next call: CNAB2 extrapolates from the previous
+    step's tendency.
+    """
+
+    def __init__(self, grid: Grid):
+        d = grid.dim
+        stack = d + d * d + 2 * d + 1  # grad sigma, grad u, viscous row, grad phi, Lap phi
+        self.spec = np.empty((stack,) + grid.rshape, dtype=np.complex128)
+        self.phys = np.empty((stack,) + grid.shape)
+        self.products = np.empty((2 * d + 1,) + grid.shape)
+        self.hats = tuple(np.empty((2 * d + 1,) + grid.rshape, dtype=np.complex128) for _ in range(2))
+        self.turn = 0
+
+
+def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | None = None) -> np.ndarray:
     """Spectral tendency of every nonlinear / variable-coefficient term.
 
     Returns one ``(dim + 2, *rshape)`` array in the layout of ``linear_apply``.
     The constant-coefficient part ``B`` (acoustic coupling, viscosity, phase
     diffusion) is excluded so the time integrator can treat it exactly per
-    mode.
+    mode. Given a ``work`` space the transforms allocate nothing and the
+    result is a view into it, valid until the call after next on the same
+    workspace; without one a fresh workspace is used.
     """
     g = state.grid
     d = g.dim
     eps = params.epsilon
+    work = TendencyWorkspace(g) if work is None else work
 
     sigma = state.sigma()
     u = state.u()
@@ -456,15 +485,15 @@ def nonlinear_terms(state: State, params: PhysParams) -> np.ndarray:
     # grad sigma (d), grad of each u_i (d*d), B's viscous row (d),
     # grad phi (d), Lap phi (1)
     o = d + d * d
-    buf = np.empty((o + 2 * d + 1,) + g.rshape, dtype=np.complex128)
-    buf[o : o + d] = _viscous_row(g, params, state.u_hat, div_u_hat)
+    buf = work.spec
+    _viscous_row(g, params, state.u_hat, div_u_hat, out=buf[o : o + d])
     for i in range(d):
         np.multiply(ik[i], state.sigma_hat, out=buf[i])
         for j in range(d):
             np.multiply(ik[j], state.u_hat[i], out=buf[d + i * d + j])
         np.multiply(ik[i], state.phi_hat, out=buf[o + d + i])
     np.multiply(-g.k2, state.phi_hat, out=buf[o + 2 * d])
-    derivs = g.inverse_many(buf)
+    derivs = g.inverse_many(buf, out=work.phys)
     grad_sigma = derivs[:d]
     grad_u = derivs[d:o].reshape((d, d) + g.shape)
     viscous = derivs[o : o + d]
@@ -479,22 +508,29 @@ def nonlinear_terms(state: State, params: PhysParams) -> np.ndarray:
     reaction = (phi - phi2 * phi) / (eps * rho)
 
     # batched forward: sigma*u (d), u-equation explicit terms (d), phi explicit (1)
-    products = np.empty((2 * d + 1,) + g.shape)
+    # (each row in place: x - y is x + (-y) exactly, so "h1 grad sigma - advect"
+    # is "-advect + h1 grad sigma" bit for bit)
+    products = work.products
     for j in range(d):
-        products[j] = sigma * u[j]
+        np.multiply(sigma, u[j], out=products[j])
+    capillary = eps / rho
     for i in range(d):
-        advect = sum(u[j] * grad_u[i][j] for j in range(d))
-        products[d + i] = (
-            -advect + h1 * grad_sigma[i] - visc_weight * viscous[i] - (eps / rho) * grad_phi[i] * lap_phi
-        )
+        row = np.multiply(h1, grad_sigma[i], out=products[d + i])
+        row -= sum(u[j] * grad_u[i][j] for j in range(d))  # advection
+        row -= visc_weight * viscous[i]
+        row -= capillary * grad_phi[i] * lap_phi
     transport = sum(u[j] * grad_phi[j] for j in range(d))
     var_diff = (eps / rho**2 - params.phase_diffusivity) * lap_phi
-    products[2 * d] = -transport + var_diff + reaction
-    hats = g.dealias(g.forward_many(products))
+    np.subtract(var_diff, transport, out=products[2 * d])
+    products[2 * d] += reaction
+    hats = work.hats[work.turn]
+    work.turn ^= 1
+    g.dealias(g.forward_many(products, out=hats), in_place=True)
 
-    out = np.empty((d + 2,) + g.rshape, dtype=np.complex128)
-    out[0] = -sum(ik[j] * hats[j] for j in range(d))
-    out[1:] = hats[d:]
+    # the tendency is (div of sigma u, hats[d:]): write the divergence over
+    # the last sigma u transform, once all of them are summed
+    out = hats[d - 1 :]
+    np.negative(sum(ik[j] * hats[j] for j in range(d)), out=out[0])
     return out
 
 
@@ -506,23 +542,28 @@ def rhs(state: State, params: PhysParams) -> np.ndarray:
     return nonlinear_terms(state, params) + linear_apply(state.grid, params, state.stacked())
 
 
-def linear_apply(grid: Grid, params: PhysParams, y: np.ndarray, shift: float = 0.0) -> np.ndarray:
+def linear_apply(
+    grid: Grid, params: PhysParams, y: np.ndarray, shift: float = 0.0, out: np.ndarray | None = None
+) -> np.ndarray:
     """``B y`` for ``y = (sigma_hat, u_hat, phi_hat)`` stacked on axis 0.
 
     Per mode, with ``D = i k.u`` and the PhysParams coefficients a (shear),
     b (longitudinal), c (sound coupling) and e (phase),
     ``B (sigma, u, phi) = (-rho_bar D, -a |k|^2 u + (b - a) i k D - c i k sigma, -e |k|^2 phi)``.
     ``shift`` adds a constant decay rate to the phase row (the stepper's
-    implicit share of the linearized reaction).
+    implicit share of the linearized reaction). The rows are written into
+    ``out`` if given, which must not overlap ``y``.
     """
     ik = [1j * k for k in grid.kvec]
     sigma_hat, u_hat, phi_hat = y[0], y[1:-1], y[-1]
+    out = np.empty_like(y) if out is None else out
     div_u_hat = sum(ik[j] * u_hat[j] for j in range(grid.dim))
-    u_row = _viscous_row(grid, params, u_hat, div_u_hat)
+    np.multiply(-params.rho_bar, div_u_hat, out=out[0])
+    u_row = _viscous_row(grid, params, u_hat, div_u_hat, out=out[1:-1])
     for i in range(grid.dim):
         u_row[i] -= params.sound_coupling * ik[i] * sigma_hat
-    phi_row = -params.phase_diffusivity * grid.k2 * phi_hat - shift * phi_hat
-    return np.concatenate([(-params.rho_bar * div_u_hat)[None], u_row, phi_row[None]])
+    np.subtract(-params.phase_diffusivity * grid.k2 * phi_hat, shift * phi_hat, out=out[-1])
+    return out
 
 
 def linear_solve(grid: Grid, params: PhysParams, alpha: float, y: np.ndarray, shift: float = 0.0) -> np.ndarray:
@@ -539,14 +580,16 @@ def linear_solve(grid: Grid, params: PhysParams, alpha: float, y: np.ndarray, sh
     inv_det = 1.0 / (1.0 + ak2 * (b + alpha * params.p_prime_bar))
     ik = [1j * k for k in grid.kvec]
     r_sigma, r_u = y[0], y[1:-1]
+    out = np.empty_like(y)
     r_div = sum(ik[j] * r_u[j] for j in range(grid.dim))
-    sigma = ((1.0 + b * ak2) * r_sigma - alpha * params.rho_bar * r_div) * inv_det
+    sigma = np.multiply((1.0 + b * ak2) * r_sigma - alpha * params.rho_bar * r_div, inv_det, out=out[0])
     div = (c * ak2 * r_sigma + r_div) * inv_det
     q = alpha * ((b - a) * div - c * sigma)  # (1 + alpha a |k|^2) u = r_u + i k q
     inv_den = 1.0 / (1.0 + a * ak2)
-    u = [(r_u[i] + ik[i] * q) * inv_den for i in range(grid.dim)]
-    phi = y[-1] / (1.0 + params.phase_diffusivity * ak2 + alpha * shift)
-    return np.stack([sigma, *u, phi])
+    for i in range(grid.dim):
+        np.multiply(r_u[i] + ik[i] * q, inv_den, out=out[1 + i])
+    np.divide(y[-1], 1.0 + params.phase_diffusivity * ak2 + alpha * shift, out=out[-1])
+    return out
 
 
 # ---------------------------------------------------------------------------

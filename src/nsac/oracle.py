@@ -26,6 +26,8 @@ from .errors import QuadratureError
 from .model import PhysParams
 
 QUADRATURE_RTOL = 1e-8
+#: Fewest samples inside the window that `fit_exponent` fits a power law to.
+MIN_FIT_SAMPLES = 10
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -304,14 +306,14 @@ class DecayFit:
 def fit_exponent(t, values, window: tuple[float, float]) -> DecayFit:
     """Fit ``log(values)`` against ``log(1+t)`` over the window.
 
-    Requires at least 10 strictly positive samples inside the window.
+    Requires at least ``MIN_FIT_SAMPLES`` strictly positive samples inside the window.
     """
     t = np.asarray(t, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     lo, hi = window
     sel = (t >= lo) & (t <= hi)
-    if int(np.count_nonzero(sel)) < 10:
-        raise ValueError(f"need at least 10 samples in window [{lo}, {hi}], got {np.count_nonzero(sel)}")
+    if int(np.count_nonzero(sel)) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples in window [{lo}, {hi}], got {np.count_nonzero(sel)}")
     v = values[sel]
     if np.any(v <= 0):
         raise ValueError("series must be strictly positive inside the fit window")

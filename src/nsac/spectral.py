@@ -43,6 +43,13 @@ class disable_dealiasing:
         return False
 
 
+def _inverse_in_place(view: np.ndarray, axis: int) -> None:
+    """Inverse complex transform of ``view`` along ``axis``, stored back into ``view``."""
+    res = _fft.ifft(view, axis=axis, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+    if not np.may_share_memory(res, view):  # scipy may decline to overwrite its input
+        view[...] = res
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -178,20 +185,55 @@ class Grid:
         """Amplitude-normalized coefficients -> real field on the grid."""
         return _fft.irfftn(coeffs, s=self.shape, norm="forward", workers=_FFT_WORKERS)
 
-    def forward_many(self, values: np.ndarray) -> np.ndarray:
-        """Batched forward over a leading stack axis (one FFT dispatch)."""
-        axes = tuple(range(1, self.dim + 1))
-        return _fft.rfftn(values, axes=axes, norm="forward", workers=_FFT_WORKERS)
+    def forward_many(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Batched forward over a leading stack axis (one FFT dispatch).
 
-    def inverse_many(self, coeffs: np.ndarray) -> np.ndarray:
-        """Batched inverse over a leading stack axis."""
-        axes = tuple(range(1, self.dim + 1))
-        return _fft.irfftn(coeffs, s=self.shape, axes=axes, norm="forward", workers=_FFT_WORKERS)
+        With ``out`` the coefficients are written there and nothing is
+        allocated: a real transform of the last axis into ``out``, then an
+        in-place complex transform of the others. Since ``n`` is a power of
+        two, the two partial scalings multiply to ``1/n^dim`` exactly and the
+        result equals the one-dispatch transform bit for bit.
+        """
+        if out is None:
+            axes = tuple(range(1, self.dim + 1))
+            return _fft.rfftn(values, axes=axes, norm="forward", workers=_FFT_WORKERS)
+        np.fft.rfft(values, axis=-1, norm="forward", out=out)
+        if self.dim > 1:
+            _fft.fftn(out, axes=tuple(range(1, self.dim)), norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+        return out
 
-    def dealias(self, coeffs: np.ndarray) -> np.ndarray:
-        if _DEALIAS_ENABLED:
-            return coeffs * self.dealias_mask
-        return coeffs
+    def inverse_many(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Batched inverse over a leading stack axis.
+
+        With ``out`` the fields are written there and ``coeffs`` is used as
+        scratch (overwritten): in-place complex transforms of the leading
+        spatial axes, one axis after the other, then a real transform of the
+        last axis into ``out``. That is the order the one-dispatch transform
+        takes, and each line sees the same input, so the result is the same.
+        A line of zeros transforms to zeros, so when the coefficients vanish
+        beyond the two-thirds cut, the planes past the cut on the last axis
+        are left out, and in 3-D so are the rows past it on the middle axis
+        during the first pass.
+        """
+        if out is None:
+            axes = tuple(range(1, self.dim + 1))
+            return _fft.irfftn(coeffs, s=self.shape, axes=axes, norm="forward", workers=_FFT_WORKERS)
+        n, cut = self.n, self.n // 3
+        lead = coeffs if coeffs[..., cut + 1 :].any() else coeffs[..., : cut + 1]
+        if self.dim == 3 and not lead[:, :, cut + 1 : n - cut].any():
+            _inverse_in_place(lead[:, :, : cut + 1], axis=1)
+            _inverse_in_place(lead[:, :, n - cut :], axis=1)
+            _inverse_in_place(lead, axis=2)
+        else:
+            for axis in range(1, self.dim):
+                _inverse_in_place(lead, axis)
+        return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward", out=out)
+
+    def dealias(self, coeffs: np.ndarray, in_place: bool = False) -> np.ndarray:
+        """Zero the modes beyond the two-thirds cut, in ``coeffs`` itself if ``in_place``."""
+        if not _DEALIAS_ENABLED:
+            return coeffs
+        return np.multiply(coeffs, self.dealias_mask, out=coeffs if in_place else None)
 
     def forward_product(self, values: np.ndarray) -> np.ndarray:
         """Transform a pointwise product and de-alias the result."""

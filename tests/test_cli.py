@@ -175,8 +175,18 @@ class TestInputErrors:
             ["fit", "--csv", "{tmp}/run.csv"],
             ["linear-decay", "--l", "0", "--s", "0.5", "--components", "phi", "--points", "5"],
             ["linear-decay", "--l", "0", "--s", "2", "--components", "phi", "--points", "15"],
+            ["linear-decay", "--points", "0"],
+            ["fit", "--csv", "{tmp}/missing.csv"],
+            ["simulate", "out.csv={tmp}/absent/x.csv", "out.snapshot={tmp}/x.nsac", "out.summary={tmp}/x.json"],
         ],
-        ids=["fit_header_only_csv", "too_few_points", "s_out_of_range"],
+        ids=[
+            "fit_header_only_csv",
+            "too_few_points",
+            "s_out_of_range",
+            "zero_points",
+            "fit_missing_csv",
+            "simulate_missing_dir",
+        ],
     )
     def test_one_error_line_exit_2_and_no_output(self, tmp_path, capsys, argv):
         # an infeasible initial condition leaves a header-only CSV
@@ -189,6 +199,12 @@ class TestInputErrors:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / "lin.csv").exists() and not (tmp_path / "lin.json").exists()
+
+    def test_points_below_the_fit_minimum_name_the_option(self, tmp_path, capsys):
+        outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
+        assert main(["linear-decay", "--points", "9"] + outputs) == 2
+        err = capsys.readouterr().err
+        assert "--points 9" in err and "10" in err and "fit_exponent" in err
 
 
 class TestSampleCost:

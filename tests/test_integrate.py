@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from nsac import Grid, PhysParams, State, StepConfig, adaptive_dt, run, step
 from nsac.config import ICSpec, RunConfig
 from nsac.diagnostics import energy_ledger
 from nsac.initial import make_initial
-from nsac.model import pressure_prime
+from nsac.model import TendencyWorkspace, nonlinear_terms, pressure_prime
+from nsac.spectral import disable_dealiasing
 
 from conftest import random_admissible_state
 
@@ -215,16 +218,21 @@ def compressed_state():
     return State.from_physical(grid, 0.0, sigma, u, np.ones(grid.shape))
 
 
+def _five_step_run(grid, params) -> RunConfig:
+    """Step 1 is the Euler bootstrap, steps 2-5 are CNAB2 at the cap dt."""
+    return RunConfig(
+        grid=grid,
+        phys=params,
+        step=StepConfig(dt=0.02, t_end=0.1, scheme_order=2),
+        ic=ICSpec(kind="random_perturbation", delta=1e-2, max_mode=3, seed=5),
+    )
+
+
 class TestStepCost:
     """What one time step costs, counted rather than timed."""
 
     def test_fft_fields_per_cnab2_step(self, grid16, params, monkeypatch):
-        cfg = RunConfig(
-            grid=grid16,
-            phys=params,
-            step=StepConfig(dt=0.02, t_end=0.1, scheme_order=2),
-            ic=ICSpec(kind="random_perturbation", delta=1e-2, max_mode=3, seed=5),
-        )
+        cfg = _five_step_run(grid16, params)
         state = make_initial(cfg)
         fields = [0]
 
@@ -251,6 +259,67 @@ class TestStepCost:
         # views of sigma, u, phi (5), the derivative stack (19), phi^2 (2),
         # the explicit products (7)
         assert per_step[1:].tolist() == [33] * 4
+
+    def test_allocation_per_cnab2_step(self, grid16, params):
+        cfg = _five_step_run(grid16, params)
+        state = make_initial(cfg)
+        marks = []
+
+        def obs(_i, _s):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            summary = run(state, cfg.step, params, observers=(obs,))
+        finally:
+            tracemalloc.stop()
+        assert summary.steps == 5
+        # peak above the memory held when the step began, in spectral fields
+        field = 16 * grid16.n**2 * (grid16.n // 2 + 1)
+        peaks = [(peak - held) / field for (held, _), (_, peak) in zip(marks, marks[1:])]
+        # the Stepper's workspace holds the tendency's arrays; a step allocates
+        # the linear operator and solve, the new State and its views (about 22)
+        assert max(peaks[1:]) <= 35
+
+
+class TestWorkspaceReuse:
+    """Scratch arrays reused from step to step never show in a result."""
+
+    def test_observed_state_survives_later_steps(self, grid16, params):
+        cfg = _five_step_run(grid16, params)
+        held = {}
+
+        def obs(i, s):
+            if i == 2:
+                held["state"] = s
+                held["copies"] = [a.copy() for a in (s.stacked(), s.sigma(), s.u(), s.phi())]
+
+        summary = run(make_initial(cfg), cfg.step, params, observers=(obs,))
+        assert summary.steps == 5
+        s = held["state"]
+        for now, then in zip((s.stacked(), s.sigma(), s.u(), s.phi()), held["copies"]):
+            assert now.tobytes() == then.tobytes()
+
+    def test_reused_workspace_matches_a_fresh_one(self, grid16, params):
+        a, b = (random_admissible_state(np.random.default_rng(seed), grid16, max_mode=4) for seed in (11, 12))
+        work = TendencyWorkspace(grid16)
+        n_a = nonlinear_terms(a, params, work)
+        kept = n_a.copy()
+        nonlinear_terms(b, params, work)
+        assert n_a.tobytes() == kept.tobytes()  # intact through the next call
+        # the call after next reuses its buffers and gives the same tendency
+        assert nonlinear_terms(a, params, work).tobytes() == kept.tobytes()
+        assert nonlinear_terms(a, params).tobytes() == kept.tobytes()
+
+    def test_in_place_mask_honours_disable_dealiasing(self, grid16, params):
+        state = random_admissible_state(np.random.default_rng(13), grid16, amplitude=1e-1, max_mode=4)
+        work = TendencyWorkspace(grid16)
+        beyond = ~grid16.dealias_mask
+        assert not np.any(nonlinear_terms(state, params, work)[:, beyond])
+        with disable_dealiasing():
+            aliased = nonlinear_terms(state, params, work)
+        assert np.any(aliased[:, beyond])
 
 
 class TestConservation:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 from nsac import Grid
 from nsac.spectral import (
     SpectralField,
+    disable_dealiasing,
     fractional_laplacian,
     gn_ratio,
     hk_norm_sq,
@@ -60,6 +62,44 @@ class TestGrid:
         quad = grid16.volume * np.mean(f**2)
         mode = grid16.mode_sum_sq(grid16.forward(f), order=0.0)
         assert abs(quad - mode) <= 1e-10 * mode
+
+
+class TestBatchedTransforms:
+    """The in-place routes (``out=``) against scipy's one-dispatch transforms."""
+
+    @pytest.mark.parametrize("band_limited", [False, True], ids=["full", "band_limited"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_in_place_inverse_is_irfftn(self, dim, band_limited):
+        # band-limited input takes the route that skips the zero lines
+        g = Grid(dim=dim, n=16, length=2 * np.pi)
+        rng = np.random.default_rng(dim)
+        coeffs = rng.standard_normal((4,) + g.rshape) + 1j * rng.standard_normal((4,) + g.rshape)
+        if band_limited:
+            coeffs *= g.dealias_mask
+        axes = tuple(range(1, dim + 1))
+        expected = sp_fft.irfftn(coeffs, s=g.shape, axes=axes, norm="forward")
+        out = np.empty((4,) + g.shape)
+        assert g.inverse_many(coeffs.copy(), out=out) is out
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_in_place_forward_is_rfftn(self, dim):
+        g = Grid(dim=dim, n=16, length=2 * np.pi)
+        values = np.random.default_rng(dim).standard_normal((4,) + g.shape)
+        expected = sp_fft.rfftn(values, axes=tuple(range(1, dim + 1)), norm="forward")
+        out = np.empty((4,) + g.rshape, dtype=np.complex128)
+        assert g.forward_many(values, out=out) is out
+        assert np.array_equal(out, expected)
+
+    def test_in_place_mask_follows_disable_dealiasing(self, grid16):
+        rng = np.random.default_rng(4)
+        coeffs = rng.standard_normal(grid16.rshape) + 1j * rng.standard_normal(grid16.rshape)
+        kept = coeffs.copy()
+        with disable_dealiasing():
+            assert grid16.dealias(coeffs, in_place=True) is coeffs
+        assert np.array_equal(coeffs, kept)
+        assert grid16.dealias(coeffs, in_place=True) is coeffs
+        assert np.array_equal(coeffs, kept * grid16.dealias_mask)
 
 
 class TestSpectralField:
