@@ -15,8 +15,10 @@ resolved: the change wins at least nine pairs in ten and its median beats the
 parent's by more than the parent's interquartile range. After each run the
 files the workload wrote for that seed under ``perfbench/_work/`` are hashed,
 and each pair records whether both sides wrote the same bytes
-(``outputs_identical``; null for a workload that writes no files). The run
-length, the metrics and their directions come from
+(``outputs_identical``; null for a workload that writes no files). The
+wall-clock metrics perfbench prints beside its result (``wall_s``,
+``op_ms.p50``, ...) are kept per run under ``recorded`` and summarised by
+side, with no gate. The run length, the metrics and their directions come from
 ``BENCHMARK.json`` in the change checkout. The file is written into the
 change checkout after every pair, so an interrupted recording keeps the pairs
 it finished.
@@ -73,6 +75,11 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     out["identical_pairs"] = out["outputs_identical"].count(True)
     if not pairs:
         return out
+    recorded = set.intersection(*(set(p[side].get("recorded", ())) for p in pairs for side in SIDES))
+    out["recorded"] = {
+        name: {side: spread([p[side]["recorded"][name] for p in pairs]) for side in SIDES}
+        for name in sorted(recorded)
+    }
     for name, direction in better.items():
         sign = 1.0 if direction == "lower" else -1.0
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
@@ -102,6 +109,29 @@ def output_paths(checkout: Path, workload: str, seed: int) -> list[Path] | None:
     return [checkout / "perfbench" / "_work" / f"{workload}-seed{seed}{sfx}" for sfx in OUTPUT_SUFFIXES[workload]]
 
 
+def parse_output(stdout: str, workload: str) -> dict:
+    """One perfbench run's result line, machine line and printed wall-clock metrics."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    machine = next((json.loads(line[8:]) for line in lines if line.startswith("machine ")), None)
+    # the printed table: "<workload> <metric> <value> <unit>" per line
+    rows = [line.split() for line in lines]
+    recorded = {
+        row[1]: float(row[2])
+        for row in rows
+        if len(row) == 4 and row[0] == workload and row[1] not in metrics and row[1] != "fail_ratio"
+    }
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": metrics,
+        "recorded": recorded,
+        "machine": machine,
+    }
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     paths = output_paths(checkout, workload, seed)
     for path in paths or ():
@@ -109,15 +139,8 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1])
-    machine = next((json.loads(line[8:]) for line in lines if line.startswith("machine ")), None)
     return {
-        "correct": result["correct"],
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        "machine": machine,
+        **parse_output(proc.stdout, workload),
         "outputs": None if paths is None else {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None for p in paths
         },

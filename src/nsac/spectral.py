@@ -43,9 +43,9 @@ class disable_dealiasing:
         return False
 
 
-def _inverse_in_place(view: np.ndarray, axis: int) -> None:
-    """Inverse complex transform of ``view`` along ``axis``, stored back into ``view``."""
-    res = _fft.ifft(view, axis=axis, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+def _transform_in_place(transform, view: np.ndarray, axes: tuple[int, ...]) -> None:
+    """Complex ``transform`` of ``view`` over ``axes``, stored back into ``view``."""
+    res = transform(view, axes=axes, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
     if not np.may_share_memory(res, view):  # scipy may decline to overwrite its input
         view[...] = res
 
@@ -185,49 +185,34 @@ class Grid:
         """Amplitude-normalized coefficients -> real field on the grid."""
         return _fft.irfftn(coeffs, s=self.shape, norm="forward", workers=_FFT_WORKERS)
 
-    def forward_many(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Batched forward over a leading stack axis (one FFT dispatch).
+    def forward_many(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Batched forward over a leading stack axis, written into ``out``.
 
-        With ``out`` the coefficients are written there and nothing is
-        allocated: a real transform of the last axis into ``out``, then an
-        in-place complex transform of the others. Since ``n`` is a power of
-        two, the two partial scalings multiply to ``1/n^dim`` exactly and the
-        result equals the one-dispatch transform bit for bit.
+        Nothing is allocated: a real transform of the last axis into ``out``,
+        then an in-place complex transform of the others. Since ``n`` is a
+        power of two, the two partial scalings multiply to ``1/n^dim`` exactly
+        and the result equals scipy's one-dispatch ``rfftn`` bit for bit.
         """
-        if out is None:
-            axes = tuple(range(1, self.dim + 1))
-            return _fft.rfftn(values, axes=axes, norm="forward", workers=_FFT_WORKERS)
         np.fft.rfft(values, axis=-1, norm="forward", out=out)
         if self.dim > 1:
-            _fft.fftn(out, axes=tuple(range(1, self.dim)), norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+            _transform_in_place(_fft.fftn, out, tuple(range(1, self.dim)))
         return out
 
     def inverse_many(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched inverse over a leading stack axis.
 
         With ``out`` the fields are written there and ``coeffs`` is used as
-        scratch (overwritten): in-place complex transforms of the leading
-        spatial axes, one axis after the other, then a real transform of the
-        last axis into ``out``. That is the order the one-dispatch transform
-        takes, and each line sees the same input, so the result is the same.
-        A line of zeros transforms to zeros, so when the coefficients vanish
-        beyond the two-thirds cut, the planes past the cut on the last axis
-        are left out, and in 3-D so are the rows past it on the middle axis
-        during the first pass.
+        scratch (overwritten): an in-place complex transform of the leading
+        spatial axes, then a real transform of the last axis into ``out``.
+        That is the order scipy's one-dispatch ``irfftn`` takes, and each line
+        sees the same input, so the result is the same bit for bit.
         """
         if out is None:
             axes = tuple(range(1, self.dim + 1))
             return _fft.irfftn(coeffs, s=self.shape, axes=axes, norm="forward", workers=_FFT_WORKERS)
-        n, cut = self.n, self.n // 3
-        lead = coeffs if coeffs[..., cut + 1 :].any() else coeffs[..., : cut + 1]
-        if self.dim == 3 and not lead[:, :, cut + 1 : n - cut].any():
-            _inverse_in_place(lead[:, :, : cut + 1], axis=1)
-            _inverse_in_place(lead[:, :, n - cut :], axis=1)
-            _inverse_in_place(lead, axis=2)
-        else:
-            for axis in range(1, self.dim):
-                _inverse_in_place(lead, axis)
-        return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward", out=out)
+        if self.dim > 1:
+            _transform_in_place(_fft.ifftn, coeffs, tuple(range(1, self.dim)))
+        return np.fft.irfft(coeffs, n=self.n, axis=-1, norm="forward", out=out)
 
     def dealias(self, coeffs: np.ndarray, in_place: bool = False) -> np.ndarray:
         """Zero the modes beyond the two-thirds cut, in ``coeffs`` itself if ``in_place``."""

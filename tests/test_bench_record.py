@@ -89,3 +89,23 @@ def test_output_paths():
     assert [p.name for p in record.output_paths(Path("c"), "oracle-sweep", 1)] == [
         "oracle-sweep-seed1.csv", "oracle-sweep-seed1.json"]
     assert record.output_paths(Path("checkout"), "decay64", 7919) is None
+
+
+def test_printed_wall_clock_metrics_are_recorded():
+    stdout = "\n".join([
+        'machine {"nproc": 2}',
+        "      decay64 cpu_s                                     5.6 s",
+        "      decay64 wall_s                                    4.9 s",
+        "      decay64 op_ms.p50                               180.5 ms",
+        "      decay64 fail_ratio                                  0 ratio",
+        '{"correct": true, "attempted": 54, "failed": 0, "metrics": {"cpu_s": {"value": 5.6, "unit": "s"}}}',
+    ])
+    out = record.parse_output(stdout, "decay64")
+    assert out["metrics"] == {"cpu_s": 5.6}
+    assert out["recorded"] == {"wall_s": 4.9, "op_ms.p50": 180.5}
+    assert out["machine"] == {"nproc": 2}
+    runs = canned([(12.0, 8.0), (11.0, 7.0)])
+    for run in runs:
+        run["recorded"] = {"wall_s": run["metrics"]["cpu_s"] / 2}
+    wall = record.summarise(runs, BETTER)["recorded"]["wall_s"]
+    assert wall["parent"]["median"] == pytest.approx(5.75) and wall["change"]["median"] == pytest.approx(3.75)

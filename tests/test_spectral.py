@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy import fft as sp_fft
 
-from nsac import Grid
+from nsac import Grid, spectral
 from nsac.spectral import (
     SpectralField,
-    disable_dealiasing,
     fractional_laplacian,
     gn_ratio,
     hk_norm_sq,
@@ -67,23 +66,18 @@ class TestGrid:
 class TestBatchedTransforms:
     """The in-place routes (``out=``) against scipy's one-dispatch transforms."""
 
-    @pytest.mark.parametrize("band_limited", [False, True], ids=["full", "band_limited"])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_in_place_inverse_is_irfftn(self, dim, band_limited):
-        # band-limited input takes the route that skips the zero lines
+    @staticmethod
+    def _check_inverse(dim):
         g = Grid(dim=dim, n=16, length=2 * np.pi)
         rng = np.random.default_rng(dim)
         coeffs = rng.standard_normal((4,) + g.rshape) + 1j * rng.standard_normal((4,) + g.rshape)
-        if band_limited:
-            coeffs *= g.dealias_mask
-        axes = tuple(range(1, dim + 1))
-        expected = sp_fft.irfftn(coeffs, s=g.shape, axes=axes, norm="forward")
+        expected = sp_fft.irfftn(coeffs, s=g.shape, axes=tuple(range(1, dim + 1)), norm="forward")
         out = np.empty((4,) + g.shape)
         assert g.inverse_many(coeffs.copy(), out=out) is out
         assert np.array_equal(out, expected)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_in_place_forward_is_rfftn(self, dim):
+    @staticmethod
+    def _check_forward(dim):
         g = Grid(dim=dim, n=16, length=2 * np.pi)
         values = np.random.default_rng(dim).standard_normal((4,) + g.shape)
         expected = sp_fft.rfftn(values, axes=tuple(range(1, dim + 1)), norm="forward")
@@ -91,15 +85,31 @@ class TestBatchedTransforms:
         assert g.forward_many(values, out=out) is out
         assert np.array_equal(out, expected)
 
-    def test_in_place_mask_follows_disable_dealiasing(self, grid16):
-        rng = np.random.default_rng(4)
-        coeffs = rng.standard_normal(grid16.rshape) + 1j * rng.standard_normal(grid16.rshape)
-        kept = coeffs.copy()
-        with disable_dealiasing():
-            assert grid16.dealias(coeffs, in_place=True) is coeffs
-        assert np.array_equal(coeffs, kept)
-        assert grid16.dealias(coeffs, in_place=True) is coeffs
-        assert np.array_equal(coeffs, kept * grid16.dealias_mask)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_in_place_inverse_is_irfftn(self, dim):
+        self._check_inverse(dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_in_place_forward_is_rfftn(self, dim):
+        self._check_forward(dim)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_backend_that_keeps_its_input(self, dim, monkeypatch):
+        # overwrite_x only permits scipy to reuse the input; a backend that
+        # returns a fresh array must still leave the result in place
+        class CopyingFFT:
+            def __getattr__(self, name):
+                return getattr(sp_fft, name)
+
+            def fftn(self, x, **kw):
+                return sp_fft.fftn(x, **{**kw, "overwrite_x": False})
+
+            def ifftn(self, x, **kw):
+                return sp_fft.ifftn(x, **{**kw, "overwrite_x": False})
+
+        monkeypatch.setattr(spectral, "_fft", CopyingFFT())
+        self._check_inverse(dim)
+        self._check_forward(dim)
 
 
 class TestSpectralField:
