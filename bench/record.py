@@ -15,7 +15,10 @@ resolved: the change wins at least nine pairs in ten and its median beats the
 parent's by more than the parent's interquartile range. After each run the
 files the workload wrote for that seed under ``perfbench/_work/`` are hashed,
 and each pair records whether both sides wrote the same bytes
-(``outputs_identical``; null for a workload that writes no files). The
+(``outputs_identical``; null for a workload that writes no files). Once a
+change moves a value by an ulp the bytes differ, so for a workload that writes
+decay fits each pair also records the largest relative difference in any
+fit's exponent, prefactor or r2 (``fits_max_rel_diff``). The
 wall-clock metrics perfbench prints beside its result (``wall_s``,
 ``op_ms.p50``, ...) are kept per run under ``recorded`` and summarised by
 side, with no gate. The run length, the metrics and their directions come from
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +41,8 @@ SIDES = ("parent", "change")
 #: Files a workload writes per seed, by suffix. dense32's -summary.json embeds
 #: checkout paths, so it is left out; decay64 writes no files.
 OUTPUT_SUFFIXES = {"dense32": (".csv", ".nsac"), "oracle-sweep": (".csv", ".json")}
+#: The fields of each fit in a fits JSON (``{"fits": [...]}``) that pairs compare.
+FIT_KEYS = ("exponent", "prefactor", "r2")
 
 
 def percentile(values, pct: float) -> float:
@@ -57,8 +63,9 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
 
     ``runs`` holds one entry per side and pair, ``{"pair", "side", "correct",
     "attempted", "failed", "metrics": {name: value}, "outputs": {file: sha256}
-    or None}``; ``better`` maps each metric to ``"lower"`` or ``"higher"``. A
-    pair missing either side is left out.
+    or None, "fits": [[exponent, prefactor, r2], ...] or None}``; ``better``
+    maps each metric to ``"lower"`` or ``"higher"``. A pair missing either side
+    is left out.
     """
     by_pair: dict[int, dict] = {}
     for run in runs:
@@ -70,6 +77,7 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
         "attempted": {side: [p[side]["attempted"] for p in pairs] for side in SIDES},
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
         "outputs_identical": [outputs_identical(p) for p in pairs],
+        "fits_max_rel_diff": [fits_max_rel_diff(p) for p in pairs],
         "metrics": {},
     }
     out["identical_pairs"] = out["outputs_identical"].count(True)
@@ -100,6 +108,33 @@ def outputs_identical(pair: dict) -> bool | None:
     """Whether both sides wrote the same files; None when either hashed none."""
     parent, change = (pair[side].get("outputs") for side in SIDES)
     return None if parent is None or change is None else parent == change
+
+
+def fits_max_rel_diff(pair: dict) -> float | None:
+    """Largest relative change of any fit's ``FIT_KEYS`` from parent to change.
+
+    None when either side wrote no fits; infinite when the sides wrote
+    different numbers of fits.
+    """
+    parent, change = (pair[side].get("fits") for side in SIDES)
+    if parent is None or change is None:
+        return None
+    if len(parent) != len(change):
+        return math.inf
+    diffs = [
+        abs(c - p) / abs(p) if p else (0.0 if c == 0 else math.inf)
+        for p_fit, c_fit in zip(parent, change)
+        for p, c in zip(p_fit, c_fit)
+    ]
+    return max(diffs, default=0.0)
+
+
+def read_fits(paths) -> list[list[float]] | None:
+    """``FIT_KEYS`` of each fit in the fits JSON among ``paths``; None when there is none."""
+    for path in paths or ():
+        if path.suffix == ".json" and path.exists():
+            return [[fit[key] for key in FIT_KEYS] for fit in json.loads(path.read_text())["fits"]]
+    return None
 
 
 def output_paths(checkout: Path, workload: str, seed: int) -> list[Path] | None:
@@ -144,6 +179,7 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "outputs": None if paths is None else {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None for p in paths
         },
+        "fits": read_fits(paths),
     }
 
 

@@ -18,7 +18,7 @@ from .diagnostics import SeriesObserver, decay_suite
 from .errors import ConfigError, InfeasibleInitialCondition, QuadratureError
 from .initial import make_initial
 from .integrate import run
-from .io import CsvWriter, read_csv, write_snapshot, write_summary
+from .io import CsvWriter, format_float, read_csv, write_snapshot, write_summary
 from .oracle import MIN_FIT_SAMPLES, DataProfile, decay_norm, fit_exponent
 from .verify import run_property_suite
 
@@ -121,7 +121,7 @@ def cmd_linear_decay(args) -> int:
                 for l in ls:
                     values = [decay_norm(l, s, float(t), profile, comp, params) for t in ts]
                     for t, v in zip(ts, values):
-                        lines.append(f"{comp},{args.profile},{l},{s!r},{t!r},{v!r}")
+                        lines.append(f"{comp},{args.profile},{l},{s!r},{format_float(t)},{format_float(v)}")
                     target_s = 1.5 if args.profile == "l1" else s
                     fit = decay_suite(ts, values, l, target_s, tol=tol)
                     entry = {"component": comp, "l": l, "s": s, "profile": args.profile}
@@ -171,10 +171,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    data = read_csv(args.csv)
-    if args.column not in data:
-        print(f"error: column {args.column!r} not in {sorted(data)}", file=sys.stderr)
+    try:
+        data = read_csv(args.csv)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
+    for name in ("t", args.column):
+        if name not in data:
+            print(f"error: column {name!r} not in {sorted(data)}", file=sys.stderr)
+            return 2
     t = data["t"]
     if not t.size:
         print(f"error: {args.csv} holds no samples", file=sys.stderr)

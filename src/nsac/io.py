@@ -66,12 +66,26 @@ class CsvWriter:
 
 
 def read_csv(path: str) -> dict[str, np.ndarray]:
-    """Load a series CSV as column arrays keyed by header name."""
+    """Load a series CSV as column arrays keyed by header name.
+
+    A row whose cell count differs from the header's, or a cell that is not a
+    number, raises ``ValueError`` naming the file and line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        names = header.split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows]) if rows else np.empty((0, len(names)))
+        names = fh.readline().strip().split(",")
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text:
+                continue
+            cells = text.split(",")
+            if len(cells) != len(names):
+                raise ValueError(f"{path} line {lineno}: expected {len(names)} cells, got {len(cells)}")
+            try:
+                rows.append([float(v) for v in cells])
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: not every cell is a number: {text!r}") from None
+    data = np.array(rows) if rows else np.empty((0, len(names)))
     return {name: data[:, i] for i, name in enumerate(names)}
 
 

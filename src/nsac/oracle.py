@@ -29,6 +29,11 @@ QUADRATURE_RTOL = 1e-8
 #: Fewest samples inside the window that `fit_exponent` fits a power law to.
 MIN_FIT_SAMPLES = 10
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: Sub-intervals per envelope call in the composite Gauss-Legendre part. The
+#: finest level splits each ladder panel into 64, so blocks of 64 x 16 nodes
+#: keep the largest temporary at one panel's size while one call serves many
+#: panels at coarse levels.
+_BLOCK_INTERVALS = 64
 
 
 @dataclass(frozen=True)
@@ -217,13 +222,15 @@ def _adaptive_radial(g, p: float, t: float, rate: float, rtol: float = QUADRATUR
             scale *= 1.6
             edges.append(min(1.0, edges[-1] + scale))
         edges = np.asarray(edges)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            sub = np.linspace(lo, hi, n_sub + 1)
-            mid = 0.5 * (sub[:-1] + sub[1:])[:, None]
-            half = 0.5 * (sub[1:] - sub[:-1])[:, None]
-            nodes = mid + half * _GAUSS_NODES[None, :]
+        # every ladder panel split into n_sub equal sub-intervals, flattened
+        sub = np.linspace(edges[:-1], edges[1:], n_sub + 1, axis=1)
+        mid = 0.5 * (sub[:, :-1] + sub[:, 1:]).reshape(-1, 1)
+        half = 0.5 * (sub[:, 1:] - sub[:, :-1]).reshape(-1, 1)
+        for start in range(0, len(mid), _BLOCK_INTERVALS):
+            block = slice(start, start + _BLOCK_INTERVALS)
+            nodes = mid[block] + half[block] * _GAUSS_NODES
             vals = nodes**p * g(nodes.ravel()).reshape(nodes.shape)
-            total += float(np.sum(half * vals * _GAUSS_WEIGHTS[None, :]))
+            total += float(np.sum(half[block] * vals * _GAUSS_WEIGHTS))
         return total
 
     prev = evaluate(1, 1)

@@ -1,6 +1,8 @@
 """The pair summary of ``bench/record.py``, on canned benchmark results."""
 
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -81,6 +83,31 @@ def test_outputs_identical(parent, change, identical):
     out = record.summarise(runs, BETTER)
     assert out["outputs_identical"] == [identical, identical]
     assert out["identical_pairs"] == (2 if identical else 0)
+
+
+def test_fits_max_rel_diff_on_canned_fits_files(tmp_path):
+    def write(name, fits):
+        path = tmp_path / name
+        path.write_text(json.dumps({"fits": [dict(component="phi", l=0, **f) for f in fits]}))
+        return path
+
+    fit = {"exponent": -2.0, "prefactor": 4.0, "r2": 0.999}
+    parent = write("parent.json", [fit, fit])
+    change = write("change.json", [fit, {**fit, "prefactor": 4.0 * (1 + 3e-15)}])
+    shorter = write("shorter.json", [fit])
+    csv = tmp_path / "sweep.csv"
+    csv.write_text("component,kind,l,s,t,value\n")
+    assert record.read_fits([csv, parent]) == [[-2.0, 4.0, 0.999]] * 2
+    assert record.read_fits([csv]) is None and record.read_fits(None) is None
+
+    runs = canned([(12.0, 8.0)] * 4)
+    sides = [(parent, change), (parent, parent), (parent, shorter), (None, None)]
+    for run in runs:
+        files = sides[run["pair"]][record.SIDES.index(run["side"])]
+        run["fits"] = None if files is None else record.read_fits([files])
+    diffs = record.summarise(runs, BETTER)["fits_max_rel_diff"]
+    assert diffs[0] == pytest.approx(3e-15, rel=1e-3)
+    assert diffs[1:] == [0.0, math.inf, None]
 
 
 def test_output_paths():

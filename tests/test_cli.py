@@ -178,6 +178,9 @@ class TestInputErrors:
             ["linear-decay", "--points", "0"],
             ["fit", "--csv", "{tmp}/missing.csv"],
             ["simulate", "out.csv={tmp}/absent/x.csv", "out.snapshot={tmp}/x.nsac", "out.summary={tmp}/x.json"],
+            ["fit", "--csv", "{tmp}/no_t.csv"],
+            ["fit", "--csv", "{tmp}/decay.csv", "--column", "value"],
+            ["fit", "--csv", "{tmp}/ragged.csv"],
         ],
         ids=[
             "fit_header_only_csv",
@@ -186,12 +189,18 @@ class TestInputErrors:
             "zero_points",
             "fit_missing_csv",
             "simulate_missing_dir",
+            "fit_csv_without_t",
+            "fit_non_numeric_cell",
+            "fit_ragged_row",
         ],
     )
     def test_one_error_line_exit_2_and_no_output(self, tmp_path, capsys, argv):
         # an infeasible initial condition leaves a header-only CSV
         main(["simulate", "ic.kind=random_perturbation", "ic.delta=100", "ic.max_mode=2"] + base_overrides(tmp_path))
         capsys.readouterr()
+        (tmp_path / "no_t.csv").write_text("time,E_total\n1.0,2.0\n")
+        (tmp_path / "decay.csv").write_text("component,kind,l,s,t,value\nphi,power,0,0.5,100.0,2.37\n")
+        (tmp_path / "ragged.csv").write_text("t,E_total\n1.0,2.0\n3.0\n")
         outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
         argv = [a.format(tmp=tmp_path) for a in argv] + (outputs if argv[0] == "linear-decay" else [])
         assert main(argv) == 2
@@ -283,6 +292,12 @@ class TestLinearDecay:
         lines = (tmp_path / "lin.csv").read_text().splitlines()
         assert lines[0] == "component,kind,l,s,t,value"
         assert len(lines) == 1 + 2 * 15
+        # plain numbers any CSV reader parses, one row per sample of each fit
+        rows = [line.split(",") for line in lines[1:]]
+        t = [float(row[4]) for row in rows]
+        values = [float(row[5]) for row in rows]
+        assert len(t) == len(values) == sum(f["n_samples"] for f in fits)
+        assert t[0] == 100.0 and t[14] == pytest.approx(1e4) and all(v > 0 for v in values)
 
 
 class TestFit:

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.special import gammainc, gammaln
 
-from nsac import PhysParams
+from nsac import PhysParams, oracle
 from nsac.errors import QuadratureError
 from nsac.oracle import (
     DataProfile,
@@ -201,18 +201,24 @@ class TestDecayNorm:
             closed = 2 * np.pi * x ** (-a) * np.exp(gammaln(a)) * gammainc(a, x)
             assert decay_norm(l, s, t, prof, "phi", params) == pytest.approx(closed, rel=1e-7)
 
-    def test_acoustic_norm_against_scipy_quad(self, params):
-        # independent scalar quadrature of the same radial integrand
+    @pytest.mark.parametrize("component", ["sigma", "u"])
+    def test_acoustic_norm_against_scipy_quad(self, params, component):
+        # independent scalar quadrature of the same radial integrand; the
+        # velocity adds two transverse polarizations decaying at nu/rho_bar
 
         prof = DataProfile(s=1.0)
         l, t = 1, 50.0
 
         def integrand(r):
-            e11, e12, _, _ = _longitudinal_propagator(np.array([r]), t, params)
-            return r ** (2 * l + 2 + 2 * prof.beta) * abs(e11[0] + e12[0]) ** 2
+            e11, e12, e21, e22 = _longitudinal_propagator(np.array([r]), t, params)
+            if component == "sigma":
+                amp2 = abs(e11[0] + e12[0]) ** 2
+            else:
+                amp2 = abs(e21[0] + e22[0]) ** 2 + 2 * np.exp(-2 * params.nu / params.rho_bar * r**2 * t)
+            return r ** (2 * l + 2 + 2 * prof.beta) * amp2
 
         oracle = 4 * np.pi * quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)[0]
-        assert decay_norm(l, 1.0, t, prof, "sigma", params) == pytest.approx(oracle, rel=1e-7)
+        assert decay_norm(l, 1.0, t, prof, component, params) == pytest.approx(oracle, rel=1e-7)
 
     def test_decreasing_in_time(self, params):
         prof = DataProfile(s=1.0)
@@ -236,6 +242,57 @@ class TestDecayNorm:
         with pytest.raises(ValueError, match="component"):
             decay_norm(0, 0.5, 1.0, prof, "pressure", params)
 
+
+class TestQuadratureCost:
+    """Envelope evaluations of one acoustic quadrature, counted, not timed."""
+
+    def test_envelope_calls_and_block_size(self, params, monkeypatch):
+        sizes = []
+
+        def counted(r, t, params_):
+            sizes.append(np.size(r))
+            return _longitudinal_propagator(r, t, params_)
+
+        monkeypatch.setattr(oracle, "_longitudinal_propagator", counted)
+        decay_norm(1, 1.0, 1e4, DataProfile(s=1.0), "u", params)
+        # 5 refinement levels, each one origin-panel call plus the ladder's
+        # 12, 26, 60, 128 and 288 sub-intervals in blocks of 64
+        assert len(sizes) == 5 + (1 + 1 + 1 + 2 + 5)
+        assert max(sizes) == 64 * 16  # full blocks, never larger
+
+    @pytest.mark.parametrize("component,l,s,t", [("phi", 0, 0.5, 100.0), ("sigma", 2, 1.49, 1e4), ("u", 1, 1.0, 1e4)])
+    def test_blocked_sum_matches_per_panel_loop(self, params, component, l, s, t):
+        # reference: the same ladder, refinement and Gauss rules, one envelope
+        # call and one sum per ladder panel; blocking only reorders the sum
+        g = oracle._decay_envelope(t, component, params)
+        prof = DataProfile(s=s)
+        p = 2.0 * l + 2.0 + 2.0 * prof.beta
+        rate = 2.0 * params.phase_diffusivity if component == "phi" else params.longitudinal_diffusivity
+        r_eff = min(1.0, 1.0 / np.sqrt(max(rate * t, 1.0)))
+        xj, wj = oracle._jacobi_rule(p)
+        xg, wg = np.polynomial.legendre.leggauss(16)
+
+        def per_panel(n_sub, shrink):
+            first = r_eff / (4.0 * shrink)
+            total = (first / 2.0) ** (p + 1.0) * float(np.sum(wj * g(first * 0.5 * (1.0 + xj))))
+            edges, scale = [first], first
+            while edges[-1] < 1.0:
+                scale *= 1.6
+                edges.append(min(1.0, edges[-1] + scale))
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                sub = np.linspace(lo, hi, n_sub + 1)
+                mid, half = 0.5 * (sub[:-1] + sub[1:]), 0.5 * (sub[1:] - sub[:-1])
+                nodes = mid[:, None] + half[:, None] * xg
+                total += float(np.sum(half[:, None] * nodes**p * g(nodes.ravel()).reshape(nodes.shape) * wg))
+            return total
+
+        levels = [per_panel(1, 1)]
+        for n in (2, 4, 8, 16, 32, 64):
+            levels.append(per_panel(n, n))
+            if abs(levels[-1] - levels[-2]) <= oracle.QUADRATURE_RTOL * abs(levels[-1]):
+                break
+        ours = decay_norm(l, s, t, prof, component, params)
+        assert ours == pytest.approx(4.0 * np.pi * levels[-1], rel=1e-13, abs=0)
 
 class TestFitExponent:
     def test_exact_power_law(self):
