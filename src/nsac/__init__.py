@@ -26,7 +26,6 @@ from .model import (
     EnergyReport,
     PhysParams,
     State,
-    capillary_divergence,
     chemical_potential,
     g_potential,
     pressure,

@@ -9,7 +9,7 @@ concurrently with integration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,16 +162,7 @@ def decay_suite(
     fit = fit_exponent(t, values, window)
     target = -(l + s)
     passed = abs(fit.exponent - target) <= tol and fit.r2 >= r2_min
-    return DecayFit(
-        exponent=fit.exponent,
-        prefactor=fit.prefactor,
-        r2=fit.r2,
-        window=fit.window,
-        n_samples=fit.n_samples,
-        target=target,
-        tol=tol,
-        passed=passed,
-    )
+    return replace(fit, target=target, tol=tol, passed=passed)
 
 
 # ---------------------------------------------------------------------------

@@ -400,20 +400,6 @@ def chemical_potential(state: State, params: PhysParams) -> np.ndarray:
     return (phi**3 - phi) / eps - (eps / rho) * state.lap_phi()
 
 
-def capillary_divergence(phi: SpectralField, params: PhysParams) -> np.ndarray:
-    """Capillary force ``-eps grad(phi) Lap(phi)`` as physical vector components.
-
-    Equals the divergence of ``-eps (grad phi x grad phi - |grad phi|^2/2 I)``
-    up to a gradient absorbed by the pressure.
-    """
-    g = phi.grid
-    lap = g.inverse(-g.k2 * phi.coeffs)
-    out = np.empty((g.dim,) + g.shape)
-    for i in range(g.dim):
-        out[i] = -params.epsilon * g.inverse(1j * g.kvec[i] * phi.coeffs) * lap
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Tendencies on the stacked state y = (sigma_hat, u_hat, phi_hat)
 # ---------------------------------------------------------------------------

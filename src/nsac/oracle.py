@@ -126,41 +126,44 @@ class DataProfile:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form 2x2 longitudinal propagator, vectorized over radius
+# Closed-form longitudinal gains, vectorized over |k|^2
 # ---------------------------------------------------------------------------
 
 
-def _longitudinal_propagator(r: np.ndarray, t: float, params: PhysParams):
-    """Entries of ``exp(t A2)`` for the 2x2 block at radius r.
+def _longitudinal_gains(k2: np.ndarray, t: float, params: PhysParams):
+    """Squared gains ``|exp(t A2) (1, 1)|^2`` of the 2x2 longitudinal block, row by row.
 
     ``A2 = [[0, -i rho_bar r], [-i p'(rho_bar)/rho_bar r, -b r^2]]`` with
-    ``b = (2 nu + lam)/rho_bar``. With eigenvalue mean ``m = -b r^2 / 2`` and
-    half-spread ``delta``, the exponential is assembled from
-    ``e^(mt) cosh(delta t)`` and ``e^(mt) sinh(delta t)/delta``, each built
-    from ``exp((m +- delta) t)`` whose real parts are nonpositive, so nothing
-    overflows however stiff the mode.
+    ``r^2 = k2`` and ``b = (2 nu + lam)/rho_bar``. With ``m = -b k2 / 2`` and
+    ``q = m^2 - p' k2``, ``exp(t A2) = C I + S (A2 - m I)`` for the real
+    ``C = e^(mt) cosh(sqrt(q) t)`` and ``S = e^(mt) sinh(sqrt(q) t)/sqrt(q)``.
+    An underdamped mode (``q <= 0``) takes them as ``cos`` and ``t sinc`` of
+    ``w = sqrt(-q)``; an overdamped one builds both from ``exp((m +- d) t)``,
+    ``d = sqrt(q)``, whose exponents are nonpositive, with ``expm1`` for the
+    difference, so nothing overflows or cancels however stiff the mode.
+    Returns the sigma row ``(C - S m)^2 + (rho_bar r S)^2`` and the u row
+    ``(C + S m)^2 + (p'/rho_bar r S)^2``.
     """
-    b = params.longitudinal_diffusivity
-    c = params.p_prime_bar
-    r = np.asarray(r, dtype=np.float64)
-    m = -0.5 * b * r**2 + 0j
-    delta = np.sqrt(m**2 - c * r**2 + 0j)
-    ep = np.exp((m + delta) * t)
-    em = np.exp((m - delta) * t)
-    C = 0.5 * (ep + em)
-    small = np.abs(delta * t) < 1e-6
-    delta_safe = np.where(small, 1.0, delta)
-    z2 = (delta * t) ** 2
-    S = np.where(
-        small,
-        np.exp(m * t) * t * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0)),
-        (ep - em) / (2.0 * delta_safe),
-    )
-    e11 = C - S * m
-    e12 = S * (-1j * params.rho_bar * r)
-    e21 = S * (-1j * params.sound_coupling * r)
-    e22 = C + S * m
-    return e11, e12, e21, e22
+    k2 = np.asarray(k2, dtype=np.float64)
+    m = -0.5 * params.longitudinal_diffusivity * k2
+    q = m * m - params.p_prime_bar * k2
+    C = np.empty_like(k2)
+    S = np.empty_like(k2)
+    under = q <= 0
+    over = ~under
+    decay = np.exp(m[under] * t)
+    wt = np.sqrt(-q[under]) * t
+    C[under] = decay * np.cos(wt)
+    S[under] = decay * t * np.sinc(wt / np.pi)
+    d = np.sqrt(q[over])
+    slow = np.exp((m[over] + d) * t)
+    C[over] = 0.5 * (slow + np.exp((m[over] - d) * t))
+    S[over] = -slow * np.expm1(-2.0 * d * t) / (2.0 * d)
+    Sm = S * m
+    S2k2 = S * S * k2
+    sigma = (C - Sm) ** 2 + params.rho_bar**2 * S2k2
+    u = (C + Sm) ** 2 + params.sound_coupling**2 * S2k2
+    return sigma, u
 
 
 def _decay_envelope(t: float, component: str, params: PhysParams):
@@ -171,15 +174,14 @@ def _decay_envelope(t: float, component: str, params: PhysParams):
     """
 
     def g(r: np.ndarray) -> np.ndarray:
+        k2 = r**2
         if component == "phi":
-            return np.exp(-2.0 * params.phase_diffusivity * r**2 * t)
-        e11, e12, e21, e22 = _longitudinal_propagator(r, t, params)
+            return np.exp(-2.0 * params.phase_diffusivity * k2 * t)
         if component == "sigma":
-            return np.abs(e11 + e12) ** 2
+            return _longitudinal_gains(k2, t, params)[0]
         if component == "u":
-            long2 = np.abs(e21 + e22) ** 2
-            trans2 = 2.0 * np.exp(-2.0 * params.shear_diffusivity * r**2 * t)
-            return long2 + trans2
+            trans2 = 2.0 * np.exp(-2.0 * params.shear_diffusivity * k2 * t)
+            return _longitudinal_gains(k2, t, params)[1] + trans2
         raise ValueError(f"unknown component {component!r}; use sigma, u or phi")
 
     return g

@@ -4,12 +4,12 @@ from scipy.integrate import quad
 
 from nsac import Grid, PhysParams, State, VacuumError
 from nsac.model import (
-    capillary_divergence,
     chemical_potential,
     g_potential,
     g_potential_prime,
     linear_apply,
     linear_solve,
+    nonlinear_terms,
     pressure,
     pressure_prime,
     rhs,
@@ -171,25 +171,39 @@ class TestChemicalPotential:
 
 
 class TestCapillary:
-    def test_constant_phase_zero(self, grid16, params):
-        f = SpectralField.from_physical(grid16, np.ones(grid16.shape))
-        assert np.max(np.abs(capillary_divergence(f, params))) == 0.0
+    """The capillary force ``-eps grad(phi) Lap(phi)`` of the tendency.
 
-    def test_single_mode_hand_value(self, grid16, params):
+    At ``sigma = u = 0`` it is the only term of the velocity rows of
+    `nonlinear_terms`, which hold it divided by ``rho_bar``; ``rho_bar != 1``
+    pins that division.
+    """
+
+    PARAMS = PhysParams(rho_bar=1.3)
+
+    def force(self, grid, phi):
+        zero = np.zeros(grid.shape)
+        state = State.from_physical(grid, 0.0, zero, np.zeros((grid.dim,) + grid.shape), phi)
+        rows = nonlinear_terms(state, self.PARAMS)[1:-1]
+        return self.PARAMS.rho_bar * np.stack([grid.inverse(row) for row in rows])
+
+    def test_constant_phase_zero(self, grid16):
+        assert np.max(np.abs(self.force(grid16, np.ones(grid16.shape)))) == 0.0
+
+    def test_single_mode_hand_value(self, grid16):
         x = grid16.meshgrid()[0]
-        f = SpectralField.from_physical(grid16, np.sin(x))
-        out = capillary_divergence(f, params)
+        out = self.force(grid16, np.sin(x))
         # -eps cos(x) * (-sin(x)) = (eps/2) sin(2x) on the first component
-        expected = 0.5 * params.epsilon * np.sin(2 * x)
+        expected = 0.5 * self.PARAMS.epsilon * np.sin(2 * x)
         assert np.max(np.abs(out[0] - expected)) <= 1e-12
         assert np.max(np.abs(out[1:])) <= 1e-12
 
-    def test_tensor_divergence_oracle(self, grid16, params):
+    def test_tensor_divergence_oracle(self, grid16):
         # independent evaluation via div(grad phi x grad phi - |grad phi|^2/2 I);
         # with the isotropic part included the two formulations agree exactly
         x, y, _ = grid16.meshgrid()
-        f = SpectralField.from_physical(grid16, np.sin(x) * np.sin(y))
-        production = capillary_divergence(f, params)
+        phi = np.sin(x) * np.sin(y)
+        production = self.force(grid16, phi)
+        f = SpectralField.from_physical(grid16, phi)
 
         g = grid16
         d = g.dim
@@ -201,7 +215,7 @@ class TestCapillary:
                 if i == j:
                     tij = tij - 0.5 * sum(gphi[m] ** 2 for m in range(d))
                 tensor_div[i] += g.inverse(1j * g.kvec[j] * g.forward(tij))
-        tensor_div *= -params.epsilon
+        tensor_div *= -self.PARAMS.epsilon
 
         scale = np.max(np.abs(production))
         assert np.max(np.abs(production - tensor_div)) <= 1e-8 * scale

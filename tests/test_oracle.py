@@ -8,7 +8,7 @@ from nsac.errors import QuadratureError
 from nsac.oracle import (
     DataProfile,
     SymbolBlock,
-    _longitudinal_propagator,
+    _longitudinal_gains,
     build_symbol,
     decay_norm,
     evolve_mode,
@@ -158,20 +158,25 @@ class TestDataProfile:
 
 class TestLongitudinalPropagator:
     def test_matches_expm(self, params):
+        # the gains are the squared rows of exp(t A2) (1, 1), with A2 the
+        # longitudinal block; k2 = 4 p' / b^2 is critical damping (r = 1.18 for
+        # the defaults, 0.15 for the second set), so both branches are crossed
         from scipy.linalg import expm
 
-        b = (2 * params.nu + params.lam) / params.rho_bar
-        c = params.p_prime_bar
-        for r in (1e-6, 0.01, 0.3, 1.0):
-            for t in (0.1, 10.0, 5e3):
+        for p in (params, PhysParams(nu=3.0, lam=1.0, pressure_a=0.2)):
+            b = p.longitudinal_diffusivity
+            critical = 4.0 * p.p_prime_bar / b**2
+            for k2 in (1e-12, 1e-4, 0.09, 1.0, critical, 4.0, 25.0):
+                r = np.sqrt(k2)
                 A = np.array([
-                    [0.0, -1j * params.rho_bar * r],
-                    [-1j * (c / params.rho_bar) * r, -b * r**2],
+                    [0.0, -1j * p.rho_bar * r],
+                    [-1j * p.sound_coupling * r, -b * k2],
                 ])
-                E = expm(t * A)
-                e11, e12, e21, e22 = _longitudinal_propagator(np.array([r]), t, params)
-                ours = np.array([[e11[0], e12[0]], [e21[0], e22[0]]])
-                assert np.max(np.abs(ours - E)) <= 1e-10 * max(1.0, np.max(np.abs(E)))
+                for t in (0.0, 0.1, 10.0, 5e3):
+                    E = np.abs(expm(t * A) @ np.ones(2)) ** 2
+                    with np.errstate(all="raise", under="ignore"):
+                        ours = np.concatenate(_longitudinal_gains(np.array([k2]), t, p))
+                    assert np.max(np.abs(ours - E)) <= 1e-10 * max(1.0, np.max(E))
 
 
 class TestDecayNorm:
@@ -203,18 +208,16 @@ class TestDecayNorm:
 
     @pytest.mark.parametrize("component", ["sigma", "u"])
     def test_acoustic_norm_against_scipy_quad(self, params, component):
-        # independent scalar quadrature of the same radial integrand; the
-        # velocity adds two transverse polarizations decaying at nu/rho_bar
+        # independent scalar quadrature of the radial integrand, each value
+        # from the dense exp(t A) of the full symbol at k = (r, 0, 0): the
+        # velocity (1, 1, 1) is one longitudinal and two transverse polarizations
 
         prof = DataProfile(s=1.0)
         l, t = 1, 50.0
 
         def integrand(r):
-            e11, e12, e21, e22 = _longitudinal_propagator(np.array([r]), t, params)
-            if component == "sigma":
-                amp2 = abs(e11[0] + e12[0]) ** 2
-            else:
-                amp2 = abs(e21[0] + e22[0]) ** 2 + 2 * np.exp(-2 * params.nu / params.rho_bar * r**2 * t)
+            out = evolve_mode(build_symbol((r, 0.0, 0.0), params), [1, 1, 1, 1, 0], t)
+            amp2 = abs(out[0]) ** 2 if component == "sigma" else float(np.sum(np.abs(out[1:4]) ** 2))
             return r ** (2 * l + 2 + 2 * prof.beta) * amp2
 
         oracle = 4 * np.pi * quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)[0]
@@ -249,11 +252,11 @@ class TestQuadratureCost:
     def test_envelope_calls_and_block_size(self, params, monkeypatch):
         sizes = []
 
-        def counted(r, t, params_):
-            sizes.append(np.size(r))
-            return _longitudinal_propagator(r, t, params_)
+        def counted(k2, t, params_):
+            sizes.append(np.size(k2))
+            return _longitudinal_gains(k2, t, params_)
 
-        monkeypatch.setattr(oracle, "_longitudinal_propagator", counted)
+        monkeypatch.setattr(oracle, "_longitudinal_gains", counted)
         decay_norm(1, 1.0, 1e4, DataProfile(s=1.0), "u", params)
         # 5 refinement levels, each one origin-panel call plus the ladder's
         # 12, 26, 60, 128 and 288 sub-intervals in blocks of 64
