@@ -33,7 +33,16 @@ from .model import (
     rhs,
     total_energy,
 )
-from .oracle import DataProfile, DecayFit, SymbolBlock, build_symbol, decay_norm, evolve_mode, fit_exponent
+from .oracle import (
+    DataProfile,
+    DecayFit,
+    SymbolBlock,
+    build_symbol,
+    decay_norm,
+    decay_norms,
+    evolve_mode,
+    fit_exponent,
+)
 from .spectral import (
     Grid,
     SpectralField,

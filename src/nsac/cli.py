@@ -19,7 +19,7 @@ from .errors import ConfigError, InfeasibleInitialCondition, QuadratureError
 from .initial import make_initial
 from .integrate import run
 from .io import CsvWriter, format_float, read_csv, write_snapshot, write_summary
-from .oracle import MIN_FIT_SAMPLES, DataProfile, decay_norm, fit_exponent
+from .oracle import MIN_FIT_SAMPLES, DataProfile, decay_norms, fit_exponent
 from .verify import run_property_suite
 
 
@@ -116,17 +116,19 @@ def cmd_linear_decay(args) -> int:
     try:  # nothing is written unless every fit is made
         for comp in components:
             tol = args.tol_heat if comp == "phi" else args.tol_flow
-            for s in ss:
-                profile = DataProfile(s=s, kind=args.profile)
-                for l in ls:
-                    values = [decay_norm(l, s, float(t), profile, comp, params) for t in ts]
-                    for t, v in zip(ts, values):
-                        lines.append(f"{comp},{args.profile},{l},{s!r},{format_float(t)},{format_float(v)}")
-                    target_s = 1.5 if args.profile == "l1" else s
-                    fit = decay_suite(ts, values, l, target_s, tol=tol)
-                    entry = {"component": comp, "l": l, "s": s, "profile": args.profile}
-                    entry.update(fit.as_dict())
-                    fits.append(entry)
+            pairs = [(l, DataProfile(s=s, kind=args.profile)) for s in ss for l in ls]
+            # one shared quadrature per t gives column j of pairs[j]'s series
+            columns = [decay_norms(pairs, float(t), comp, params) for t in ts]
+            for j, (l, profile) in enumerate(pairs):
+                s = profile.s
+                values = [column[j] for column in columns]
+                for t, v in zip(ts, values):
+                    lines.append(f"{comp},{args.profile},{l},{s!r},{format_float(t)},{format_float(v)}")
+                target_s = 1.5 if args.profile == "l1" else s
+                fit = decay_suite(ts, values, l, target_s, tol=tol)
+                entry = {"component": comp, "l": l, "s": s, "profile": args.profile}
+                entry.update(fit.as_dict())
+                fits.append(entry)
     except (QuadratureError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1 if isinstance(err, QuadratureError) else 2
@@ -170,23 +172,40 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _where(data: dict[str, np.ndarray], where: str) -> dict[str, np.ndarray]:
+    """The rows whose cells equal every ``column=value`` of ``where``; numeric columns compare as floats."""
+    keep = True
+    for term in where.split(","):
+        name, sep, wanted = (part.strip() for part in term.partition("="))
+        if not sep or not name:
+            raise ValueError(f"--where term {term!r} is not of the form column=value")
+        if name not in data:
+            raise ValueError(f"--where column {name!r} not in {sorted(data)}")
+        column = data[name]
+        if column.dtype.kind == "f":
+            try:
+                wanted = float(wanted)
+            except ValueError:
+                raise ValueError(f"--where {name}={wanted}: column {name!r} holds numbers") from None
+        keep = keep & (column == wanted)
+    return {name: column[keep] for name, column in data.items()}
+
+
 def cmd_fit(args) -> int:
     try:
-        data = read_csv(args.csv)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    for name in ("t", args.column):
-        if name not in data:
-            print(f"error: column {name!r} not in {sorted(data)}", file=sys.stderr)
-            return 2
-    t = data["t"]
-    if not t.size:
-        print(f"error: {args.csv} holds no samples", file=sys.stderr)
-        return 2
-    window = (args.t_lo if args.t_lo is not None else float(t.min()),
-              args.t_hi if args.t_hi is not None else float(t.max()))
-    try:
+        data = read_csv(args.csv, numeric=("t", args.column))
+        for name in ("t", args.column):
+            if name not in data:
+                raise ValueError(f"column {name!r} not in {sorted(data)}")
+        if args.where:
+            data = _where(data, args.where)
+        t = data["t"]
+        if not t.size:
+            if args.where:
+                raise ValueError(f"no row of {args.csv} matches --where {args.where}")
+            raise ValueError(f"{args.csv} holds no samples")
+        window = (args.t_lo if args.t_lo is not None else float(t.min()),
+                  args.t_hi if args.t_hi is not None else float(t.max()))
         if args.l is not None and args.s is not None:
             fit = decay_suite(t, data[args.column], args.l, args.s, tol=args.tol, window=window)
         else:
@@ -262,6 +281,12 @@ def main(argv=None) -> int:
     p_fit.add_argument("--l", type=int, default=None)
     p_fit.add_argument("--s", type=float, default=None)
     p_fit.add_argument("--tol", type=float, default=0.1)
+    p_fit.add_argument(
+        "--where",
+        default=None,
+        help="fit only the rows whose cells equal every column=value of a comma list, "
+        "e.g. component=sigma,l=1,s=0.5 on the linear-decay CSV; numeric columns compare as floats",
+    )
     p_fit.set_defaults(func=cmd_fit)
 
     args = parser.parse_args(argv)

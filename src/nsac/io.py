@@ -65,15 +65,17 @@ class CsvWriter:
         return False
 
 
-def read_csv(path: str) -> dict[str, np.ndarray]:
-    """Load a series CSV as column arrays keyed by header name.
+def read_csv(path: str, numeric=()) -> dict[str, np.ndarray]:
+    """Load a CSV as column arrays keyed by header name.
 
-    A row whose cell count differs from the header's, or a cell that is not a
-    number, raises ``ValueError`` naming the file and line.
+    A column whose cells are all numbers is a float array; any other column
+    is kept as an array of its text. A row whose cell count differs from the
+    header's, or a cell that is not a number in a column named in
+    ``numeric``, raises ``ValueError`` naming the file and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         names = fh.readline().strip().split(",")
-        rows = []
+        rows, linenos = [], []
         for lineno, line in enumerate(fh, start=2):
             text = line.strip()
             if not text:
@@ -81,12 +83,25 @@ def read_csv(path: str) -> dict[str, np.ndarray]:
             cells = text.split(",")
             if len(cells) != len(names):
                 raise ValueError(f"{path} line {lineno}: expected {len(names)} cells, got {len(cells)}")
+            rows.append(cells)
+            linenos.append(lineno)
+    data = {}
+    for i, name in enumerate(names):
+        cells = [row[i] for row in rows]
+        values = []
+        for cell in cells:
             try:
-                rows.append([float(v) for v in cells])
+                values.append(float(cell))
             except ValueError:
-                raise ValueError(f"{path} line {lineno}: not every cell is a number: {text!r}") from None
-    data = np.array(rows) if rows else np.empty((0, len(names)))
-    return {name: data[:, i] for i, name in enumerate(names)}
+                break
+        if len(values) == len(cells):
+            data[name] = np.array(values)
+        elif name in numeric:
+            bad = len(values)
+            raise ValueError(f"{path} line {linenos[bad]}: column {name!r} holds {cells[bad]!r}, not a number")
+        else:
+            data[name] = np.array(cells)
+    return data
 
 
 def write_snapshot(path: str, state: State) -> None:

@@ -428,7 +428,8 @@ class TendencyWorkspace:
     products. Their transforms go to ``hats[turn]``, and ``turn`` flips on
     every call, so the tendency one call returns (a view of its ``hats``)
     stays intact through the next call: CNAB2 extrapolates from the previous
-    step's tendency.
+    step's tendency. Each ``hats`` buffer is allocated by the first call that
+    writes it, so a one-off call builds one.
     """
 
     def __init__(self, grid: Grid):
@@ -437,8 +438,17 @@ class TendencyWorkspace:
         self.spec = np.empty((stack,) + grid.rshape, dtype=np.complex128)
         self.phys = np.empty((stack,) + grid.shape)
         self.products = np.empty((2 * d + 1,) + grid.shape)
-        self.hats = tuple(np.empty((2 * d + 1,) + grid.rshape, dtype=np.complex128) for _ in range(2))
+        self._hats_shape = (2 * d + 1,) + grid.rshape
+        self.hats = [None, None]
         self.turn = 0
+
+    def next_hats(self) -> np.ndarray:
+        """The buffer this call transforms into; ``turn`` flips to the other one."""
+        if self.hats[self.turn] is None:
+            self.hats[self.turn] = np.empty(self._hats_shape, dtype=np.complex128)
+        hats = self.hats[self.turn]
+        self.turn ^= 1
+        return hats
 
 
 def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | None = None) -> np.ndarray:
@@ -509,8 +519,7 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     var_diff = (eps / rho**2 - params.phase_diffusivity) * lap_phi
     np.subtract(var_diff, transport, out=products[2 * d])
     products[2 * d] += reaction
-    hats = work.hats[work.turn]
-    work.turn ^= 1
+    hats = work.next_hats()
     g.dealias(g.forward_many(products, out=hats), in_place=True)
 
     # the tendency is (div of sigma u, hats[d:]): write the divergence over

@@ -170,8 +170,11 @@ def _decay_envelope(t: float, component: str, params: PhysParams):
     """Smooth part of the integrand: squared amplification factor at radius r.
 
     The power-law weight ``r^(2l+2) a(r)^2 = r^p`` is kept separate so the
-    quadrature can treat its singularity at the origin exactly.
+    quadrature can treat its singularity at the origin exactly, and so one
+    envelope serves every ``(l, profile)`` of a component at one ``t``.
     """
+    if component not in ("phi", "sigma", "u"):
+        raise ValueError(f"unknown component {component!r}; use sigma, u or phi")
 
     def g(r: np.ndarray) -> np.ndarray:
         k2 = r**2
@@ -179,10 +182,8 @@ def _decay_envelope(t: float, component: str, params: PhysParams):
             return np.exp(-2.0 * params.phase_diffusivity * k2 * t)
         if component == "sigma":
             return _longitudinal_gains(k2, t, params)[0]
-        if component == "u":
-            trans2 = 2.0 * np.exp(-2.0 * params.shear_diffusivity * k2 * t)
-            return _longitudinal_gains(k2, t, params)[1] + trans2
-        raise ValueError(f"unknown component {component!r}; use sigma, u or phi")
+        trans2 = 2.0 * np.exp(-2.0 * params.shear_diffusivity * k2 * t)
+        return _longitudinal_gains(k2, t, params)[1] + trans2
 
     return g
 
@@ -199,25 +200,41 @@ def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
     return _JACOBI_CACHE[p]
 
 
-def _adaptive_radial(g, p: float, t: float, rate: float, rtol: float = QUADRATURE_RTOL) -> float:
-    """Adaptive quadrature of ``r^p g(r)`` over ``[0, 1]`` with ``p > -1``.
+#: Refinement levels: (sub-intervals per ladder panel, origin-panel shrink).
+_LEVELS = ((1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (64, 64))
 
-    The origin panel uses Gauss-Jacobi quadrature matched to the ``r^p``
+
+def _adaptive_radial(g, powers, t: float, rate: float, rtol: float = QUADRATURE_RTOL) -> list[float]:
+    """Adaptive quadratures of ``r^p g(r)`` over ``[0, 1]``, one per ``p > -1`` in ``powers``.
+
+    The origin panel uses Gauss-Jacobi quadrature matched to each ``r^p``
     weight (exact however weak the integrability); the rest is composite
     Gauss-Legendre on a ladder graded around the diffusive scale
-    ``1/sqrt(rate*t)``. Refinement shrinks the origin panel and doubles the
-    subdivision until the value is stable to ``rtol``.
+    ``1/sqrt(rate*t)``, which depends on no power. Refinement shrinks the
+    origin panel and doubles the subdivision; each power stops at the first
+    level whose value agrees with its previous level's to ``rtol``. At each
+    level ``g`` is evaluated once per block of ladder nodes for every power
+    still refining, and each power sums its blocks in ladder order, so every
+    value is the one a quadrature of that power alone returns.
     """
-    if p <= -1.0:
-        raise ValueError(f"radial weight exponent must exceed -1, got {p}")
+    powers = [float(p) for p in powers]
+    for p in powers:
+        if p <= -1.0:
+            raise ValueError(f"radial weight exponent must exceed -1, got {p}")
     r_eff = min(1.0, 1.0 / np.sqrt(max(rate * t, 1.0)))
-    xj, wj = _jacobi_rule(p)
+    rules = [_jacobi_rule(p) for p in powers]
+    values: list[float] = [0.0] * len(powers)
+    residuals = [np.inf] * len(powers)
+    active = list(range(len(powers)))
 
-    def evaluate(n_sub: int, shrink: int) -> float:
+    for level, (n_sub, shrink) in enumerate(_LEVELS):
         first = r_eff / (4.0 * shrink)
-        # origin panel [0, first]: int r^p g = (first/2)^(p+1) * sum wj g(nodes)
-        nodes0 = first * 0.5 * (1.0 + xj)
-        total = (first / 2.0) ** (p + 1.0) * float(np.sum(wj * g(nodes0)))
+        totals = {}
+        for i in active:
+            # origin panel [0, first]: int r^p g = (first/2)^(p+1) * sum wj g(nodes)
+            xj, wj = rules[i]
+            nodes0 = first * 0.5 * (1.0 + xj)
+            totals[i] = (first / 2.0) ** (powers[i] + 1.0) * float(np.sum(wj * g(nodes0)))
         edges = [first]
         scale = first
         while edges[-1] < 1.0:
@@ -231,18 +248,44 @@ def _adaptive_radial(g, p: float, t: float, rate: float, rtol: float = QUADRATUR
         for start in range(0, len(mid), _BLOCK_INTERVALS):
             block = slice(start, start + _BLOCK_INTERVALS)
             nodes = mid[block] + half[block] * _GAUSS_NODES
-            vals = nodes**p * g(nodes.ravel()).reshape(nodes.shape)
-            total += float(np.sum(half[block] * vals * _GAUSS_WEIGHTS))
-        return total
+            envelope = g(nodes.ravel()).reshape(nodes.shape)
+            for i in active:
+                totals[i] += float(np.sum(half[block] * (nodes ** powers[i] * envelope) * _GAUSS_WEIGHTS))
+        refining = []
+        for i in active:
+            curr = totals[i]
+            if level:
+                residuals[i] = abs(curr - values[i])
+            values[i] = curr
+            if not residuals[i] <= rtol * max(abs(curr), 1e-300):
+                refining.append(i)
+        active = refining
+        if not active:
+            return values
+    raise QuadratureError("radial quadrature did not converge", residual=residuals[active[0]])
 
-    prev = evaluate(1, 1)
-    curr = prev
-    for n_sub, shrink in ((2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (64, 64)):
-        curr = evaluate(n_sub, shrink)
-        if abs(curr - prev) <= rtol * max(abs(curr), 1e-300):
-            return curr
-        prev = curr
-    raise QuadratureError("radial quadrature did not converge", residual=abs(curr - prev))
+
+def decay_norms(pairs, t: float, component: str, params: PhysParams) -> list[float]:
+    """``decay_norm`` of every ``(l, profile)`` in ``pairs`` at one ``t``, in order.
+
+    The amplification factor depends only on ``component`` and ``t``, so
+    every pair integrates it on the same ladder nodes and it is evaluated
+    once per node for all of them. Each value equals the single-pair one
+    bit for bit; nothing is kept beyond the call.
+    """
+    pairs = list(pairs)
+    for l, _ in pairs:
+        if not (0 <= l <= 3):
+            raise ValueError(f"derivative order l must lie in [0, 3], got {l}")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    g = _decay_envelope(t, component, params)
+    powers = [2.0 * l + 2.0 + 2.0 * profile.beta for l, profile in pairs]
+    if component == "phi":
+        rate = 2.0 * params.phase_diffusivity
+    else:
+        rate = params.longitudinal_diffusivity
+    return [4.0 * np.pi * value for value in _adaptive_radial(g, powers, t, rate)]
 
 
 def decay_norm(
@@ -258,21 +301,12 @@ def decay_norm(
     Each field starts from the profile amplitude (velocity: one longitudinal
     plus two transverse polarizations). At ``t = 0`` this is the plain squared
     data norm; it decreases in ``t`` and its log-log slope against ``1 + t``
-    is the decay exponent under test.
+    is the decay exponent under test. This is the one-pair case of
+    ``decay_norms``.
     """
-    if not (0 <= l <= 3):
-        raise ValueError(f"derivative order l must lie in [0, 3], got {l}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     if abs(profile.s - s) > 1e-12:
         raise ValueError(f"profile was built for s = {profile.s}, requested s = {s}")
-    g = _decay_envelope(t, component, params)
-    p = 2.0 * l + 2.0 + 2.0 * profile.beta
-    if component == "phi":
-        rate = 2.0 * params.phase_diffusivity
-    else:
-        rate = params.longitudinal_diffusivity
-    return 4.0 * np.pi * _adaptive_radial(g, p, t, rate)
+    return decay_norms([(l, profile)], t, component, params)[0]
 
 
 # ---------------------------------------------------------------------------

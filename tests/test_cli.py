@@ -181,6 +181,11 @@ class TestInputErrors:
             ["fit", "--csv", "{tmp}/no_t.csv"],
             ["fit", "--csv", "{tmp}/decay.csv", "--column", "value"],
             ["fit", "--csv", "{tmp}/ragged.csv"],
+            ["fit", "--csv", "{tmp}/decay.csv", "--column", "kind"],
+            ["fit", "--csv", "{tmp}/decay.csv", "--column", "l", "--where", "component=u"],
+            ["fit", "--csv", "{tmp}/decay.csv", "--column", "l", "--where", "s=half"],
+            ["fit", "--csv", "{tmp}/decay.csv", "--column", "l", "--where", "size=1"],
+            ["fit", "--csv", "{tmp}/decay.csv", "--column", "l", "--where", "component"],
         ],
         ids=[
             "fit_header_only_csv",
@@ -192,6 +197,11 @@ class TestInputErrors:
             "fit_csv_without_t",
             "fit_non_numeric_cell",
             "fit_ragged_row",
+            "fit_text_column",
+            "fit_where_matches_no_row",
+            "fit_where_text_for_a_number",
+            "fit_where_unknown_column",
+            "fit_where_without_value",
         ],
     )
     def test_one_error_line_exit_2_and_no_output(self, tmp_path, capsys, argv):
@@ -199,7 +209,7 @@ class TestInputErrors:
         main(["simulate", "ic.kind=random_perturbation", "ic.delta=100", "ic.max_mode=2"] + base_overrides(tmp_path))
         capsys.readouterr()
         (tmp_path / "no_t.csv").write_text("time,E_total\n1.0,2.0\n")
-        (tmp_path / "decay.csv").write_text("component,kind,l,s,t,value\nphi,power,0,0.5,100.0,2.37\n")
+        (tmp_path / "decay.csv").write_text("component,kind,l,s,t,value\nphi,power,0,0.5,100.0,2.37e-3x\n")
         (tmp_path / "ragged.csv").write_text("t,E_total\n1.0,2.0\n3.0\n")
         outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
         argv = [a.format(tmp=tmp_path) for a in argv] + (outputs if argv[0] == "linear-decay" else [])
@@ -330,3 +340,31 @@ class TestFit:
         path = self._write_series(tmp_path, -1.0)
         rc = main(["fit", "--csv", path, "--column", "nope"])
         assert rc == 2
+
+    def test_where_selects_equal_cells(self, tmp_path, capsys):
+        # text columns compare as text, numeric ones as floats ("1" matches 1.0)
+        t = np.geomspace(1, 1e3, 20).tolist()
+        rows = [f"{c},{l!r},{ti!r},{(1 + ti) ** -(l + 1)!r}" for c in ("a", "b") for l in (1.0, 2.0) for ti in t]
+        path = tmp_path / "mixed.csv"
+        path.write_text("\n".join(["c,l,t,v"] + rows) + "\n")
+        for where, exponent in (("c=a,l=1", -2.0), ("l=2,c=b", -3.0)):
+            assert main(["fit", "--csv", str(path), "--column", "v", "--where", where]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["n_samples"] == 20 and out["exponent"] == pytest.approx(exponent, abs=1e-9)
+
+    def test_round_trip_of_the_linear_decay_csv(self, tmp_path, capsys):
+        csv, fits = tmp_path / "lin.csv", tmp_path / "lin.json"
+        argv = ["linear-decay", "--components", "sigma,u", "--l", "0,1", "--s", "0.5,1", "--points", "12"]
+        assert main(argv + ["--out-csv", str(csv), "--out-json", str(fits)]) == 0
+        capsys.readouterr()
+        (entry,) = [
+            f for f in json.loads(fits.read_text())["fits"] if (f["component"], f["l"], f["s"]) == ("sigma", 1, 0.5)
+        ]
+        rc = main(
+            ["fit", "--csv", str(csv), "--column", "value", "--where", "component=sigma,l=1,s=0.5", "--l", "1", "--s", "0.5"]
+        )
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["n_samples"] == 12
+        for key in ("exponent", "prefactor", "r2"):
+            assert out[key] == entry[key]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -277,6 +279,21 @@ class TestRhs:
         state = State.from_physical(grid16, 0.0, sigma, np.zeros((3,) + grid16.shape), np.ones(grid16.shape))
         with pytest.raises(Exception, match="sigma"):
             rhs(state, params)
+
+    def test_one_off_allocation(self, grid16, params):
+        state = random_admissible_state(np.random.default_rng(14), grid16, max_mode=4)
+        rhs(state, params)  # caches the state's own views
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            rhs(state, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        field = 16 * grid16.n**2 * (grid16.n // 2 + 1)
+        # a fresh workspace with one 7-field transform buffer, the linear part
+        # and the sum: 60.4 spectral fields (67.4 with both buffers built)
+        assert (peak - held) / field <= 62
 
 
 class TestLinearOperator:

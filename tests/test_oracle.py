@@ -11,6 +11,7 @@ from nsac.oracle import (
     _longitudinal_gains,
     build_symbol,
     decay_norm,
+    decay_norms,
     evolve_mode,
     fit_exponent,
 )
@@ -297,6 +298,51 @@ class TestQuadratureCost:
         ours = decay_norm(l, s, t, prof, component, params)
         assert ours == pytest.approx(4.0 * np.pi * levels[-1], rel=1e-13, abs=0)
 
+#: The CLI's default (l, profile) pairs, in its (s, l) order.
+DEFAULT_PAIRS = [(l, DataProfile(s=s)) for s in (0.5, 1.0, 1.49) for l in (0, 1, 2)]
+
+
+class TestSharedQuadrature:
+    """Every (l, profile) of one (component, t) on one ladder and one envelope."""
+
+    @pytest.mark.parametrize("component", ["phi", "sigma", "u"])
+    def test_equals_one_quadrature_per_pair(self, params, component):
+        # at (sigma, 1e3) and (sigma, 1e4) the pairs stop at different levels
+        for t in (0.0, 100.0, 1e3, 1e4):
+            alone = [decay_norm(l, prof.s, t, prof, component, params) for l, prof in DEFAULT_PAIRS]
+            assert decay_norms(DEFAULT_PAIRS, t, component, params) == alone
+
+    def test_envelope_calls_of_one_shared_evaluation(self, params, monkeypatch):
+        levels = []
+
+        def counted(k2, t, params_):
+            levels.append(np.size(k2))
+            return _longitudinal_gains(k2, t, params_)
+
+        monkeypatch.setattr(oracle, "_longitudinal_gains", counted)
+        for l, prof in DEFAULT_PAIRS:
+            decay_norm(l, prof.s, 1e4, prof, "sigma", params)
+        alone, levels[:] = len(levels), []
+        decay_norms(DEFAULT_PAIRS, 1e4, "sigma", params)
+        # seven pairs stop after 5 levels and two after 6: 47 origin panels,
+        # each level's ladder blocks once (10 blocks for 5 levels, 10 more for
+        # the sixth); one pair at a time evaluates the ladder per pair
+        assert (len(levels), alone) == (47 + 20, 157)
+        assert max(levels) == 64 * 16
+
+    def test_one_nonconvergent_integrand_raises_with_its_residual(self):
+        rng = np.random.default_rng(2)
+
+        def noisy_near_origin(r):
+            # r^6 hides the noise below 1e-3 from the second power, not from r^0
+            return 1.0 + np.where(r < 1e-3, rng.standard_normal(r.shape), 0.0)
+
+        assert oracle._adaptive_radial(noisy_near_origin, [6.0], 1.0, 1.0) == [pytest.approx(1.0 / 7.0, rel=1e-12)]
+        with pytest.raises(QuadratureError, match="residual") as err:
+            oracle._adaptive_radial(noisy_near_origin, [6.0, 0.0], 1.0, 1.0)
+        assert err.value.residual > oracle.QUADRATURE_RTOL
+
+
 class TestFitExponent:
     def test_exact_power_law(self):
         t = np.geomspace(1, 1e4, 60)
@@ -326,7 +372,7 @@ class TestQuadratureFailure:
         from nsac.oracle import _adaptive_radial
 
         with pytest.raises(ValueError, match="exceed -1"):
-            _adaptive_radial(lambda r: np.ones_like(r), -1.5, 1.0, 1.0)
+            _adaptive_radial(lambda r: np.ones_like(r), [-1.5], 1.0, 1.0)
 
     def test_nonconvergent_integrand_raises_with_residual(self):
         from nsac.oracle import _adaptive_radial
@@ -337,4 +383,4 @@ class TestQuadratureFailure:
             return 1.0 + rng.standard_normal(r.shape)
 
         with pytest.raises(QuadratureError, match="residual"):
-            _adaptive_radial(noisy, 0.0, 1.0, 1.0)
+            _adaptive_radial(noisy, [0.0], 1.0, 1.0)
