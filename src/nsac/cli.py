@@ -117,7 +117,7 @@ def cmd_linear_decay(args) -> int:
         for comp in components:
             tol = args.tol_heat if comp == "phi" else args.tol_flow
             pairs = [(l, DataProfile(s=s, kind=args.profile)) for s in ss for l in ls]
-            # one shared quadrature per t gives column j of pairs[j]'s series
+            # one shared quadrature per t; columns[i][j] is pairs[j]'s norm at ts[i]
             columns = [decay_norms(pairs, float(t), comp, params) for t in ts]
             for j, (l, profile) in enumerate(pairs):
                 s = profile.s
