@@ -204,6 +204,11 @@ def cmd_fit(args) -> int:
             if args.where:
                 raise ValueError(f"no row of {args.csv} matches --where {args.where}")
             raise ValueError(f"{args.csv} holds no samples")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError(
+                f"t is not strictly increasing in the selected rows of {args.csv}: they hold more than"
+                " one series; pick one with --where column=value"
+            )
         window = (args.t_lo if args.t_lo is not None else float(t.min()),
                   args.t_hi if args.t_hi is not None else float(t.max()))
         if args.l is not None and args.s is not None:

@@ -33,7 +33,6 @@ from .model import (
     linear_apply,
     linear_solve,
     nonlinear_terms,
-    pressure_prime,
 )
 from .spectral import Grid
 
@@ -97,7 +96,7 @@ def adaptive_dt(state: State, cfg: StepConfig, params: PhysParams) -> float:
     a speed; a quiescent state (speed zero) gets ``cfg.dt``.
     """
     u = state.u()
-    c = np.sqrt(pressure_prime(params.rho_bar + state.sigma(), params))
+    c = np.sqrt(state.p_prime(params))
     speed = np.sqrt(np.sum(u * u, axis=0)) + np.abs(c - np.sqrt(params.p_prime_bar))
     vmax = float(np.max(speed))
     return cfg.dt if vmax == 0 else min(cfg.dt, cfg.cfl * state.grid.dx / vmax)

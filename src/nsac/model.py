@@ -238,6 +238,13 @@ class State:
 
         return self._phys("grad_phi", build)
 
+    def p_prime(self, params: PhysParams) -> np.ndarray:
+        """``p'(rho_bar + sigma)`` on the grid, evaluated once per State and params.
+
+        The CFL bound and the tendency both read it; raises ``VacuumError`` at ``rho <= 0``.
+        """
+        return self._phys(("p_prime", params), lambda: pressure_prime(params.rho_bar + self.sigma(), params))
+
     def spectrum(self, name: str) -> np.ndarray:
         """Shell spectrum of ``"sigma"``, ``"u"`` (components summed) or ``"phi"``."""
         return self._phys(name + "_shells", lambda: self.grid.shell_spectrum(getattr(self, name + "_hat")))
@@ -424,21 +431,22 @@ class TendencyWorkspace:
     """The arrays `nonlinear_terms` fills in place on one grid, allocated once.
 
     ``spec`` is the spectral derivative stack, overwritten by its batched
-    inverse into ``phys``; ``products`` holds the ``2 dim + 1`` explicit
-    products. Their transforms go to ``hats[turn]``, and ``turn`` flips on
-    every call, so the tendency one call returns (a view of its ``hats``)
-    stays intact through the next call: CNAB2 extrapolates from the previous
-    step's tendency. Each ``hats`` buffer is allocated by the first call that
-    writes it, so a one-off call builds one.
+    inverse into ``phys``; ``products`` holds the ``2 dim + 2`` explicit
+    products, the last of them ``K = |u|^2/2``. Their transforms go to
+    ``hats[turn]``, and ``turn`` flips on every call, so the tendency one call
+    returns (a view of its ``hats``) stays intact through the next call: CNAB2
+    extrapolates from the previous step's tendency. Each ``hats`` buffer is
+    allocated by the first call that writes it, so a one-off call builds one.
     """
 
     def __init__(self, grid: Grid):
         d = grid.dim
-        stack = d + d * d + 2 * d + 1  # grad sigma, grad u, viscous row, grad phi, Lap phi
+        # grad sigma, the d(d-1)/2 vorticity components, viscous row, grad phi, Lap phi
+        stack = 3 * d + d * (d - 1) // 2 + 1
         self.spec = np.empty((stack,) + grid.rshape, dtype=np.complex128)
         self.phys = np.empty((stack,) + grid.shape)
-        self.products = np.empty((2 * d + 1,) + grid.shape)
-        self._hats_shape = (2 * d + 1,) + grid.rshape
+        self.products = np.empty((2 * d + 2,) + grid.shape)
+        self._hats_shape = (2 * d + 2,) + grid.rshape
         self.hats = [None, None]
         self.turn = 0
 
@@ -460,71 +468,95 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     mode. Given a ``work`` space the transforms allocate nothing and the
     result is a view into it, valid until the call after next on the same
     workspace; without one a fresh workspace is used.
+
+    Advection is taken in rotational form,
+    ``(u.grad) u_i = d_i K - sum_j u_j w_ij`` with ``K = |u|^2/2`` and the
+    vorticity ``w_ij = d_i u_j - d_j u_i`` (``i < j`` stored: 0, 1 or 3
+    components), so the derivative stack holds ``d(d-1)/2`` fields where
+    ``grad u`` holds ``d^2``, and ``grad K`` is applied in spectral space.
+    The identity holds pointwise for continuous fields. Every velocity a run
+    steps on lies inside the 2/3 band (every initial condition builds it
+    there and the stepper cuts each new state to it), so each quadratic
+    product has modes up to ``2n/3`` per axis, whose aliases land beyond the
+    cut: after de-aliasing, the rotational and the convective form both give
+    the exact band-limited product and differ only by roundoff (Orszag,
+    J. Atmos. Sci. 28, 1971; Zang, Appl. Numer. Math. 7, 1991). Outside the
+    band they would differ by aliasing error.
     """
     g = state.grid
     d = g.dim
     eps = params.epsilon
     work = TendencyWorkspace(g) if work is None else work
 
+    p_prime = state.p_prime(params)  # raises VacuumError at rho <= 0
     sigma = state.sigma()
     u = state.u()
     phi = state.phi()
     rho = params.rho_bar + sigma
-    if np.any(rho <= 0):
-        raise VacuumError(f"vacuum reached (min rho = {rho.min():.6g})")
 
     kv = g.kvec
     ik = [1j * kv[i] for i in range(d)]
     div_u_hat = sum(ik[j] * state.u_hat[j] for j in range(d))
 
     # one batched inverse for every derivative this evaluation needs:
-    # grad sigma (d), grad of each u_i (d*d), B's viscous row (d),
+    # grad sigma (d), vorticity w_ij for i < j (d(d-1)/2), B's viscous row (d),
     # grad phi (d), Lap phi (1)
-    o = d + d * d
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    o = d + len(pairs)
     buf = work.spec
     _viscous_row(g, params, state.u_hat, div_u_hat, out=buf[o : o + d])
     for i in range(d):
         np.multiply(ik[i], state.sigma_hat, out=buf[i])
-        for j in range(d):
-            np.multiply(ik[j], state.u_hat[i], out=buf[d + i * d + j])
         np.multiply(ik[i], state.phi_hat, out=buf[o + d + i])
+    for m, (i, j) in enumerate(pairs):
+        np.subtract(ik[i] * state.u_hat[j], ik[j] * state.u_hat[i], out=buf[d + m])
     np.multiply(-g.k2, state.phi_hat, out=buf[o + 2 * d])
     derivs = g.inverse_many(buf, out=work.phys)
     grad_sigma = derivs[:d]
-    grad_u = derivs[d:o].reshape((d, d) + g.shape)
+    vorticity = derivs[d:o]
     viscous = derivs[o : o + d]
     grad_phi = derivs[o + d : o + 2 * d]
     lap_phi = derivs[o + 2 * d]
 
-    h1 = params.sound_coupling - pressure_prime(rho, params) / rho
+    h1 = params.sound_coupling - p_prime / rho
     # -h2 (nu Lap u + (nu+lam) grad div u) = -(sigma/rho) times the viscous row
     visc_weight = sigma / rho
 
-    phi2 = g.inverse(g.forward_product(phi * phi))
+    # de-aliased phi^2 through the K slots, which K overwrites last
+    products = work.products
+    hats = work.next_hats()
+    square, square_hat = products[2 * d + 1 :], hats[2 * d + 1 :]
+    np.multiply(phi, phi, out=square[0])
+    g.dealias(g.forward_many(square, out=square_hat), in_place=True)
+    phi2 = g.inverse_many(square_hat, out=square)[0]
     reaction = (phi - phi2 * phi) / (eps * rho)
 
-    # batched forward: sigma*u (d), u-equation explicit terms (d), phi explicit (1)
-    # (each row in place: x - y is x + (-y) exactly, so "h1 grad sigma - advect"
-    # is "-advect + h1 grad sigma" bit for bit)
-    products = work.products
+    # batched forward: sigma*u (d), u-equation explicit terms (d), phi explicit (1), K (1)
     for j in range(d):
         np.multiply(sigma, u[j], out=products[j])
     capillary = eps / rho
     for i in range(d):
         row = np.multiply(h1, grad_sigma[i], out=products[d + i])
-        row -= sum(u[j] * grad_u[i][j] for j in range(d))  # advection
+        for m, (a, b) in enumerate(pairs):  # + sum_j u_j w_ij, with w_ba = -w_ab
+            if i == a:
+                row += u[b] * vorticity[m]
+            elif i == b:
+                row -= u[a] * vorticity[m]
         row -= visc_weight * viscous[i]
         row -= capillary * grad_phi[i] * lap_phi
     transport = sum(u[j] * grad_phi[j] for j in range(d))
     var_diff = (eps / rho**2 - params.phase_diffusivity) * lap_phi
     np.subtract(var_diff, transport, out=products[2 * d])
     products[2 * d] += reaction
-    hats = work.next_hats()
+    np.multiply(0.5, sum(u[j] * u[j] for j in range(d)), out=products[2 * d + 1])
     g.dealias(g.forward_many(products, out=hats), in_place=True)
+    k_hat = hats[2 * d + 1]
+    for i in range(d):
+        hats[d + i] -= ik[i] * k_hat
 
-    # the tendency is (div of sigma u, hats[d:]): write the divergence over
+    # the tendency is (div of sigma u, hats[d:2d+1]): write the divergence over
     # the last sigma u transform, once all of them are summed
-    out = hats[d - 1 :]
+    out = hats[d - 1 : 2 * d + 1]
     np.negative(sum(ik[j] * hats[j] for j in range(d)), out=out[0])
     return out
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import QuadratureError
 from .model import PhysParams
@@ -74,6 +73,8 @@ def evolve_mode(block: SymbolBlock, init: np.ndarray, t: float) -> np.ndarray:
     n_acu = block.acoustic.shape[0]
     if init.size != n_acu + 1:
         raise ValueError(f"expected {n_acu + 1} amplitudes, got {init.size}")
+    from scipy.linalg import expm
+
     out = np.empty_like(init)
     out[:n_acu] = expm(t * block.acoustic) @ init[:n_acu]
     out[n_acu] = np.exp(block.phase_factor * t) * init[n_acu]

@@ -2,10 +2,15 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsac
 from nsac import State
 from nsac.cli import main
 from nsac.config import build_run_config
@@ -186,6 +191,7 @@ class TestInputErrors:
             ["fit", "--csv", "{tmp}/decay.csv", "--column", "l", "--where", "s=half"],
             ["fit", "--csv", "{tmp}/decay.csv", "--column", "l", "--where", "size=1"],
             ["fit", "--csv", "{tmp}/decay.csv", "--column", "l", "--where", "component"],
+            ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value"],
         ],
         ids=[
             "fit_header_only_csv",
@@ -202,6 +208,7 @@ class TestInputErrors:
             "fit_where_text_for_a_number",
             "fit_where_unknown_column",
             "fit_where_without_value",
+            "fit_two_series_as_one",
         ],
     )
     def test_one_error_line_exit_2_and_no_output(self, tmp_path, capsys, argv):
@@ -211,6 +218,10 @@ class TestInputErrors:
         (tmp_path / "no_t.csv").write_text("time,E_total\n1.0,2.0\n")
         (tmp_path / "decay.csv").write_text("component,kind,l,s,t,value\nphi,power,0,0.5,100.0,2.37e-3x\n")
         (tmp_path / "ragged.csv").write_text("t,E_total\n1.0,2.0\n3.0\n")
+        # two decay series one after the other, as linear-decay writes them
+        t = np.geomspace(1, 1e3, 12).tolist()
+        series = [f"{c},{ti!r},{(1 + ti) ** -p!r}" for c, p in (("a", 1), ("b", 2)) for ti in t]
+        (tmp_path / "two_series.csv").write_text("\n".join(["component,t,value"] + series) + "\n")
         outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
         argv = [a.format(tmp=tmp_path) for a in argv] + (outputs if argv[0] == "linear-decay" else [])
         assert main(argv) == 2
@@ -224,6 +235,17 @@ class TestInputErrors:
         assert main(["linear-decay", "--points", "9"] + outputs) == 2
         err = capsys.readouterr().err
         assert "--points 9" in err and "10" in err and "fit_exponent" in err
+
+
+class TestStartup:
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # only the dense expm reference of the oracle needs it, and imports it itself
+        src = str(Path(nsac.__file__).resolve().parents[1])
+        code = "import sys, nsac.cli; print('scipy.linalg' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestSampleCost:

@@ -256,9 +256,32 @@ class TestStepCost:
         summary = run(state, cfg.step, params, observers=(lambda i, s: marks.append(fields[0]),))
         assert summary.termination == "t_end" and summary.steps == 5
         per_step = np.diff(marks)
-        # views of sigma, u, phi (5), the derivative stack (19), phi^2 (2),
-        # the explicit products (7)
-        assert per_step[1:].tolist() == [33] * 4
+        # views of sigma, u, phi (5), the derivative stack (13), phi^2 (2),
+        # the explicit products and K = |u|^2/2 (8)
+        assert per_step[1:].tolist() == [28] * 4
+
+    def test_one_pressure_prime_per_step(self, grid16, params, monkeypatch):
+        import nsac.integrate
+        import nsac.model
+
+        cfg = _five_step_run(grid16, params)
+        state = make_initial(cfg)
+        calls = [0]
+        original = nsac.model.pressure_prime
+
+        def counted(rho, p):
+            calls[0] += 1
+            return original(rho, p)
+
+        for module in (nsac.model, nsac.integrate):  # wherever the stepping code binds the name
+            if hasattr(module, "pressure_prime"):
+                monkeypatch.setattr(module, "pressure_prime", counted)
+
+        marks = []
+        summary = run(state, cfg.step, params, observers=(lambda i, s: marks.append(calls[0]),))
+        assert summary.steps == 5
+        # the CFL bound and the tendency share the State's evaluation
+        assert np.diff(marks).tolist() == [1] * 5
 
     def test_allocation_per_cnab2_step(self, grid16, params):
         cfg = _five_step_run(grid16, params)
