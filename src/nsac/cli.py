@@ -20,7 +20,7 @@ from .initial import make_initial
 from .integrate import run
 from .io import CsvWriter, format_float, read_csv, write_snapshot, write_summary
 from .oracle import MIN_FIT_SAMPLES, DataProfile, decay_norms, fit_exponent
-from .verify import run_property_suite
+from .verify import MIN_SUITE_N, run_property_suite
 
 
 def _split_overrides(pairs) -> dict[str, str]:
@@ -155,6 +155,9 @@ def cmd_linear_decay(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < MIN_SUITE_N or args.n & (args.n - 1):
+        print(f"error: --n {args.n}: the property suite needs a power of two >= {MIN_SUITE_N}", file=sys.stderr)
+        return 2
     if args.config:
         _build_config(args)  # fail fast on bad configuration
     results = run_property_suite(n=args.n, seed=args.seed, inject_fault=args.inject_fault)
@@ -267,7 +270,9 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run the operator/invariant property suite")
     _add_config_arguments(p_ver)
-    p_ver.add_argument("--n", type=int, default=16, help="grid points per axis for the suite")
+    p_ver.add_argument(
+        "--n", type=int, default=16, help=f"grid points per axis for the suite, a power of two >= {MIN_SUITE_N}"
+    )
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument(
         "--inject-fault",

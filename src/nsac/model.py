@@ -14,7 +14,10 @@ In perturbation form the system reads
 with ``g1 = -div(sigma u)``, ``h1 = p'(rho_bar)/rho_bar - p'(rho)/rho`` and
 ``h2 = 1/rho_bar - 1/rho``. The capillary force uses the identity
 ``div(grad phi x grad phi - |grad phi|^2/2 I) = grad(phi) Lap(phi)`` (the
-gradient part is absorbed into the pressure).
+gradient part is absorbed into the pressure). The tendency takes the
+advection in rotational form and ``h1 grad sigma`` as the gradient of
+``H = enthalpy_remainder(sigma)``, so it needs neither ``grad u`` nor
+``grad sigma`` (see `nonlinear_terms`).
 """
 
 from __future__ import annotations
@@ -152,6 +155,38 @@ def g_potential_prime(rho, params: PhysParams):
     """``G'(rho) = (G(rho) + p(rho) - p(rho_bar)) / rho``."""
     rho = np.asarray(rho, dtype=np.float64)
     return (g_potential(rho, params) + pressure(rho, params) - pressure(params.rho_bar, params)) / rho
+
+
+def enthalpy_remainder(sigma, params: PhysParams, out: np.ndarray | None = None):
+    """``H(sigma) = int_0^sigma h1``, with ``h1 = p'(rho_bar)/rho_bar - p'(rho)/rho``.
+
+    ``H`` is the linearization ``p'(rho_bar) x`` of the enthalpy perturbation
+    ``int_rho_bar^rho p'(z)/z dz`` minus the perturbation itself, so
+    ``grad H = h1 grad sigma``. With ``x = sigma/rho_bar``:
+
+        H = p'(rho_bar) [ x - expm1((g-1) log1p(x))/(g-1) ]
+
+    (``x - log1p(x)`` for ``g = 1``). Like `g_potential`, the expm1/log1p
+    route keeps the error at a few ulps of ``x`` although ``H`` is O(x^2);
+    ``H(0) = 0`` exactly. Written into ``out`` if given, with no other array.
+    The density must be positive (the tendency checks through
+    ``State.p_prime``).
+    """
+    g, rb = params.pressure_gamma, params.rho_bar
+    sigma = np.asarray(sigma, dtype=np.float64)
+    out = np.empty_like(sigma) if out is None else out
+    # H = (p'(rho_bar)/rho_bar) (sigma - rho_bar E), E = expm1((g-1) log1p(x))/(g-1)
+    np.divide(sigma, rb, out=out)
+    np.log1p(out, out=out)
+    if g == 1.0:
+        out *= rb
+    else:
+        out *= g - 1.0
+        np.expm1(out, out=out)
+        out *= rb / (g - 1.0)
+    np.subtract(sigma, out, out=out)
+    out *= params.sound_coupling
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +447,18 @@ def chemical_potential(state: State, params: PhysParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _viscous_row(grid: Grid, params: PhysParams, u_hat, div_u_hat, out: np.ndarray | None = None) -> np.ndarray:
+def _viscous_row(
+    grid: Grid,
+    params: PhysParams,
+    u_hat,
+    div_u_hat,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """B's viscous row ``-a |k|^2 u + (b - a) i k D`` with ``D = i k.u``, written into ``out`` if given.
 
     In physical space this is ``(nu Lap u + (nu+lam) grad div u) / rho_bar``.
+    ``scratch``, one spectral field, holds the grad-div part of each row.
     """
     a = params.shear_diffusivity
     grad_div = params.longitudinal_diffusivity - a
@@ -423,26 +466,30 @@ def _viscous_row(grid: Grid, params: PhysParams, u_hat, div_u_hat, out: np.ndarr
         out = np.empty((grid.dim,) + grid.rshape, dtype=np.complex128)
     shear = -a * grid.k2
     for i in range(grid.dim):
-        np.add(shear * u_hat[i], grad_div * (1j * grid.kvec[i]) * div_u_hat, out=out[i])
+        np.multiply(shear, u_hat[i], out=out[i])
+        out[i] += np.multiply(grad_div * (1j * grid.kvec[i]), div_u_hat, out=scratch)
     return out
 
 
 class TendencyWorkspace:
     """The arrays `nonlinear_terms` fills in place on one grid, allocated once.
 
-    ``spec`` is the spectral derivative stack, overwritten by its batched
-    inverse into ``phys``; ``products`` holds the ``2 dim + 2`` explicit
-    products, the last of them ``K = |u|^2/2``. Their transforms go to
-    ``hats[turn]``, and ``turn`` flips on every call, so the tendency one call
-    returns (a view of its ``hats``) stays intact through the next call: CNAB2
-    extrapolates from the previous step's tendency. Each ``hats`` buffer is
-    allocated by the first call that writes it, so a one-off call builds one.
+    ``spec`` is the spectral derivative stack: the ``d(d-1)/2`` vorticity
+    components, B's viscous row (d), grad phi (d) and Lap phi, 10 fields at
+    3-D. Its batched inverse overwrites it and lands in ``phys``.
+    ``products`` holds the ``2 dim + 2`` explicit products, the last of them
+    ``K - H`` (kinetic energy density minus enthalpy remainder). Their
+    transforms go to ``hats[turn]``, and ``turn`` flips on every call, so the
+    tendency one call returns (a view of its ``hats``) stays intact through
+    the next call: CNAB2 extrapolates from the previous step's tendency. Each
+    ``hats`` buffer is allocated by the first call that writes it, so a
+    one-off call builds one. The pointwise and spectral work needs no further
+    arrays: its scratch is rows not yet written or already spent.
     """
 
     def __init__(self, grid: Grid):
         d = grid.dim
-        # grad sigma, the d(d-1)/2 vorticity components, viscous row, grad phi, Lap phi
-        stack = 3 * d + d * (d - 1) // 2 + 1
+        stack = 2 * d + d * (d - 1) // 2 + 1
         self.spec = np.empty((stack,) + grid.rshape, dtype=np.complex128)
         self.phys = np.empty((stack,) + grid.shape)
         self.products = np.empty((2 * d + 2,) + grid.shape)
@@ -465,99 +512,132 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     Returns one ``(dim + 2, *rshape)`` array in the layout of ``linear_apply``.
     The constant-coefficient part ``B`` (acoustic coupling, viscosity, phase
     diffusion) is excluded so the time integrator can treat it exactly per
-    mode. Given a ``work`` space the transforms allocate nothing and the
-    result is a view into it, valid until the call after next on the same
-    workspace; without one a fresh workspace is used.
+    mode. Given a ``work`` space the tendency allocates nothing beyond a few
+    wavenumber-sized arrays and the result is a view into it, valid until the
+    call after next on the same workspace; without one a fresh workspace is
+    used.
 
     Advection is taken in rotational form,
     ``(u.grad) u_i = d_i K - sum_j u_j w_ij`` with ``K = |u|^2/2`` and the
     vorticity ``w_ij = d_i u_j - d_j u_i`` (``i < j`` stored: 0, 1 or 3
     components), so the derivative stack holds ``d(d-1)/2`` fields where
-    ``grad u`` holds ``d^2``, and ``grad K`` is applied in spectral space.
-    The identity holds pointwise for continuous fields. Every velocity a run
-    steps on lies inside the 2/3 band (every initial condition builds it
-    there and the stepper cuts each new state to it), so each quadratic
-    product has modes up to ``2n/3`` per axis, whose aliases land beyond the
-    cut: after de-aliasing, the rotational and the convective form both give
-    the exact band-limited product and differ only by roundoff (Orszag,
-    J. Atmos. Sci. 28, 1971; Zang, Appl. Numer. Math. 7, 1991). Outside the
-    band they would differ by aliasing error.
+    ``grad u`` holds ``d^2``. The identity holds pointwise for continuous
+    fields. Every velocity a run steps on lies inside the 2/3 band (every
+    initial condition builds it there and the stepper cuts each new state to
+    it), so each quadratic product has modes up to ``2n/3`` per axis, whose
+    aliases land beyond the cut: after de-aliasing, the rotational and the
+    convective form both give the exact band-limited product and differ only
+    by roundoff (Orszag, J. Atmos. Sci. 28, 1971; Zang, Appl. Numer. Math. 7,
+    1991). Outside the band they would differ by aliasing error.
+
+    The pressure correction ``h1(sigma) grad sigma`` is taken as ``grad H``
+    with ``H = enthalpy_remainder(sigma)``, whose derivative is ``h1``, so
+    grad sigma leaves the stack. Neither ``h1`` nor ``H`` is a polynomial, so
+    the two de-aliased forms differ by aliasing error of cubic and higher
+    order in ``sigma``; the split-versus-direct check bounds it. ``K - H``
+    is one product, and each velocity row subtracts ``i k_i (K - H)^`` after
+    the cut.
     """
     g = state.grid
     d = g.dim
     eps = params.epsilon
     work = TendencyWorkspace(g) if work is None else work
 
-    p_prime = state.p_prime(params)  # raises VacuumError at rho <= 0
+    state.p_prime(params)  # the vacuum check: raises VacuumError at rho <= 0; the CFL bound shares it
     sigma = state.sigma()
     u = state.u()
     phi = state.phi()
-    rho = params.rho_bar + sigma
-
-    kv = g.kvec
-    ik = [1j * kv[i] for i in range(d)]
-    div_u_hat = sum(ik[j] * state.u_hat[j] for j in range(d))
+    u_hat = state.u_hat
+    ik = [1j * k for k in g.kvec]
+    products = work.products
+    hats = work.next_hats()
 
     # one batched inverse for every derivative this evaluation needs:
-    # grad sigma (d), vorticity w_ij for i < j (d(d-1)/2), B's viscous row (d),
-    # grad phi (d), Lap phi (1)
+    # vorticity w_ij for i < j (d(d-1)/2), B's viscous row (d), grad phi (d),
+    # Lap phi (1); D = i k.u and one product live in this call's transform
+    # buffer, which the forward writes only later
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    o = d + len(pairs)
+    o = len(pairs)
     buf = work.spec
-    _viscous_row(g, params, state.u_hat, div_u_hat, out=buf[o : o + d])
-    for i in range(d):
-        np.multiply(ik[i], state.sigma_hat, out=buf[i])
-        np.multiply(ik[i], state.phi_hat, out=buf[o + d + i])
+    div_u_hat, spare_hat = hats[0], hats[1]
+    np.multiply(ik[0], u_hat[0], out=div_u_hat)
+    for j in range(1, d):
+        div_u_hat += np.multiply(ik[j], u_hat[j], out=spare_hat)
+    _viscous_row(g, params, u_hat, div_u_hat, out=buf[o : o + d], scratch=spare_hat)
     for m, (i, j) in enumerate(pairs):
-        np.subtract(ik[i] * state.u_hat[j], ik[j] * state.u_hat[i], out=buf[d + m])
+        np.multiply(ik[i], u_hat[j], out=buf[m])
+        buf[m] -= np.multiply(ik[j], u_hat[i], out=spare_hat)
+    for i in range(d):
+        np.multiply(ik[i], state.phi_hat, out=buf[o + d + i])
     np.multiply(-g.k2, state.phi_hat, out=buf[o + 2 * d])
     derivs = g.inverse_many(buf, out=work.phys)
-    grad_sigma = derivs[:d]
-    vorticity = derivs[d:o]
+    vorticity = derivs[:o]
     viscous = derivs[o : o + d]
     grad_phi = derivs[o + d : o + 2 * d]
     lap_phi = derivs[o + 2 * d]
 
-    h1 = params.sound_coupling - p_prime / rho
-    # -h2 (nu Lap u + (nu+lam) grad div u) = -(sigma/rho) times the viscous row
-    visc_weight = sigma / rho
-
-    # de-aliased phi^2 through the K slots, which K overwrites last
-    products = work.products
-    hats = work.next_hats()
+    # de-aliased phi^2 through the K - H slots, which K - H overwrites last;
+    # until then the physical slot is this call's scratch field
     square, square_hat = products[2 * d + 1 :], hats[2 * d + 1 :]
-    np.multiply(phi, phi, out=square[0])
+    spare = square[0]
+    np.multiply(phi, phi, out=spare)
     g.dealias(g.forward_many(square, out=square_hat), in_place=True)
     phi2 = g.inverse_many(square_hat, out=square)[0]
-    reaction = (phi - phi2 * phi) / (eps * rho)
 
-    # batched forward: sigma*u (d), u-equation explicit terms (d), phi explicit (1), K (1)
+    # 1/rho, in the first sigma u slot until sigma u is formed
+    inv_rho = np.add(sigma, params.rho_bar, out=products[0])
+    np.divide(1.0, inv_rho, out=inv_rho)
+
+    # phi row: (1 - phi^2) phi / (eps rho) + (eps/rho^2 - eps/rho_bar^2) Lap phi - u.grad phi
+    row = np.subtract(1.0, phi2, out=products[2 * d])
+    row *= phi
+    row *= inv_rho
+    row /= eps
+    coeff = np.multiply(inv_rho, inv_rho, out=spare)
+    coeff *= eps
+    coeff -= params.phase_diffusivity
+    coeff *= lap_phi
+    row += coeff
+    for j in range(d):
+        row -= np.multiply(u[j], grad_phi[j], out=spare)
+
+    # u rows: -h2 (nu Lap u + (nu+lam) grad div u) = -(sigma/rho) times the
+    # viscous row, the capillary force -(eps/rho) Lap phi grad phi, + sum_j u_j w_ij
+    capillary = np.multiply(lap_phi, inv_rho, out=lap_phi)
+    capillary *= -eps
+    weight = np.multiply(sigma, inv_rho, out=inv_rho)
+    for i in range(d):
+        row = np.multiply(weight, viscous[i], out=products[d + i])
+        np.subtract(np.multiply(capillary, grad_phi[i], out=grad_phi[i]), row, out=row)
+    for m, (a, b) in enumerate(pairs):  # w_ba = -w_ab
+        products[d + a] += np.multiply(u[b], vorticity[m], out=spare)
+        products[d + b] -= np.multiply(u[a], vorticity[m], out=vorticity[m])
+
+    # sigma u, then K - H with K = |u|^2/2 in the last slot; the viscous rows are spent
     for j in range(d):
         np.multiply(sigma, u[j], out=products[j])
-    capillary = eps / rho
-    for i in range(d):
-        row = np.multiply(h1, grad_sigma[i], out=products[d + i])
-        for m, (a, b) in enumerate(pairs):  # + sum_j u_j w_ij, with w_ba = -w_ab
-            if i == a:
-                row += u[b] * vorticity[m]
-            elif i == b:
-                row -= u[a] * vorticity[m]
-        row -= visc_weight * viscous[i]
-        row -= capillary * grad_phi[i] * lap_phi
-    transport = sum(u[j] * grad_phi[j] for j in range(d))
-    var_diff = (eps / rho**2 - params.phase_diffusivity) * lap_phi
-    np.subtract(var_diff, transport, out=products[2 * d])
-    products[2 * d] += reaction
-    np.multiply(0.5, sum(u[j] * u[j] for j in range(d)), out=products[2 * d + 1])
-    g.dealias(g.forward_many(products, out=hats), in_place=True)
-    k_hat = hats[2 * d + 1]
-    for i in range(d):
-        hats[d + i] -= ik[i] * k_hat
+    kinetic = np.multiply(u[0], u[0], out=products[2 * d + 1])
+    for j in range(1, d):
+        kinetic += np.multiply(u[j], u[j], out=viscous[0])
+    kinetic *= 0.5
+    kinetic -= enthalpy_remainder(sigma, params, out=viscous[0])
 
-    # the tendency is (div of sigma u, hats[d:2d+1]): write the divergence over
-    # the last sigma u transform, once all of them are summed
+    # batched forward: sigma u (d), u rows (d), phi row (1), K - H (1); the
+    # derivative stack is spent, so its first row is the spectral scratch
+    g.dealias(g.forward_many(products, out=hats), in_place=True)
+    spare_hat = buf[0]
+    kh_hat = hats[2 * d + 1]
+    for i in range(d):
+        hats[d + i] -= np.multiply(ik[i], kh_hat, out=spare_hat)
+
+    # the tendency is (-div of sigma u, hats[d:2d+1]): the divergence goes over
+    # the last sigma u transform, once the others are summed into it
     out = hats[d - 1 : 2 * d + 1]
-    np.negative(sum(ik[j] * hats[j] for j in range(d)), out=out[0])
+    div = out[0]
+    div *= ik[d - 1]
+    for j in range(d - 1):
+        div += np.multiply(ik[j], hats[j], out=spare_hat)
+    np.negative(div, out=div)
     return out
 
 

@@ -192,6 +192,8 @@ class TestInputErrors:
             ["fit", "--csv", "{tmp}/decay.csv", "--column", "l", "--where", "size=1"],
             ["fit", "--csv", "{tmp}/decay.csv", "--column", "l", "--where", "component"],
             ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value"],
+            ["verify", "--n", "12"],
+            ["verify", "--n", "8"],
         ],
         ids=[
             "fit_header_only_csv",
@@ -209,6 +211,8 @@ class TestInputErrors:
             "fit_where_unknown_column",
             "fit_where_without_value",
             "fit_two_series_as_one",
+            "verify_n_not_a_power_of_two",
+            "verify_n_below_the_suite_minimum",
         ],
     )
     def test_one_error_line_exit_2_and_no_output(self, tmp_path, capsys, argv):
