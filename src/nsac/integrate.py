@@ -111,11 +111,11 @@ class Stepper:
     step size costs the same as a repeated one.
 
     Scratch arrays are allocated once, here: the tendency workspace, the
-    stacked state, the increment and the Adams-Bashforth history term. Of
-    what an Euler or CNAB2 step allocates, only the solve's output outlives
-    it, as the new State's arrays (a State owns its arrays and views). The
-    tendency a step returns is a view into the workspace and holds until the
-    step after next.
+    stacked state ``_y`` and the increment ``_incr``. Of what an Euler or
+    CNAB2 step allocates, only the solve's output outlives it, as the new
+    State's arrays (a State owns its arrays and views). The tendency a step
+    returns is a view into the workspace's other transform buffer; it holds
+    until the next `step_cnab2` consumes it as ``prev``.
     """
 
     def __init__(self, grid: Grid, params: PhysParams, cfg: StepConfig):
@@ -124,9 +124,7 @@ class Stepper:
         self.cfg = cfg
         self.shift = 2.0 / (params.epsilon * params.rho_bar) if cfg.reaction_shift else 0.0
         self.work = TendencyWorkspace(grid)
-        self._y, self._incr, self._hist = (
-            np.empty((grid.dim + 2,) + grid.rshape, dtype=np.complex128) for _ in range(3)
-        )
+        self._y, self._incr = (np.empty((grid.dim + 2,) + grid.rshape, dtype=np.complex128) for _ in range(2))
 
     def _apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return linear_apply(self.grid, self.params, y, self.shift, out=out)
@@ -168,7 +166,9 @@ class Stepper:
 
         Bootstraps with an Euler step when no history is available. The
         extrapolated nonlinear term is written ``N + b0 (N_prev - N)`` with
-        ``b0 = -dt / (2 dt_prev)``.
+        ``b0 = -dt / (2 dt_prev)``. The step consumes ``prev``: the history
+        difference is written into its buffer, the workspace's other
+        transform buffer, which the next tendency overwrites anyway.
         """
         if prev is None:
             return self.step_euler(state, dt)
@@ -177,7 +177,7 @@ class Stepper:
         y = state.stacked(out=self._y)
         # dt * ((B y + N) + b0 (N_prev - N)), evaluated in that order
         incr = np.add(self._apply(y, out=self._incr), n, out=self._incr)
-        hist = np.subtract(prev, n, out=self._hist)
+        hist = np.subtract(prev, n, out=prev)
         np.add(incr, np.multiply(b0, hist, out=hist), out=incr)
         return self._advance(state.t + dt, y, 0.5 * dt, np.multiply(dt, incr, out=incr)), n
 

@@ -23,25 +23,6 @@ from scipy import fft as _fft
 
 _FFT_WORKERS = -1  # scipy interprets -1 as "all available cores"
 
-# Self-test hook: verification can flip this to demonstrate that the property
-# suite catches a solver with aliasing products. Never touch it in production.
-_DEALIAS_ENABLED = True
-
-
-class disable_dealiasing:
-    """Context manager that injects the "dropped de-aliasing" fault."""
-
-    def __enter__(self):
-        global _DEALIAS_ENABLED
-        self._saved = _DEALIAS_ENABLED
-        _DEALIAS_ENABLED = False
-        return self
-
-    def __exit__(self, *exc):
-        global _DEALIAS_ENABLED
-        _DEALIAS_ENABLED = self._saved
-        return False
-
 
 def _transform_in_place(transform, view: np.ndarray, axes: tuple[int, ...]) -> None:
     """Complex ``transform`` of ``view`` over ``axes``, stored back into ``view``."""
@@ -65,7 +46,18 @@ class Grid:
     dim: int
     n: int
     length: float
-    _aux: dict = field(default_factory=dict, repr=False, compare=False)
+    # derived once in __post_init__; equality, hash and repr read (dim, n, length) only
+    shape: tuple = field(init=False, repr=False, compare=False)
+    rshape: tuple = field(init=False, repr=False, compare=False)
+    modes: tuple = field(init=False, repr=False, compare=False)
+    kvec: tuple = field(init=False, repr=False, compare=False)
+    k2: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
+    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    shell: np.ndarray = field(init=False, repr=False, compare=False)
+    shell_k2: np.ndarray = field(init=False, repr=False, compare=False)
+    volume: float = field(init=False, repr=False, compare=False)
+    dx: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -109,10 +101,10 @@ class Grid:
 
         for arr in (k2, weight, mask, shell, shell_k2):
             arr.flags.writeable = False
-        self._aux.update(
+        derived = dict(
             shape=shape,
             rshape=rshape,
-            modes=modes,
+            modes=tuple(modes),
             kvec=tuple(kvec),
             k2=k2,
             weight=weight,
@@ -122,48 +114,10 @@ class Grid:
             volume=self.length**dim,
             dx=self.length / n,
         )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     # -- geometry -----------------------------------------------------------
-
-    @property
-    def shape(self):
-        return self._aux["shape"]
-
-    @property
-    def rshape(self):
-        return self._aux["rshape"]
-
-    @property
-    def kvec(self):
-        return self._aux["kvec"]
-
-    @property
-    def k2(self):
-        return self._aux["k2"]
-
-    @property
-    def weight(self):
-        return self._aux["weight"]
-
-    @property
-    def dealias_mask(self):
-        return self._aux["dealias_mask"]
-
-    @property
-    def shell(self):
-        return self._aux["shell"]
-
-    @property
-    def shell_k2(self):
-        return self._aux["shell_k2"]
-
-    @property
-    def volume(self):
-        return self._aux["volume"]
-
-    @property
-    def dx(self):
-        return self._aux["dx"]
 
     def axis_coords(self):
         """1-D coordinate array shared by every axis."""
@@ -216,8 +170,6 @@ class Grid:
 
     def dealias(self, coeffs: np.ndarray, in_place: bool = False) -> np.ndarray:
         """Zero the modes beyond the two-thirds cut, in ``coeffs`` itself if ``in_place``."""
-        if not _DEALIAS_ENABLED:
-            return coeffs
         return np.multiply(coeffs, self.dealias_mask, out=coeffs if in_place else None)
 
     def forward_product(self, values: np.ndarray) -> np.ndarray:

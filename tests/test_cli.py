@@ -301,10 +301,18 @@ class TestVerify:
         assert "FAIL quadratic_product_alias_free" in out
 
     def test_invalid_config_rejected(self, tmp_path):
+        # verify reads no configuration: --config is an unknown option
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("grid.n = 0\n")
-        rc = main(["verify", "--config", str(cfgfile)])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(cfgfile)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["garbage"], ["garbage", "phys.nu=-3", "--n", "16"]])
+    def test_stray_arguments_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
 
 
 class TestLinearDecay:

@@ -9,8 +9,8 @@ from nsac import Grid, PhysParams, State, StepConfig, adaptive_dt, run, step
 from nsac.config import ICSpec, RunConfig
 from nsac.diagnostics import energy_ledger
 from nsac.initial import make_initial
-from nsac.model import TendencyWorkspace, nonlinear_terms, pressure_prime
-from nsac.spectral import disable_dealiasing
+from nsac.model import TendencyWorkspace, linear_apply, linear_solve, nonlinear_terms, pressure_prime
+from nsac.verify import disable_dealiasing
 
 from conftest import random_admissible_state
 
@@ -342,6 +342,43 @@ class TestWorkspaceReuse:
         with disable_dealiasing():
             aliased = nonlinear_terms(state, params, work)
         assert np.any(aliased[:, beyond])
+
+
+class TestWholeStep:
+    def test_run_matches_a_written_out_euler_then_cnab2_loop(self, grid16, params):
+        """`run`'s steps against their formulas, every tendency a fresh array.
+
+        The Stepper keeps the previous tendency in the workspace's other
+        transform buffer and writes the history difference into it; this loop
+        keeps every array apart, so the two agree only if no buffer is
+        overwritten before it is read.
+        """
+        cfg = _five_step_run(grid16, params)
+        assert cfg.step.reaction_shift
+        state = make_initial(cfg)
+        held = {}
+        summary = run(state, cfg.step, params, observers=(lambda i, s: held.update(state=s),))
+        assert summary.termination == "t_end" and summary.steps == 5
+
+        shift = 2.0 / (params.epsilon * params.rho_bar)
+        s, prev, dt_prev, dt_curr = state, None, None, cfg.step.dt
+        for _ in range(summary.steps):
+            dt_curr = min(dt_curr, adaptive_dt(s, cfg.step, params))
+            dt = min(dt_curr, cfg.step.t_end - s.t)
+            n = nonlinear_terms(s, params)
+            n[-1] += shift * s.phi_hat
+            y = s.stacked()
+            incr = linear_apply(grid16, params, y, shift) + n
+            if prev is None:  # the Euler bootstrap
+                alpha = dt
+            else:
+                alpha = 0.5 * dt
+                incr = incr + (-0.5 * dt / dt_prev) * (prev - n)
+            new = y + linear_solve(grid16, params, alpha, dt * incr, shift)
+            new *= grid16.dealias_mask
+            s = State(grid16, s.t + dt, new[0], new[1:-1], new[-1])
+            prev, dt_prev = n, dt
+        assert held["state"].stacked().tobytes() == s.stacked().tobytes()
 
 
 class TestConservation:

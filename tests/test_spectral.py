@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import fft as sp_fft
@@ -13,6 +15,7 @@ from nsac.spectral import (
     negative_norm,
     sobolev_norm,
 )
+from nsac.verify import disable_dealiasing
 
 from conftest import random_zero_mean_field
 
@@ -61,6 +64,28 @@ class TestGrid:
         quad = grid16.volume * np.mean(f**2)
         mode = grid16.mode_sum_sq(grid16.forward(f), order=0.0)
         assert abs(quad - mode) <= 1e-10 * mode
+
+    def test_equality_hash_and_repr_read_the_defining_fields(self):
+        a, b = Grid(dim=2, n=16, length=1.5), Grid(dim=2, n=16, length=1.5)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != Grid(dim=2, n=32, length=1.5)
+        assert repr(a) == "Grid(dim=2, n=16, length=1.5)"
+
+    @pytest.mark.parametrize("name", ["k2", "weight", "dealias_mask", "shell", "shell_k2"])
+    def test_derived_arrays_read_only(self, grid16, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid16, name)[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(grid16, name, None)
+
+    def test_disable_dealiasing_restores_dealias_when_its_body_raises(self, grid16):
+        original = Grid.dealias
+        with pytest.raises(RuntimeError, match="body"):
+            with disable_dealiasing():
+                assert Grid.dealias is not original
+                raise RuntimeError("body")
+        assert Grid.dealias is original
+        assert not np.any(grid16.dealias(np.ones(grid16.rshape, dtype=complex))[~grid16.dealias_mask])
 
 
 class TestBatchedTransforms:
