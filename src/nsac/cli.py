@@ -110,6 +110,11 @@ def cmd_linear_decay(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if not 0 < args.t_lo < args.t_hi < np.inf:  # also false for a NaN
+        print(
+            f"error: --t-lo {args.t_lo} and --t-hi {args.t_hi} must be finite with 0 < t_lo < t_hi", file=sys.stderr
+        )
+        return 2
     ts = np.geomspace(args.t_lo, args.t_hi, args.points)
 
     lines = ["component,kind,l,s,t,value"]
@@ -193,6 +198,8 @@ def _where(data: dict[str, np.ndarray], where: str) -> dict[str, np.ndarray]:
 
 def cmd_fit(args) -> int:
     try:
+        if (args.l is None) != (args.s is None):
+            raise ValueError("--l and --s set the target together: give both or neither")
         data = read_csv(args.csv, numeric=("t", args.column))
         for name in ("t", args.column):
             if name not in data:
@@ -211,7 +218,7 @@ def cmd_fit(args) -> int:
             )
         window = (args.t_lo if args.t_lo is not None else float(t.min()),
                   args.t_hi if args.t_hi is not None else float(t.max()))
-        if args.l is not None and args.s is not None:
+        if args.l is not None:
             fit = decay_suite(t, data[args.column], args.l, args.s, tol=args.tol, window=window)
         else:
             fit = fit_exponent(t, data[args.column], window)

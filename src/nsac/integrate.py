@@ -3,9 +3,9 @@
 The constant-coefficient linear operator (acoustic coupling between sigma and
 u, viscous Laplacian / grad-div, phase diffusion and optionally the linearized
 phase reaction) is solved exactly per Fourier mode in closed form
-(``model.linear_solve``): an explicit 2x2 inverse for the longitudinal pair
-(sigma_hat, div u_hat), then scalar divisions for the velocity and phi_hat.
-Everything nonlinear or variable-coefficient is explicit.
+(``model.LinearSymbol.solve``): an explicit 2x2 inverse for the longitudinal
+pair (sigma_hat, div u_hat), then scalar divisions for the velocity and
+phi_hat. Everything nonlinear or variable-coefficient is explicit.
 
 Treating the acoustic coupling implicitly keeps the scheme stable without an
 acoustic CFL restriction and makes the implicit update a contraction in the
@@ -26,12 +26,11 @@ import numpy as np
 from .errors import InvariantViolation, VacuumError
 from .model import (
     PHI_TOL,
+    LinearSymbol,
     PhysParams,
     State,
     TendencyWorkspace,
     check_state,
-    linear_apply,
-    linear_solve,
     nonlinear_terms,
 )
 from .spectral import Grid
@@ -106,9 +105,10 @@ class Stepper:
     """IMEX stepper for a fixed grid/params/config.
 
     The state travels as ``y = (sigma_hat, u_hat, phi_hat)`` stacked on axis
-    0. The implicit part is the closed-form per-mode solve
-    ``model.linear_solve``: nothing is factorized or cached, so a new time
-    step size costs the same as a repeated one.
+    0. The implicit part is the closed-form per-mode solve of ``linear``, the
+    `LinearSymbol` with the phase row shifted by the reaction rate when
+    ``cfg.reaction_shift`` is set: nothing is factorized or cached, so a new
+    time step size costs the same as a repeated one.
 
     Scratch arrays are allocated once, here: the tendency workspace, the
     stacked state ``_y`` and the increment ``_incr``. Of what an Euler or
@@ -122,19 +122,14 @@ class Stepper:
         self.grid = grid
         self.params = params
         self.cfg = cfg
-        self.shift = 2.0 / (params.epsilon * params.rho_bar) if cfg.reaction_shift else 0.0
+        shift = 2.0 / (params.epsilon * params.rho_bar) if cfg.reaction_shift else 0.0
+        self.linear = LinearSymbol(grid, params, shift)
         self.work = TendencyWorkspace(grid)
         self._y, self._incr = (np.empty((grid.dim + 2,) + grid.rshape, dtype=np.complex128) for _ in range(2))
 
-    def _apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return linear_apply(self.grid, self.params, y, self.shift, out=out)
-
-    def _solve(self, alpha: float, y: np.ndarray) -> np.ndarray:
-        return linear_solve(self.grid, self.params, alpha, y, self.shift)
-
     def _nonlinear(self, state: State) -> np.ndarray:
         n = nonlinear_terms(state, self.params, self.work)
-        n[-1] += self.shift * state.phi_hat
+        n[-1] += self.linear.shift * state.phi_hat
         return n
 
     def _make_state(self, t: float, y: np.ndarray) -> State:
@@ -144,7 +139,7 @@ class Stepper:
 
     def _advance(self, t: float, y: np.ndarray, alpha: float, incr: np.ndarray) -> State:
         """The State at ``t`` on ``y + (I - alpha B)^-1 incr``, summed into the solve's output."""
-        new = self._solve(alpha, incr)
+        new = self.linear.solve(alpha, incr)
         return self._make_state(t, np.add(y, new, out=new))
 
     # -- schemes --------------------------------------------------------------
@@ -158,7 +153,7 @@ class Stepper:
         """IMEX Euler: implicit linear solve around an explicit nonlinear shot."""
         n = self._nonlinear(state)
         y = state.stacked(out=self._y)
-        incr = np.add(self._apply(y, out=self._incr), n, out=self._incr)
+        incr = np.add(self.linear.apply(y, out=self._incr), n, out=self._incr)
         return self._advance(state.t + dt, y, dt, np.multiply(dt, incr, out=incr)), n
 
     def step_cnab2(self, state: State, dt: float, prev: np.ndarray | None, dt_prev: float | None):
@@ -176,19 +171,19 @@ class Stepper:
         b0 = -0.5 * dt / dt_prev
         y = state.stacked(out=self._y)
         # dt * ((B y + N) + b0 (N_prev - N)), evaluated in that order
-        incr = np.add(self._apply(y, out=self._incr), n, out=self._incr)
+        incr = np.add(self.linear.apply(y, out=self._incr), n, out=self._incr)
         hist = np.subtract(prev, n, out=prev)
         np.add(incr, np.multiply(b0, hist, out=hist), out=incr)
         return self._advance(state.t + dt, y, 0.5 * dt, np.multiply(dt, incr, out=incr)), n
 
     def step_ars222(self, state: State, dt: float) -> State:
         """Self-contained two-stage second-order IMEX Runge-Kutta step."""
-        g, dl = _ARS_GAMMA, _ARS_DELTA
+        g, dl, B = _ARS_GAMMA, _ARS_DELTA, self.linear
         y0 = state.stacked()
         n0 = self._nonlinear(state)
-        y1 = y0 + self._solve(g * dt, g * dt * (self._apply(y0) + n0))
+        y1 = y0 + B.solve(g * dt, g * dt * (B.apply(y0) + n0))
         n1 = self._nonlinear(self._make_state(state.t + g * dt, y1.copy()))
-        incr = dt * (self._apply(y0) + n0 + (1 - dl) * (n1 - n0)) + (1 - g) * dt * self._apply(y1 - y0)
+        incr = dt * (B.apply(y0) + n0 + (1 - dl) * (n1 - n0)) + (1 - g) * dt * B.apply(y1 - y0)
         return self._advance(state.t + dt, y0, g * dt, incr)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvariantViolation, VacuumError
-from .spectral import Grid, SpectralField
+from .spectral import Grid
 
 # The admissible set: every threshold that runs, initial conditions and
 # verdicts are judged by.
@@ -151,12 +151,6 @@ def g_potential(rho, params: PhysParams):
     return float(out) if out.ndim == 0 else out
 
 
-def g_potential_prime(rho, params: PhysParams):
-    """``G'(rho) = (G(rho) + p(rho) - p(rho_bar)) / rho``."""
-    rho = np.asarray(rho, dtype=np.float64)
-    return (g_potential(rho, params) + pressure(rho, params) - pressure(params.rho_bar, params)) / rho
-
-
 def enthalpy_remainder(sigma, params: PhysParams, out: np.ndarray | None = None):
     """``H(sigma) = int_0^sigma h1``, with ``h1 = p'(rho_bar)/rho_bar - p'(rho)/rho``.
 
@@ -264,15 +258,6 @@ class State:
     def lap_phi(self) -> np.ndarray:
         return self._phys("lap_phi", lambda: self.grid.inverse(-self.grid.k2 * self.phi_hat))
 
-    def grad_phi(self) -> np.ndarray:
-        def build():
-            g = self.grid
-            return g.inverse_many(
-                np.stack([1j * g.kvec[i] * self.phi_hat for i in range(g.dim)])
-            )
-
-        return self._phys("grad_phi", build)
-
     def p_prime(self, params: PhysParams) -> np.ndarray:
         """``p'(rho_bar + sigma)`` on the grid, evaluated once per State and params.
 
@@ -283,12 +268,6 @@ class State:
     def spectrum(self, name: str) -> np.ndarray:
         """Shell spectrum of ``"sigma"``, ``"u"`` (components summed) or ``"phi"``."""
         return self._phys(name + "_shells", lambda: self.grid.shell_spectrum(getattr(self, name + "_hat")))
-
-    def sigma_field(self) -> SpectralField:
-        return SpectralField(self.grid, self.sigma_hat)
-
-    def u_fields(self) -> list[SpectralField]:
-        return [SpectralField(self.grid, self.u_hat[i]) for i in range(self.grid.dim)]
 
     def mass(self, params: PhysParams) -> float:
         """Total fluid mass ``int rho dx`` on the box."""
@@ -447,28 +426,77 @@ def chemical_potential(state: State, params: PhysParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _viscous_row(
-    grid: Grid,
-    params: PhysParams,
-    u_hat,
-    div_u_hat,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """B's viscous row ``-a |k|^2 u + (b - a) i k D`` with ``D = i k.u``, written into ``out`` if given.
+@dataclass(frozen=True)
+class LinearSymbol:
+    """The constant-coefficient operator ``B`` on ``y = (sigma_hat, u_hat, phi_hat)``, per mode.
 
-    In physical space this is ``(nu Lap u + (nu+lam) grad div u) / rho_bar``.
-    ``scratch``, one spectral field, holds the grad-div part of each row.
+    With ``D = i k.u`` and the PhysParams coefficients a (shear),
+    b (longitudinal), c (sound coupling) and e (phase),
+    ``B (sigma, u, phi) = (-rho_bar D, -a |k|^2 u + (b - a) i k D - c i k sigma, -e |k|^2 phi - shift phi)``.
+    ``shift`` adds a constant decay rate to the phase row (the stepper's
+    implicit share of the linearized reaction).
+
+    `solve` inverts ``I - alpha B`` in closed form: B maps (sigma, D) into
+    itself through ``[[0, -rho_bar], [c |k|^2, -b |k|^2]]``, solved by the
+    explicit 2x2 inverse with
+    ``det = 1 + alpha b |k|^2 + alpha^2 p'(rho_bar) |k|^2 >= 1``; the velocity
+    and phase rows then cost one real division each. Nothing divides by
+    ``|k|^2``, so the zero mode passes through and zero maps to exact zeros.
     """
-    a = params.shear_diffusivity
-    grad_div = params.longitudinal_diffusivity - a
-    if out is None:
-        out = np.empty((grid.dim,) + grid.rshape, dtype=np.complex128)
-    shear = -a * grid.k2
-    for i in range(grid.dim):
-        np.multiply(shear, u_hat[i], out=out[i])
-        out[i] += np.multiply(grad_div * (1j * grid.kvec[i]), div_u_hat, out=scratch)
-    return out
+
+    grid: Grid
+    params: PhysParams
+    shift: float = 0.0
+
+    def viscous_row(
+        self, u_hat, D, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """B's viscous row ``-a |k|^2 u + (b - a) i k D``, written into ``out`` if given.
+
+        In physical space this is ``(nu Lap u + (nu+lam) grad div u) / rho_bar``.
+        ``scratch``, one spectral field, holds the grad-div part of each row.
+        """
+        g = self.grid
+        a = self.params.shear_diffusivity
+        grad_div = self.params.longitudinal_diffusivity - a
+        if out is None:
+            out = np.empty((g.dim,) + g.rshape, dtype=np.complex128)
+        shear = -a * g.k2
+        for i in range(g.dim):
+            np.multiply(shear, u_hat[i], out=out[i])
+            out[i] += np.multiply(grad_div * g.ik[i], D, out=scratch)
+        return out
+
+    def apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``B y``, written into ``out`` if given, which must not overlap ``y``."""
+        g, params = self.grid, self.params
+        sigma_hat, u_hat, phi_hat = y[0], y[1:-1], y[-1]
+        out = np.empty_like(y) if out is None else out
+        D = g.divergence(u_hat)
+        np.multiply(-params.rho_bar, D, out=out[0])
+        u_row = self.viscous_row(u_hat, D, out=out[1:-1])
+        for i in range(g.dim):
+            u_row[i] -= params.sound_coupling * g.ik[i] * sigma_hat
+        np.subtract(-params.phase_diffusivity * g.k2 * phi_hat, self.shift * phi_hat, out=out[-1])
+        return out
+
+    def solve(self, alpha: float, y: np.ndarray) -> np.ndarray:
+        """``(I - alpha B)^-1 y`` in closed form (see the class docstring)."""
+        g, params = self.grid, self.params
+        a, b, c = params.shear_diffusivity, params.longitudinal_diffusivity, params.sound_coupling
+        ak2 = alpha * g.k2
+        inv_det = 1.0 / (1.0 + ak2 * (b + alpha * params.p_prime_bar))
+        r_sigma, r_u = y[0], y[1:-1]
+        out = np.empty_like(y)
+        r_div = g.divergence(r_u)
+        sigma = np.multiply((1.0 + b * ak2) * r_sigma - alpha * params.rho_bar * r_div, inv_det, out=out[0])
+        div = (c * ak2 * r_sigma + r_div) * inv_det
+        q = alpha * ((b - a) * div - c * sigma)  # (1 + alpha a |k|^2) u = r_u + i k q
+        inv_den = 1.0 / (1.0 + a * ak2)
+        for i in range(g.dim):
+            np.multiply(r_u[i] + g.ik[i] * q, inv_den, out=out[1 + i])
+        np.divide(y[-1], 1.0 + params.phase_diffusivity * ak2 + alpha * self.shift, out=out[-1])
+        return out
 
 
 class TendencyWorkspace:
@@ -509,13 +537,13 @@ class TendencyWorkspace:
 def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | None = None) -> np.ndarray:
     """Spectral tendency of every nonlinear / variable-coefficient term.
 
-    Returns one ``(dim + 2, *rshape)`` array in the layout of ``linear_apply``.
-    The constant-coefficient part ``B`` (acoustic coupling, viscosity, phase
-    diffusion) is excluded so the time integrator can treat it exactly per
-    mode. Given a ``work`` space the tendency allocates nothing beyond a few
-    wavenumber-sized arrays and the result is a view into it, valid until the
-    call after next on the same workspace; without one a fresh workspace is
-    used.
+    Returns one ``(dim + 2, *rshape)`` array in the layout of
+    ``State.stacked``. The constant-coefficient part ``B`` (`LinearSymbol`:
+    acoustic coupling, viscosity, phase diffusion) is excluded so the time
+    integrator can treat it exactly per mode. Given a ``work`` space the
+    tendency allocates nothing beyond a few wavenumber-sized arrays and the
+    result is a view into it, valid until the call after next on the same
+    workspace; without one a fresh workspace is used.
 
     Advection is taken in rotational form,
     ``(u.grad) u_i = d_i K - sum_j u_j w_ij`` with ``K = |u|^2/2`` and the
@@ -548,7 +576,7 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     u = state.u()
     phi = state.phi()
     u_hat = state.u_hat
-    ik = [1j * k for k in g.kvec]
+    ik = g.ik
     products = work.products
     hats = work.next_hats()
 
@@ -559,11 +587,9 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     o = len(pairs)
     buf = work.spec
-    div_u_hat, spare_hat = hats[0], hats[1]
-    np.multiply(ik[0], u_hat[0], out=div_u_hat)
-    for j in range(1, d):
-        div_u_hat += np.multiply(ik[j], u_hat[j], out=spare_hat)
-    _viscous_row(g, params, u_hat, div_u_hat, out=buf[o : o + d], scratch=spare_hat)
+    spare_hat = hats[1]
+    div_u_hat = g.divergence(u_hat, out=hats[0], scratch=spare_hat)
+    LinearSymbol(g, params).viscous_row(u_hat, div_u_hat, out=buf[o : o + d], scratch=spare_hat)
     for m, (i, j) in enumerate(pairs):
         np.multiply(ik[i], u_hat[j], out=buf[m])
         buf[m] -= np.multiply(ik[j], u_hat[i], out=spare_hat)
@@ -646,57 +672,7 @@ def rhs(state: State, params: PhysParams) -> np.ndarray:
     nonfinite = _nonfinite_fields(state)
     if nonfinite:
         raise InvariantViolation(nonfinite[0], "non-finite field passed to rhs")
-    return nonlinear_terms(state, params) + linear_apply(state.grid, params, state.stacked())
-
-
-def linear_apply(
-    grid: Grid, params: PhysParams, y: np.ndarray, shift: float = 0.0, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``B y`` for ``y = (sigma_hat, u_hat, phi_hat)`` stacked on axis 0.
-
-    Per mode, with ``D = i k.u`` and the PhysParams coefficients a (shear),
-    b (longitudinal), c (sound coupling) and e (phase),
-    ``B (sigma, u, phi) = (-rho_bar D, -a |k|^2 u + (b - a) i k D - c i k sigma, -e |k|^2 phi)``.
-    ``shift`` adds a constant decay rate to the phase row (the stepper's
-    implicit share of the linearized reaction). The rows are written into
-    ``out`` if given, which must not overlap ``y``.
-    """
-    ik = [1j * k for k in grid.kvec]
-    sigma_hat, u_hat, phi_hat = y[0], y[1:-1], y[-1]
-    out = np.empty_like(y) if out is None else out
-    div_u_hat = sum(ik[j] * u_hat[j] for j in range(grid.dim))
-    np.multiply(-params.rho_bar, div_u_hat, out=out[0])
-    u_row = _viscous_row(grid, params, u_hat, div_u_hat, out=out[1:-1])
-    for i in range(grid.dim):
-        u_row[i] -= params.sound_coupling * ik[i] * sigma_hat
-    np.subtract(-params.phase_diffusivity * grid.k2 * phi_hat, shift * phi_hat, out=out[-1])
-    return out
-
-
-def linear_solve(grid: Grid, params: PhysParams, alpha: float, y: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """``(I - alpha B)^-1 y`` in closed form, with B and ``shift`` as in ``linear_apply``.
-
-    B maps (sigma, D) into itself through ``[[0, -rho_bar], [c |k|^2, -b |k|^2]]``,
-    solved by the explicit 2x2 inverse with
-    ``det = 1 + alpha b |k|^2 + alpha^2 p'(rho_bar) |k|^2 >= 1``; the velocity
-    and phase rows then cost one real division each. Nothing divides by
-    ``|k|^2``, so the zero mode passes through and zero maps to exact zeros.
-    """
-    a, b, c = params.shear_diffusivity, params.longitudinal_diffusivity, params.sound_coupling
-    ak2 = alpha * grid.k2
-    inv_det = 1.0 / (1.0 + ak2 * (b + alpha * params.p_prime_bar))
-    ik = [1j * k for k in grid.kvec]
-    r_sigma, r_u = y[0], y[1:-1]
-    out = np.empty_like(y)
-    r_div = sum(ik[j] * r_u[j] for j in range(grid.dim))
-    sigma = np.multiply((1.0 + b * ak2) * r_sigma - alpha * params.rho_bar * r_div, inv_det, out=out[0])
-    div = (c * ak2 * r_sigma + r_div) * inv_det
-    q = alpha * ((b - a) * div - c * sigma)  # (1 + alpha a |k|^2) u = r_u + i k q
-    inv_den = 1.0 / (1.0 + a * ak2)
-    for i in range(grid.dim):
-        np.multiply(r_u[i] + ik[i] * q, inv_den, out=out[1 + i])
-    np.divide(y[-1], 1.0 + params.phase_diffusivity * ak2 + alpha * shift, out=out[-1])
-    return out
+    return nonlinear_terms(state, params) + LinearSymbol(state.grid, params).apply(state.stacked())
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +717,7 @@ def total_energy(state: State, params: PhysParams) -> EnergyReport:
     double_well = V / (4.0 * params.epsilon) * float(np.mean(rho * (phi**2 - 1.0) ** 2))
 
     grad_u_sq = g.shell_sum(state.spectrum("u"), order=1.0)
-    div_u_hat = sum(1j * g.kvec[j] * state.u_hat[j] for j in range(g.dim))
-    div_u_sq = g.mode_sum_sq(div_u_hat, order=0.0)
+    div_u_sq = g.mode_sum_sq(g.divergence(state.u_hat), order=0.0)
     mu = chemical_potential(state, params)
     mu_sq = V * float(np.mean(mu * mu))
 

@@ -1,7 +1,7 @@
 """Exact evolution of the constant-coefficient linearization on whole space.
 
 Linearized around the quiescent single-phase state, the system decouples in
-Fourier space into the operator ``B`` of ``model.linear_apply``: a scalar
+Fourier space into the operator ``B`` of ``model.LinearSymbol``: a scalar
 heat flow for the phase field and an acoustic block coupling ``sigma_hat``
 with the velocity. Splitting the velocity into components parallel and
 transverse to ``k`` reduces the block to a 2x2 longitudinal system plus

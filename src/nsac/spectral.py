@@ -39,8 +39,9 @@ def _is_power_of_two(n: int) -> bool:
 class Grid:
     """Cubic periodic box ``[0, length)^dim`` sampled on ``n`` points per axis.
 
-    Precomputes wavenumber arrays, the two-thirds de-aliasing mask, and the
-    Hermitian doubling weights and integer shell index used by every mode sum.
+    Precomputes the derivative symbol ``ik`` (``1j * k`` per axis) and
+    ``|k|^2``, the two-thirds de-aliasing mask, and the Hermitian doubling
+    weights and integer shell index used by every mode sum.
     """
 
     dim: int
@@ -50,7 +51,7 @@ class Grid:
     shape: tuple = field(init=False, repr=False, compare=False)
     rshape: tuple = field(init=False, repr=False, compare=False)
     modes: tuple = field(init=False, repr=False, compare=False)
-    kvec: tuple = field(init=False, repr=False, compare=False)
+    ik: tuple = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
     weight: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
@@ -84,6 +85,7 @@ class Grid:
             shell += (m * m).reshape(sh)
         shell_k2 = k0**2 * np.arange(dim * (n // 2) ** 2 + 1, dtype=np.float64)  # |k|^2 per shell
         k2 = reduce(np.add, (np.broadcast_to(k * k, rshape) for k in kvec)).copy()
+        ik = tuple(1j * k for k in kvec)  # the derivative symbol per axis
 
         # Hermitian weights: interior half-axis modes stand for a conjugate pair
         wlast = np.ones(n // 2 + 1)
@@ -99,13 +101,13 @@ class Grid:
             sh[ax] = m.size
             mask &= (np.abs(m) <= cut).reshape(sh)
 
-        for arr in (k2, weight, mask, shell, shell_k2):
+        for arr in (*ik, k2, weight, mask, shell, shell_k2):
             arr.flags.writeable = False
         derived = dict(
             shape=shape,
             rshape=rshape,
             modes=tuple(modes),
-            kvec=tuple(kvec),
+            ik=ik,
             k2=k2,
             weight=weight,
             dealias_mask=mask,
@@ -167,6 +169,18 @@ class Grid:
         if self.dim > 1:
             _transform_in_place(_fft.ifftn, coeffs, tuple(range(1, self.dim)))
         return np.fft.irfft(coeffs, n=self.n, axis=-1, norm="forward", out=out)
+
+    def divergence(
+        self, coeffs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``i k.F`` of a ``(dim, *rshape)`` stack, written into ``out`` if given.
+
+        ``scratch``, one spectral field, holds each term after the first.
+        """
+        out = np.multiply(self.ik[0], coeffs[0], out=out)
+        for j in range(1, self.dim):
+            out += np.multiply(self.ik[j], coeffs[j], out=scratch)
+        return out
 
     def dealias(self, coeffs: np.ndarray, in_place: bool = False) -> np.ndarray:
         """Zero the modes beyond the two-thirds cut, in ``coeffs`` itself if ``in_place``."""
@@ -236,19 +250,6 @@ class SpectralField:
 
     def mean(self) -> float:
         return self.grid.mean_value(self.coeffs)
-
-    def real_symmetry_defect(self) -> float:
-        """Relative round-trip defect ``||forward(inverse(F)) - F|| / ||F||``; ~1e-16 for real data.
-
-        The rfft half-spectrum is Hermitian by construction except on the
-        self-conjugate planes (last-axis index 0 and Nyquist); measure the
-        defect by round-tripping through the full complex transform.
-        """
-        phys = self.to_physical()
-        back = self.grid.forward(phys)
-        num = np.linalg.norm(back - self.coeffs)
-        den = max(np.linalg.norm(self.coeffs), 1e-300)
-        return float(num / den)
 
 
 def band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> SpectralField:

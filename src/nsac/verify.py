@@ -40,7 +40,7 @@ def direct_rhs_physical(state: State, params: PhysParams):
     d = g.dim
     sigma, u, phi = state.sigma(), state.u(), state.phi()
     rho = params.rho_bar + sigma
-    ik = [1j * g.kvec[i] for i in range(d)]
+    ik = g.ik
 
     grad_sigma = [g.inverse(ik[i] * state.sigma_hat) for i in range(d)]
     lap_u = [g.inverse(-g.k2 * state.u_hat[i]) for i in range(d)]

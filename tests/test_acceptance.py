@@ -196,7 +196,8 @@ class TestOracleSolverEquivalence:
         phi_hat[(0, 0, 0)] = 1.0
         state = State(grid, 0.0, sigma_hat, u_hat, phi_hat)
         base = np.sqrt(
-            hk_norm_sq(state.sigma_field(), 3) + sum(hk_norm_sq(f, 3) for f in state.u_fields())
+            hk_norm_sq(SpectralField(state.grid, state.sigma_hat), 3)
+            + sum(hk_norm_sq(SpectralField(state.grid, c), 3) for c in state.u_hat)
         )
         scale = delta / base
         state = State(grid, 0.0, sigma_hat * scale, u_hat * scale, phi_hat)

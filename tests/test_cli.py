@@ -181,6 +181,11 @@ class TestInputErrors:
             ["linear-decay", "--l", "0", "--s", "0.5", "--components", "phi", "--points", "5"],
             ["linear-decay", "--l", "0", "--s", "2", "--components", "phi", "--points", "15"],
             ["linear-decay", "--points", "0"],
+            ["linear-decay", "--t-lo", "0"],
+            ["linear-decay", "--t-lo", "-5"],
+            ["linear-decay", "--t-lo", "1e4", "--t-hi", "1e2"],
+            ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value", "--where", "component=a", "--l", "1"],
+            ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value", "--where", "component=a", "--s", "0.5"],
             ["fit", "--csv", "{tmp}/missing.csv"],
             ["simulate", "out.csv={tmp}/absent/x.csv", "out.snapshot={tmp}/x.nsac", "out.summary={tmp}/x.json"],
             ["fit", "--csv", "{tmp}/no_t.csv"],
@@ -200,6 +205,11 @@ class TestInputErrors:
             "too_few_points",
             "s_out_of_range",
             "zero_points",
+            "zero_t_lo",
+            "negative_t_lo",
+            "t_lo_above_t_hi",
+            "fit_l_without_s",
+            "fit_s_without_l",
             "fit_missing_csv",
             "simulate_missing_dir",
             "fit_csv_without_t",
@@ -215,6 +225,7 @@ class TestInputErrors:
             "verify_n_below_the_suite_minimum",
         ],
     )
+    @pytest.mark.filterwarnings("error")  # a warning printed before the error line counts as a second line
     def test_one_error_line_exit_2_and_no_output(self, tmp_path, capsys, argv):
         # an infeasible initial condition leaves a header-only CSV
         main(["simulate", "ic.kind=random_perturbation", "ic.delta=100", "ic.max_mode=2"] + base_overrides(tmp_path))

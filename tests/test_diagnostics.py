@@ -79,7 +79,10 @@ class TestLevelEnergy:
         # l = 0 equals the sum of squared H^3/H^2/L^2 norms used for boundedness
         from nsac.spectral import hk_norm_sq
 
-        su = hk_norm_sq(state.sigma_field(), 3) + sum(hk_norm_sq(f, 3) for f in state.u_fields())
+        su = (
+            hk_norm_sq(SpectralField(state.grid, state.sigma_hat), 3)
+            + sum(hk_norm_sq(SpectralField(state.grid, c), 3) for c in state.u_hat)
+        )
         assert lv[0].sigma_hk + lv[0].u_hk == pytest.approx(su, rel=1e-12)
 
     def test_truncation_cannot_increase(self, grid16, params):
@@ -139,7 +142,7 @@ class TestNegativeFunctional:
             sum(neg_sq(state.u_hat[i]) for i in range(3)), rel=1e-12
         )
         assert nf.gradphi_neg == pytest.approx(
-            sum(neg_sq(1j * g.kvec[i] * state.phi_hat) for i in range(3)), rel=1e-12
+            sum(neg_sq(g.ik[i] * state.phi_hat) for i in range(3)), rel=1e-12
         )
         from nsac.diagnostics import phi_sq_minus_one_hat
 

@@ -110,7 +110,8 @@ class TestMakeInitial:
         state = make_initial(cfg)
         grid = cfg.grid
         su = np.sqrt(
-            hk_norm_sq(state.sigma_field(), 3) + sum(hk_norm_sq(f, 3) for f in state.u_fields())
+            hk_norm_sq(SpectralField(state.grid, state.sigma_hat), 3)
+            + sum(hk_norm_sq(SpectralField(state.grid, c), 3) for c in state.u_hat)
         )
         gp = np.sqrt(sum(sobolev_sq(state, j) for j in (1, 2, 3)))
         phisq = state.phi() ** 2 - 1.0

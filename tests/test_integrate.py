@@ -9,7 +9,7 @@ from nsac import Grid, PhysParams, State, StepConfig, adaptive_dt, run, step
 from nsac.config import ICSpec, RunConfig
 from nsac.diagnostics import energy_ledger
 from nsac.initial import make_initial
-from nsac.model import TendencyWorkspace, linear_apply, linear_solve, nonlinear_terms, pressure_prime
+from nsac.model import LinearSymbol, TendencyWorkspace, nonlinear_terms, pressure_prime
 from nsac.verify import disable_dealiasing
 
 from conftest import random_admissible_state
@@ -361,6 +361,7 @@ class TestWholeStep:
         assert summary.termination == "t_end" and summary.steps == 5
 
         shift = 2.0 / (params.epsilon * params.rho_bar)
+        B = LinearSymbol(grid16, params, shift)
         s, prev, dt_prev, dt_curr = state, None, None, cfg.step.dt
         for _ in range(summary.steps):
             dt_curr = min(dt_curr, adaptive_dt(s, cfg.step, params))
@@ -368,13 +369,13 @@ class TestWholeStep:
             n = nonlinear_terms(s, params)
             n[-1] += shift * s.phi_hat
             y = s.stacked()
-            incr = linear_apply(grid16, params, y, shift) + n
+            incr = B.apply(y) + n
             if prev is None:  # the Euler bootstrap
                 alpha = dt
             else:
                 alpha = 0.5 * dt
                 incr = incr + (-0.5 * dt / dt_prev) * (prev - n)
-            new = y + linear_solve(grid16, params, alpha, dt * incr, shift)
+            new = y + B.solve(alpha, dt * incr)
             new *= grid16.dealias_mask
             s = State(grid16, s.t + dt, new[0], new[1:-1], new[-1])
             prev, dt_prev = n, dt

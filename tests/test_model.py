@@ -6,12 +6,10 @@ from scipy.integrate import quad
 
 from nsac import Grid, PhysParams, State, VacuumError
 from nsac.model import (
+    LinearSymbol,
     chemical_potential,
     enthalpy_remainder,
     g_potential,
-    g_potential_prime,
-    linear_apply,
-    linear_solve,
     nonlinear_terms,
     pressure,
     pressure_prime,
@@ -116,7 +114,8 @@ class TestGPotential:
         p = PhysParams(pressure_gamma=1.4)
         for rho in (0.6, 1.2):
             fd = (g_potential(rho + 1e-6, p) - g_potential(rho - 1e-6, p)) / 2e-6
-            assert g_potential_prime(rho, p) == pytest.approx(fd, rel=1e-8)
+            prime = (g_potential(rho, p) + pressure(rho, p) - pressure(p.rho_bar, p)) / rho
+            assert prime == pytest.approx(fd, rel=1e-8)
 
     def test_vacuum_rejected(self):
         with pytest.raises(VacuumError):
@@ -157,7 +156,7 @@ class TestEnthalpy:
         sigma_hat = g.forward(sigma)
         rho = p.rho_bar + sigma
         h1 = p.sound_coupling - pressure_prime(rho, p) / rho
-        ik = [1j * k for k in g.kvec]
+        ik = g.ik
         product = np.stack([g.forward_product(h1 * g.inverse(ik[i] * sigma_hat)) for i in range(3)])
         h_hat = g.forward_product(enthalpy_remainder(sigma, p))
         gradient = np.stack([ik[i] * h_hat for i in range(3)])
@@ -252,14 +251,14 @@ class TestCapillary:
 
         g = grid16
         d = g.dim
-        gphi = np.stack([g.inverse(1j * g.kvec[i] * f.coeffs) for i in range(d)])
+        gphi = np.stack([g.inverse(g.ik[i] * f.coeffs) for i in range(d)])
         tensor_div = np.zeros((d,) + g.shape)
         for i in range(d):
             for j in range(d):
                 tij = gphi[i] * gphi[j]
                 if i == j:
                     tij = tij - 0.5 * sum(gphi[m] ** 2 for m in range(d))
-                tensor_div[i] += g.inverse(1j * g.kvec[j] * g.forward(tij))
+                tensor_div[i] += g.inverse(g.ik[j] * g.forward(tij))
         tensor_div *= -self.PARAMS.epsilon
 
         scale = np.max(np.abs(production))
@@ -297,7 +296,7 @@ class TestAdvection:
         u_hat = np.stack([grid.forward(ui) for ui in u])
         reference = np.stack(
             [
-                -grid.forward_product(sum(u[j] * grid.inverse(1j * grid.kvec[j] * u_hat[i]) for j in range(dim)))
+                -grid.forward_product(sum(u[j] * grid.inverse(grid.ik[j] * u_hat[i]) for j in range(dim)))
                 for i in range(dim)
             ]
         )
@@ -388,29 +387,40 @@ class TestRhs:
 
 
 class TestLinearOperator:
-    @pytest.mark.parametrize("alpha", [1e-5, 0.0165, 10.0])
-    def test_closed_form_matches_dense_symbol(self, grid16, alpha):
+    @pytest.mark.parametrize(
+        "alpha,shifted",
+        [
+            pytest.param(alpha, shifted, id=f"{alpha}-shifted" if shifted else str(alpha))
+            for shifted in (False, True)
+            for alpha in (1e-5, 0.0165, 10.0)
+        ],
+    )
+    def test_closed_form_matches_dense_symbol(self, grid16, alpha, shifted):
         # per mode against the oracle's dense block and phase rate: k = 0, an
-        # axis mode, an oblique mode and a mode on the Nyquist rows
+        # axis mode, an oblique mode and a mode on the Nyquist rows; the
+        # shifted phase row carries the stepper's reaction rate
         params = PhysParams(lam=0.3, rho_bar=1.3)  # rho_bar != 1 keeps every coefficient visible
+        shift = 2.0 / (params.epsilon * params.rho_bar) if shifted else 0.0
+        B = LinearSymbol(grid16, params, shift)
         rng = np.random.default_rng(13)
         shape = (5,) + grid16.rshape
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        applied = linear_apply(grid16, params, y)
-        solved = linear_solve(grid16, params, alpha, y)
+        applied = B.apply(y)
+        solved = B.solve(alpha, y)
         n = grid16.n
         for mode in [(0, 0, 0), (1, 0, 0), (3, n - 2, 5), (n // 2, 5, n // 2)]:
             at = (slice(None),) + mode
-            k = np.array([grid16.kvec[i].ravel()[m] for i, m in enumerate(mode)])
+            k = np.array([grid16.ik[i].ravel()[m].imag for i, m in enumerate(mode)])
             block = build_symbol(k, params)
             ref = np.linalg.inv(np.eye(4) - alpha * block.acoustic) @ y[at][:4]
             assert np.max(np.abs(solved[at][:4] - ref)) <= 1e-14 * np.max(np.abs(ref))
             ref = block.acoustic @ y[at][:4]
             assert np.max(np.abs(applied[at][:4] - ref)) <= 1e-14 * np.max(np.abs(ref))
-            assert solved[at][4] == pytest.approx(y[at][4] / (1 - alpha * block.phase_factor), rel=1e-14)
-            assert applied[at][4] == pytest.approx(block.phase_factor * y[at][4], rel=1e-14)
+            phase = block.phase_factor - shift
+            assert solved[at][4] == pytest.approx(y[at][4] / (1 - alpha * phase), rel=1e-14)
+            assert applied[at][4] == pytest.approx(phase * y[at][4], rel=1e-14)
         # a zero input stays exactly zero, which keeps equilibria fixed points
-        assert np.all(linear_solve(grid16, params, alpha, np.zeros(shape, complex)) == 0)
+        assert np.all(B.solve(alpha, np.zeros(shape, complex)) == 0)
 
 
 class TestTotalEnergy:
@@ -460,11 +470,10 @@ class TestTotalEnergy:
         eps = params.epsilon
 
         kin_t = np.mean(0.5 * dsig * np.sum(u * u, axis=0) + rho * np.sum(u * du, axis=0))
-        g_t = np.mean(g_potential_prime(rho, params) * dsig)
-        grad_phi = state.grad_phi()
-        dgrad = grid.inverse_many(
-            np.stack([1j * grid.kvec[i] * grid.forward(dphi) for i in range(3)])
-        )
+        g_prime = (g_potential(rho, params) + pressure(rho, params) - pressure(params.rho_bar, params)) / rho
+        g_t = np.mean(g_prime * dsig)
+        grad_phi = grid.inverse_many(np.stack([grid.ik[i] * state.phi_hat for i in range(3)]))
+        dgrad = grid.inverse_many(np.stack([grid.ik[i] * grid.forward(dphi) for i in range(3)]))
         grad_t = eps * np.mean(np.sum(grad_phi * dgrad, axis=0))
         dw_t = np.mean(
             dsig * (phi**2 - 1.0) ** 2 / (4 * eps) + rho / eps * (phi**2 - 1.0) * phi * dphi

@@ -150,7 +150,9 @@ class TestSpectralField:
     def test_real_symmetry_defect_small(self, grid16):
         rng = np.random.default_rng(2)
         f = SpectralField.from_physical(grid16, rng.standard_normal(grid16.shape))
-        assert f.real_symmetry_defect() <= 1e-12
+        # relative defect of the round trip through the grid values
+        back = grid16.forward(f.to_physical())
+        assert np.linalg.norm(back - f.coeffs) <= 1e-12 * np.linalg.norm(f.coeffs)
 
 
 class TestFractionalLaplacian:
@@ -426,7 +428,7 @@ class TestShellSums:
             u_ref = sum(_reference_mode_sum(g, state.u_hat[i], -s) for i in range(dim))
             assert nf.u_neg == pytest.approx(u_ref, rel=1e-13)
             # explicit gradient arrays i k_j phi_hat
-            grad_ref = sum(_reference_mode_sum(g, 1j * g.kvec[j] * state.phi_hat, -s) for j in range(dim))
+            grad_ref = sum(_reference_mode_sum(g, g.ik[j] * state.phi_hat, -s) for j in range(dim))
             assert nf.gradphi_neg == pytest.approx(grad_ref, rel=1e-13)
             phisq_ref = _reference_mode_sum(g, phi_sq_minus_one_hat(state), -s)
             assert nf.phisq_neg == pytest.approx(phisq_ref, rel=1e-13)
