@@ -24,7 +24,9 @@ wall-clock metrics perfbench prints beside its result (``wall_s``,
 side, with no gate. The run length, the metrics and their directions come from
 ``BENCHMARK.json`` in the change checkout. The file is written into the
 change checkout after every pair, so an interrupted recording keeps the pairs
-it finished.
+it finished. Each side's ``revisions`` entry names its ``HEAD``, whether the
+tree differs from it, and a hash of the difference, since the change side
+usually runs from an uncommitted tree.
 """
 
 from __future__ import annotations
@@ -183,9 +185,26 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def revision(checkout: Path) -> str | None:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
-    return proc.stdout.strip() or None
+def revision(checkout: Path) -> dict:
+    """``HEAD`` of ``checkout``, whether its tree differs from it, and a hash of the difference.
+
+    A change is usually recorded from an uncommitted tree, whose ``HEAD`` is
+    the parent commit. ``diff_sha256`` hashes ``git diff HEAD`` and every
+    untracked, unignored file with its name; it is null for a clean tree.
+    """
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True).stdout
+
+    head = git("rev-parse", "HEAD").decode().strip() or None
+    if head is None:
+        return {"head": None, "dirty": None, "diff_sha256": None}
+    diff = git("diff", "HEAD", "--binary")
+    untracked = [name for name in git("ls-files", "--others", "--exclude-standard", "-z").split(b"\0") if name]
+    digest = hashlib.sha256(diff)
+    for name in untracked:
+        digest.update(name + b"\0" + (checkout / name.decode()).read_bytes())
+    dirty = bool(diff or untracked)
+    return {"head": head, "dirty": dirty, "diff_sha256": digest.hexdigest() if dirty else None}
 
 
 def parse_plan(text: str) -> tuple[str, list[int]]:

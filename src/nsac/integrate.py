@@ -95,8 +95,14 @@ def adaptive_dt(state: State, cfg: StepConfig, params: PhysParams) -> float:
     a speed; a quiescent state (speed zero) gets ``cfg.dt``.
     """
     u = state.u()
-    c = np.sqrt(state.p_prime(params))
-    speed = np.sqrt(np.sum(u * u, axis=0)) + np.abs(c - np.sqrt(params.p_prime_bar))
+    speed = np.multiply(u[0], u[0])  # |u|^2 summed in np.sum's order, then |u| + |c - c_bar|
+    scratch = np.empty_like(speed)
+    for j in range(1, state.grid.dim):
+        speed += np.multiply(u[j], u[j], out=scratch)
+    np.sqrt(speed, out=speed)
+    c = np.sqrt(state.p_prime(params), out=scratch)
+    c -= np.sqrt(params.p_prime_bar)
+    speed += np.abs(c, out=c)
     vmax = float(np.max(speed))
     return cfg.dt if vmax == 0 else min(cfg.dt, cfg.cfl * state.grid.dx / vmax)
 

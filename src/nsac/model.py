@@ -583,7 +583,8 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     # one batched inverse for every derivative this evaluation needs:
     # vorticity w_ij for i < j (d(d-1)/2), B's viscous row (d), grad phi (d),
     # Lap phi (1); D = i k.u and one product live in this call's transform
-    # buffer, which the forward writes only later
+    # buffer, which the forward writes only later. The inverse reads only the
+    # 2/3 band, where every state a run steps on lives
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     o = len(pairs)
     buf = work.spec
@@ -607,7 +608,7 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     square, square_hat = products[2 * d + 1 :], hats[2 * d + 1 :]
     spare = square[0]
     np.multiply(phi, phi, out=spare)
-    g.dealias(g.forward_many(square, out=square_hat), in_place=True)
+    g.forward_many(square, out=square_hat)
     phi2 = g.inverse_many(square_hat, out=square)[0]
 
     # 1/rho, in the first sigma u slot until sigma u is formed
@@ -650,7 +651,7 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
 
     # batched forward: sigma u (d), u rows (d), phi row (1), K - H (1); the
     # derivative stack is spent, so its first row is the spectral scratch
-    g.dealias(g.forward_many(products, out=hats), in_place=True)
+    g.forward_many(products, out=hats)
     spare_hat = buf[0]
     kh_hat = hats[2 * d + 1]
     for i in range(d):

@@ -17,18 +17,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import product
 
 import numpy as np
-from scipy import fft as _fft
 
-_FFT_WORKERS = -1  # scipy interprets -1 as "all available cores"
+_FFT_WORKERS = 1  # numpy.fft transforms each line on one thread
 
 
-def _transform_in_place(transform, view: np.ndarray, axes: tuple[int, ...]) -> None:
-    """Complex ``transform`` of ``view`` over ``axes``, stored back into ``view``."""
-    res = transform(view, axes=axes, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-    if not np.may_share_memory(res, view):  # scipy may decline to overwrite its input
-        view[...] = res
+def _rfftn(values: np.ndarray, dim: int) -> np.ndarray:
+    """Forward over the last ``dim`` axes, one numpy pass per axis in scipy's order.
+
+    A real transform of the last axis into a fresh array, then a complex
+    transform of each leading spatial axis in turn, in place. Since ``n`` is a
+    power of two the per-pass scalings ``1/n`` are exact, and the result equals
+    scipy's one-dispatch ``rfftn`` bit for bit.
+    """
+    out = np.fft.rfft(values, axis=-1, norm="forward")
+    for ax in range(-dim, -1):
+        np.fft.fft(out, axis=ax, norm="forward", out=out)
+    return out
+
+
+def _irfftn(coeffs: np.ndarray, dim: int, n: int) -> np.ndarray:
+    """Inverse of `_rfftn` in scipy's ``irfftn`` order; ``coeffs`` is left untouched.
+
+    The first complex pass writes a fresh array and the others work in place
+    on it, so a read-only input is never copied.
+    """
+    work = coeffs
+    for ax in range(-dim, -1):
+        work = np.fft.ifft(work, axis=ax, norm="forward", out=None if work is coeffs else work)
+    return np.fft.irfft(work, n=n, axis=-1, norm="forward")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -135,40 +154,73 @@ class Grid:
         """Real field on the grid -> amplitude-normalized rfft coefficients."""
         if values.shape != self.shape:
             raise ValueError(f"field shape {values.shape} != grid shape {self.shape}")
-        return _fft.rfftn(values, norm="forward", workers=_FFT_WORKERS)
+        return _rfftn(values, self.dim)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Amplitude-normalized coefficients -> real field on the grid."""
-        return _fft.irfftn(coeffs, s=self.shape, norm="forward", workers=_FFT_WORKERS)
+        return _irfftn(coeffs, self.dim, self.n)
+
+    def band_cut(self) -> int:
+        """The largest ``|m|`` per axis that the batched transforms keep: the 2/3 rule's ``n // 3``."""
+        return self.n // 3
+
+    def _band(self) -> tuple[int, tuple[slice, slice], slice]:
+        """``(keep, blocks, gap)``: the last axis keeps its first ``keep`` modes;
+        a full axis keeps the ``blocks`` ``0..cut`` and ``-cut..-1``, with ``gap`` between."""
+        n, cut = self.n, self.band_cut()
+        hi = max(n - cut, cut + 1)  # a cut of n // 2 keeps every mode once
+        return cut + 1, (slice(0, cut + 1), slice(hi, n)), slice(cut + 1, hi)
+
+    def _zero_gaps(self, coeffs: np.ndarray) -> None:
+        """Zero a stack's modes in the gap of any full axis, among the last axis's kept ones."""
+        keep, _, gap = self._band()
+        for ax in range(1, self.dim):
+            coeffs[(slice(None),) * ax + (gap, Ellipsis, slice(keep))] = 0
 
     def forward_many(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Batched forward over a leading stack axis, written into ``out``.
+        """De-aliased batched forward over a leading stack axis, written into ``out``.
 
-        Nothing is allocated: a real transform of the last axis into ``out``,
-        then an in-place complex transform of the others. Since ``n`` is a
-        power of two, the two partial scalings multiply to ``1/n^dim`` exactly
-        and the result equals scipy's one-dispatch ``rfftn`` bit for bit.
+        Nothing is allocated. A real transform of the last axis fills ``out``.
+        Then each leading spatial axis, in scipy's ``rfftn`` order, gets an
+        in-place complex transform of only the lines whose transformed indices
+        lie in the band (`band_cut`): at 64^3, 1408 and then 946 lines of
+        2112. Every mode beyond the cut is then set to exactly zero. The lines
+        kept see the inputs of a full transform, and the scalings ``1/n`` are
+        exact (``n`` is a power of two), so each kept mode equals scipy's
+        ``rfftn`` bit for bit.
         """
+        keep, blocks, _ = self._band()
         np.fft.rfft(values, axis=-1, norm="forward", out=out)
-        if self.dim > 1:
-            _transform_in_place(_fft.fftn, out, tuple(range(1, self.dim)))
+        for ax in range(1, self.dim):
+            for lead in product(blocks, repeat=ax - 1):
+                lines = out[(slice(None), *lead, Ellipsis, slice(keep))]
+                np.fft.fft(lines, axis=ax, norm="forward", out=lines)
+        out[..., keep:] = 0
+        self._zero_gaps(out)
         return out
 
     def inverse_many(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched inverse over a leading stack axis.
 
-        With ``out`` the fields are written there and ``coeffs`` is used as
-        scratch (overwritten): an in-place complex transform of the leading
-        spatial axes, then a real transform of the last axis into ``out``.
-        That is the order scipy's one-dispatch ``irfftn`` takes, and each line
-        sees the same input, so the result is the same bit for bit.
+        Without ``out``, the full inverse of each field into a fresh array.
+        With ``out``, a band-limited inverse written there: every mode of
+        ``coeffs`` beyond the cut (`band_cut`) counts as zero, and ``coeffs``
+        is scratch (overwritten). Its gaps are zeroed; each leading spatial
+        axis, in scipy's ``irfftn`` order, gets an in-place complex transform
+        of only the lines whose untransformed indices lie in the band (at
+        64^3, 946 and then 1408 lines of 2112); a real transform of the last
+        axis's kept modes writes ``out``. For input that is zero beyond the
+        cut the result equals scipy's ``irfftn`` bit for bit.
         """
         if out is None:
-            axes = tuple(range(1, self.dim + 1))
-            return _fft.irfftn(coeffs, s=self.shape, axes=axes, norm="forward", workers=_FFT_WORKERS)
-        if self.dim > 1:
-            _transform_in_place(_fft.ifftn, coeffs, tuple(range(1, self.dim)))
-        return np.fft.irfft(coeffs, n=self.n, axis=-1, norm="forward", out=out)
+            return _irfftn(coeffs, self.dim, self.n)
+        keep, blocks, _ = self._band()
+        self._zero_gaps(coeffs)
+        for ax in range(1, self.dim):
+            for trail in product(blocks, repeat=self.dim - 1 - ax):
+                lines = coeffs[(slice(None), Ellipsis, *trail, slice(keep))]
+                np.fft.ifft(lines, axis=ax, norm="forward", out=lines)
+        return np.fft.irfft(coeffs[..., :keep], n=self.n, axis=-1, norm="forward", out=out)
 
     def divergence(
         self, coeffs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None

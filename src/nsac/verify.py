@@ -251,13 +251,18 @@ def check_mini_run(grid: Grid, params: PhysParams, seed: int) -> PropertyResult:
 
 @contextlib.contextmanager
 def disable_dealiasing():
-    """Inject the "dropped de-aliasing" fault: ``Grid.dealias`` is the identity while the context lasts."""
-    original = Grid.dealias
+    """Inject the "dropped de-aliasing" fault while the context lasts.
+
+    ``Grid.dealias`` is the identity, and ``Grid.band_cut`` keeps every mode,
+    so the batched transforms are full ones.
+    """
+    originals = Grid.dealias, Grid.band_cut
     Grid.dealias = lambda self, coeffs, in_place=False: coeffs
+    Grid.band_cut = lambda self: self.n // 2
     try:
         yield
     finally:
-        Grid.dealias = original
+        Grid.dealias, Grid.band_cut = originals
 
 
 #: The smallest grid the suite runs on. Below it the mini run's initial

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -136,3 +137,32 @@ def test_printed_wall_clock_metrics_are_recorded():
         run["recorded"] = {"wall_s": run["metrics"]["cpu_s"] / 2}
     wall = record.summarise(runs, BETTER)["recorded"]["wall_s"]
     assert wall["parent"]["median"] == pytest.approx(5.75) and wall["change"]["median"] == pytest.approx(3.75)
+
+
+def test_revision_records_a_dirty_tree_and_a_hash_of_its_difference(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))  # no enclosing repository
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
+                       check=True, capture_output=True)
+
+    assert record.revision(tmp_path) == {"head": None, "dirty": None, "diff_sha256": None}
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "a.py")
+    git("commit", "-q", "-m", "one")
+    clean = record.revision(tmp_path)
+    assert len(clean["head"]) == 40 and clean["dirty"] is False and clean["diff_sha256"] is None
+
+    (tmp_path / "a.py").write_text("x = 2\n")
+    edited = record.revision(tmp_path)
+    assert edited["head"] == clean["head"] and edited["dirty"] and len(edited["diff_sha256"]) == 64
+    (tmp_path / "a.py").write_text("x = 3\n")
+    assert record.revision(tmp_path)["diff_sha256"] != edited["diff_sha256"]
+
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "new.py").write_text("y = 1\n")  # an untracked file counts
+    untracked = record.revision(tmp_path)
+    assert untracked["dirty"] and untracked["diff_sha256"] not in (None, edited["diff_sha256"])
+    (tmp_path / ".gitignore").write_text("new.py\n.gitignore\n")
+    assert record.revision(tmp_path) == clean  # ignored files do not

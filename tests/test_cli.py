@@ -253,14 +253,22 @@ class TestInputErrors:
 
 
 class TestStartup:
-    def test_import_leaves_scipy_linalg_unloaded(self):
-        # only the dense expm reference of the oracle needs it, and imports it itself
+    @staticmethod
+    def _after_import(expression):
         src = str(Path(nsac.__file__).resolve().parents[1])
-        code = "import sys, nsac.cli; print('scipy.linalg' in sys.modules)"
+        code = f"import sys, nsac.cli; print({expression})"
         proc = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
         )
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # only the dense expm reference of the oracle needs it, and imports it itself
+        assert self._after_import("'scipy.linalg' in sys.modules") == "False"
+
+    def test_import_loads_no_scipy_module(self):
+        # the transforms are numpy.fft; the oracle imports scipy.special and scipy.linalg when it runs
+        assert self._after_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
 
 
 class TestSampleCost:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import fft as sp_fft
 
-from nsac import Grid, spectral
+from nsac import Grid
 from nsac.spectral import (
     SpectralField,
     fractional_laplacian,
@@ -79,62 +79,88 @@ class TestGrid:
             setattr(grid16, name, None)
 
     def test_disable_dealiasing_restores_dealias_when_its_body_raises(self, grid16):
-        original = Grid.dealias
+        original = Grid.dealias, Grid.band_cut
         with pytest.raises(RuntimeError, match="body"):
             with disable_dealiasing():
-                assert Grid.dealias is not original
+                assert Grid.dealias is not original[0] and Grid.band_cut is not original[1]
                 raise RuntimeError("body")
-        assert Grid.dealias is original
+        assert (Grid.dealias, Grid.band_cut) == original
         assert not np.any(grid16.dealias(np.ones(grid16.rshape, dtype=complex))[~grid16.dealias_mask])
 
 
 class TestBatchedTransforms:
-    """The in-place routes (``out=``) against scipy's one-dispatch transforms."""
+    """numpy's per-axis routes against scipy's one-dispatch transforms.
+
+    The one-off routes are full transforms; the batched routes with ``out``
+    are band-limited: the forward returns ``dealias(rfftn)`` with exact zeros
+    beyond the cut, and the inverse treats every mode beyond the cut as zero.
+    """
 
     @staticmethod
-    def _check_inverse(dim):
+    def _data(dim, stack=4):
         g = Grid(dim=dim, n=16, length=2 * np.pi)
         rng = np.random.default_rng(dim)
-        coeffs = rng.standard_normal((4,) + g.rshape) + 1j * rng.standard_normal((4,) + g.rshape)
-        expected = sp_fft.irfftn(coeffs, s=g.shape, axes=tuple(range(1, dim + 1)), norm="forward")
+        values = rng.standard_normal((stack,) + g.shape)
+        coeffs = rng.standard_normal((stack,) + g.rshape) + 1j * rng.standard_normal((stack,) + g.rshape)
+        return g, values, coeffs, tuple(range(1, dim + 1))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_off_routes_are_rfftn_and_irfftn(self, dim):
+        g, values, coeffs, axes = self._data(dim)
+        coeffs.flags.writeable = False  # a State's arrays are read-only and must not be copied into
+        assert np.array_equal(g.forward(values[0]), sp_fft.rfftn(values[0], norm="forward"))
+        assert np.array_equal(g.inverse(coeffs[0]), sp_fft.irfftn(coeffs[0], s=g.shape, norm="forward"))
+        expected = sp_fft.irfftn(coeffs, s=g.shape, axes=axes, norm="forward")
+        assert np.array_equal(g.inverse_many(coeffs), expected)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_in_place_inverse_is_irfftn(self, dim):
+        # the band of the input, whatever lies beyond the cut
+        g, _, coeffs, axes = self._data(dim)
+        expected = sp_fft.irfftn(coeffs * g.dealias_mask, s=g.shape, axes=axes, norm="forward")
         out = np.empty((4,) + g.shape)
         assert g.inverse_many(coeffs.copy(), out=out) is out
         assert np.array_equal(out, expected)
 
-    @staticmethod
-    def _check_forward(dim):
-        g = Grid(dim=dim, n=16, length=2 * np.pi)
-        values = np.random.default_rng(dim).standard_normal((4,) + g.shape)
-        expected = sp_fft.rfftn(values, axes=tuple(range(1, dim + 1)), norm="forward")
-        out = np.empty((4,) + g.rshape, dtype=np.complex128)
-        assert g.forward_many(values, out=out) is out
-        assert np.array_equal(out, expected)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_in_place_inverse_is_irfftn(self, dim):
-        self._check_inverse(dim)
-
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_in_place_forward_is_rfftn(self, dim):
-        self._check_forward(dim)
+        g, values, _, axes = self._data(dim)
+        expected = g.dealias(sp_fft.rfftn(values, axes=axes, norm="forward"))
+        out = np.full((4,) + g.rshape, np.nan, dtype=np.complex128)
+        assert g.forward_many(values, out=out) is out
+        assert np.array_equal(out, expected)
+        assert np.all(out[:, ~g.dealias_mask] == 0)
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_backend_that_keeps_its_input(self, dim, monkeypatch):
-        # overwrite_x only permits scipy to reuse the input; a backend that
-        # returns a fresh array must still leave the result in place
-        class CopyingFFT:
-            def __getattr__(self, name):
-                return getattr(sp_fft, name)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_disable_dealiasing_makes_the_batched_routes_full(self, dim):
+        g, values, coeffs, axes = self._data(dim)
+        out, phys = np.empty((4,) + g.rshape, dtype=np.complex128), np.empty((4,) + g.shape)
+        with disable_dealiasing():
+            g.forward_many(values, out=out)
+            g.inverse_many(coeffs.copy(), out=phys)
+        assert np.array_equal(out, sp_fft.rfftn(values, axes=axes, norm="forward"))
+        assert np.array_equal(phys, sp_fft.irfftn(coeffs, s=g.shape, axes=axes, norm="forward"))
 
-            def fftn(self, x, **kw):
-                return sp_fft.fftn(x, **{**kw, "overwrite_x": False})
+    def test_complex_passes_skip_the_lines_beyond_the_cut(self, monkeypatch):
+        # n = 16, two fields: the band keeps 6 of the 9 half-axis modes and the
+        # blocks 0..5 and -5..-1 (11 of 16) of a full axis. A full complex pass
+        # takes 16 * 9 = 144 lines a field; the pruned ones take 96 and 66
+        lines = []
 
-            def ifftn(self, x, **kw):
-                return sp_fft.ifftn(x, **{**kw, "overwrite_x": False})
+        def counting(transform):
+            def wrapped(a, axis=-1, **kw):
+                lines.append(a.size // a.shape[axis])
+                return transform(a, axis=axis, **kw)
+            return wrapped
 
-        monkeypatch.setattr(spectral, "_fft", CopyingFFT())
-        self._check_inverse(dim)
-        self._check_forward(dim)
+        monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
+        g, values, coeffs, _ = self._data(3, stack=2)
+        g.forward_many(values, out=np.empty((2,) + g.rshape, dtype=np.complex128))
+        assert lines == [2 * 16 * 6, 2 * 6 * 6, 2 * 5 * 6]
+        lines.clear()
+        g.inverse_many(coeffs, out=np.empty((2,) + g.shape))
+        assert lines == [2 * 6 * 6, 2 * 5 * 6, 2 * 16 * 6]
 
 
 class TestSpectralField:
