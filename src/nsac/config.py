@@ -58,6 +58,13 @@ class DiagSpec:
         for l in self.l_list:
             if l not in (0, 1, 2):
                 raise ConfigError(f"diag.l_list entries must be 0, 1 or 2, got {l}")
+        if not 0 <= self.fit_t_lo < self.fit_t_hi:  # also false for a NaN
+            raise ConfigError(
+                f"diag.fit_t_lo and diag.fit_t_hi need 0 <= fit_t_lo < fit_t_hi, "
+                f"got {self.fit_t_lo} and {self.fit_t_hi}"
+            )
+        if not 0 < self.fit_tol < math.inf:
+            raise ConfigError(f"diag.fit_tol must be positive and finite, got {self.fit_tol}")
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from .spectral import Grid, band_limited_noise
 
 def _band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> np.ndarray:
     """Zero-mean field with integer modes ``0 < |m| <= max_mode``, unit rms."""
-    if max_mode > grid.n // 3:
+    if max_mode > grid.band_cut():
         raise InfeasibleInitialCondition(
-            f"ic.max_mode = {max_mode} exceeds the de-aliased band n/3 = {grid.n // 3}"
+            f"ic.max_mode = {max_mode} exceeds the de-aliased band n/3 = {grid.band_cut()}"
         )
     f = band_limited_noise(rng, grid, max_mode)
     scale = float(np.sqrt(np.mean(f.to_physical() ** 2)))
@@ -80,21 +80,22 @@ def _random_perturbation(grid: Grid, ic: ICSpec) -> State:
     return State(grid, 0.0, alpha * sigma_hat, alpha * u_hat, phi_hat)
 
 
-def _check_feasible(state: State, params: PhysParams, delta: float, phi_tol: float) -> None:
+def _check_feasible(state: State, params: PhysParams, size: str, phi_tol: float) -> None:
+    """Fail fast on an inadmissible initial state; ``size`` names the IC's parameter, ``ic.<key> = <value>``."""
     rep = invariant_monitor(state, params, phi_tol=phi_tol)
     if rep.nan_fields:
         raise InfeasibleInitialCondition(
-            f"delta = {delta:g} gives non-finite {', '.join(rep.nan_fields)} coefficients"
+            f"{size} gives non-finite {', '.join(rep.nan_fields)} coefficients"
         )
     if not rep.in_window:
         lo, hi = rep.rho_window
         raise InfeasibleInitialCondition(
-            f"delta = {delta:g} pushes the density out of [{lo:g}, {hi:g}] before any stepping "
+            f"{size} pushes the density out of [{lo:g}, {hi:g}] before any stepping "
             f"(range [{rep.rho_min:.6g}, {rep.rho_max:.6g}])"
         )
     if not rep.phase_bounded:
         raise InfeasibleInitialCondition(
-            f"delta = {delta:g} violates the phase bound |phi| <= 1 + {phi_tol:g} at t = 0 "
+            f"{size} violates the phase bound |phi| <= 1 + {phi_tol:g} at t = 0 "
             f"(max |phi| = {rep.phi_max:.6g})"
         )
 
@@ -131,11 +132,11 @@ def make_initial(cfg: RunConfig) -> State:
     if ic.kind == "equilibrium":
         return State.equilibrium(grid)
     if ic.kind == "random_perturbation":
-        state, size = _random_perturbation(grid, ic), ic.delta
+        state, size = _random_perturbation(grid, ic), f"ic.delta = {ic.delta:g}"
     elif ic.kind == "tanh_interface":
-        state, size = _tanh_interface(grid, ic.width), ic.delta
+        state, size = _tanh_interface(grid, ic.width), f"ic.width = {ic.width:g}"
     elif ic.kind == "manufactured":
-        state, size = _manufactured(grid, ic.amplitude), ic.amplitude
+        state, size = _manufactured(grid, ic.amplitude), f"ic.amplitude = {ic.amplitude:g}"
     else:
         raise InfeasibleInitialCondition(f"unknown ic kind {ic.kind!r}")
     _check_feasible(state, params, size, cfg.step.phi_tol)

@@ -139,8 +139,8 @@ class Stepper:
         return n
 
     def _make_state(self, t: float, y: np.ndarray) -> State:
-        """The State on ``y`` cut to the 2/3 band; masks ``y`` in place, so ``y`` must be a fresh array."""
-        np.multiply(y, self.grid.dealias_mask, out=y)
+        """The State on ``y`` cut to the 2/3 band; cuts ``y`` in place, so ``y`` must be a fresh array."""
+        self.grid.cut_to_band(y)
         return State(self.grid, t, y[0], y[1:-1], y[-1])
 
     def _advance(self, t: float, y: np.ndarray, alpha: float, incr: np.ndarray) -> State:

@@ -50,6 +50,7 @@ class PhysParams:
 
     ``lam`` is the second viscosity; ``nu > 0`` and ``lam + 2 nu / 3 >= 0``
     keep the stress dissipative. The barotropic law is ``p = a rho^gamma``.
+    Every constant must be finite.
     """
 
     nu: float = 1.0
@@ -60,20 +61,21 @@ class PhysParams:
     pressure_gamma: float = 1.4
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"shear viscosity must be positive, got {self.nu}")
-        if not self.lam + 2.0 * self.nu / 3.0 >= 0:
+        # each comparison is also false for a NaN
+        if not 0 < self.nu < np.inf:
+            raise ValueError(f"shear viscosity must be positive and finite, got {self.nu}")
+        if not (abs(self.lam) < np.inf and self.lam + 2.0 * self.nu / 3.0 >= 0):
             raise ValueError(
-                f"need lambda + 2 nu / 3 >= 0, got {self.lam + 2 * self.nu / 3}"
+                f"need a finite lambda with lambda + 2 nu / 3 >= 0, got lambda = {self.lam}"
             )
-        if not self.epsilon > 0:
-            raise ValueError(f"interface thickness must be positive, got {self.epsilon}")
-        if not self.rho_bar > 0:
-            raise ValueError(f"reference density must be positive, got {self.rho_bar}")
-        if not self.pressure_a > 0:
-            raise ValueError(f"pressure coefficient must be positive, got {self.pressure_a}")
-        if not self.pressure_gamma >= 1:
-            raise ValueError(f"adiabatic exponent must be >= 1, got {self.pressure_gamma}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"interface thickness must be positive and finite, got {self.epsilon}")
+        if not 0 < self.rho_bar < np.inf:
+            raise ValueError(f"reference density must be positive and finite, got {self.rho_bar}")
+        if not 0 < self.pressure_a < np.inf:
+            raise ValueError(f"pressure coefficient must be positive and finite, got {self.pressure_a}")
+        if not 1 <= self.pressure_gamma < np.inf:
+            raise ValueError(f"adiabatic exponent must be finite and >= 1, got {self.pressure_gamma}")
 
     # Coefficients of the linearization around (rho_bar, 0, +-1), read by the
     # solver, the oracle and the tendencies alike.

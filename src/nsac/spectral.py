@@ -9,8 +9,9 @@ on the conventions fixed here:
 * ``||f||_L2^2 = V * sum_k |F_k|^2`` where ``V`` is the box volume; the
   ``l``-th derivative norm is the mode sum weighted by ``|k|^(2l)``, read off
   the integer shells ``|k|^2 = k0^2 |m|^2`` of the shell spectrum ``S(|m|^2)``.
-* Products of fields are de-aliased with the two-thirds rule; cubic terms must
-  be assembled from pairwise de-aliased products.
+* Products of fields are de-aliased with the two-thirds rule, which
+  `Grid.band_cut` states once; cubic terms must be assembled from pairwise
+  de-aliased products.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class Grid:
     """Cubic periodic box ``[0, length)^dim`` sampled on ``n`` points per axis.
 
     Precomputes the derivative symbol ``ik`` (``1j * k`` per axis) and
-    ``|k|^2``, the two-thirds de-aliasing mask, and the Hermitian doubling
-    weights and integer shell index used by every mode sum.
+    ``|k|^2``, and the Hermitian doubling weights and integer shell index used
+    by every mode sum. The two-thirds band is `band_cut`.
     """
 
     dim: int
@@ -73,7 +74,6 @@ class Grid:
     ik: tuple = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
     weight: np.ndarray = field(init=False, repr=False, compare=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     shell: np.ndarray = field(init=False, repr=False, compare=False)
     shell_k2: np.ndarray = field(init=False, repr=False, compare=False)
     volume: float = field(init=False, repr=False, compare=False)
@@ -84,8 +84,8 @@ class Grid:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.n < 8 or not _is_power_of_two(self.n):
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"box length must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:  # also false for a NaN
+            raise ValueError(f"box length must be positive and finite, got {self.length}")
 
         n, dim = self.n, self.dim
         shape = (n,) * dim
@@ -113,14 +113,7 @@ class Grid:
             wlast[-1] = 1.0
         weight = np.broadcast_to(wlast.reshape((1,) * (dim - 1) + (-1,)), rshape).copy()
 
-        cut = n // 3
-        mask = np.ones(rshape, dtype=bool)
-        for ax, m in enumerate(modes):
-            sh = [1] * dim
-            sh[ax] = m.size
-            mask &= (np.abs(m) <= cut).reshape(sh)
-
-        for arr in (*ik, k2, weight, mask, shell, shell_k2):
+        for arr in (*ik, k2, weight, shell, shell_k2):
             arr.flags.writeable = False
         derived = dict(
             shape=shape,
@@ -129,7 +122,6 @@ class Grid:
             ik=ik,
             k2=k2,
             weight=weight,
-            dealias_mask=mask,
             shell=shell,
             shell_k2=shell_k2,
             volume=self.length**dim,
@@ -161,7 +153,7 @@ class Grid:
         return _irfftn(coeffs, self.dim, self.n)
 
     def band_cut(self) -> int:
-        """The largest ``|m|`` per axis that the batched transforms keep: the 2/3 rule's ``n // 3``."""
+        """The largest ``|m|`` per axis that every de-aliased product and state keeps: the 2/3 rule's ``n // 3``."""
         return self.n // 3
 
     def _band(self) -> tuple[int, tuple[slice, slice], slice]:
@@ -171,11 +163,14 @@ class Grid:
         hi = max(n - cut, cut + 1)  # a cut of n // 2 keeps every mode once
         return cut + 1, (slice(0, cut + 1), slice(hi, n)), slice(cut + 1, hi)
 
-    def _zero_gaps(self, coeffs: np.ndarray) -> None:
-        """Zero a stack's modes in the gap of any full axis, among the last axis's kept ones."""
+    def cut_to_band(self, coeffs: np.ndarray) -> np.ndarray:
+        """Zero, in place, every mode of a stack beyond `band_cut`: the tail of
+        the last (half) axis and the gap between the blocks of each full axis."""
         keep, _, gap = self._band()
+        coeffs[..., keep:] = 0
         for ax in range(1, self.dim):
             coeffs[(slice(None),) * ax + (gap, Ellipsis, slice(keep))] = 0
+        return coeffs
 
     def forward_many(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """De-aliased batched forward over a leading stack axis, written into ``out``.
@@ -195,9 +190,7 @@ class Grid:
             for lead in product(blocks, repeat=ax - 1):
                 lines = out[(slice(None), *lead, Ellipsis, slice(keep))]
                 np.fft.fft(lines, axis=ax, norm="forward", out=lines)
-        out[..., keep:] = 0
-        self._zero_gaps(out)
-        return out
+        return self.cut_to_band(out)
 
     def inverse_many(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched inverse over a leading stack axis.
@@ -215,7 +208,7 @@ class Grid:
         if out is None:
             return _irfftn(coeffs, self.dim, self.n)
         keep, blocks, _ = self._band()
-        self._zero_gaps(coeffs)
+        self.cut_to_band(coeffs[..., :keep])  # the gaps: no pass reads the last axis beyond keep
         for ax in range(1, self.dim):
             for trail in product(blocks, repeat=self.dim - 1 - ax):
                 lines = coeffs[(slice(None), Ellipsis, *trail, slice(keep))]
@@ -234,13 +227,11 @@ class Grid:
             out += np.multiply(self.ik[j], coeffs[j], out=scratch)
         return out
 
-    def dealias(self, coeffs: np.ndarray, in_place: bool = False) -> np.ndarray:
-        """Zero the modes beyond the two-thirds cut, in ``coeffs`` itself if ``in_place``."""
-        return np.multiply(coeffs, self.dealias_mask, out=coeffs if in_place else None)
-
     def forward_product(self, values: np.ndarray) -> np.ndarray:
-        """Transform a pointwise product and de-alias the result."""
-        return self.dealias(self.forward(values))
+        """Transform a pointwise product, de-aliased: `forward_many` of one field."""
+        if values.shape != self.shape:
+            raise ValueError(f"field shape {values.shape} != grid shape {self.shape}")
+        return self.forward_many(values[np.newaxis], np.empty((1,) + self.rshape, dtype=np.complex128))[0]
 
     # -- mode sums ----------------------------------------------------------
 

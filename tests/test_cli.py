@@ -164,6 +164,15 @@ class TestSimulate:
         assert read_snapshot(str(tmp_path / "run.nsac")).t == summary["t_final"]
         assert read_csv(f"{tmp_path}/run.csv")["t"][-1] == summary["t_final"]
 
+    @pytest.mark.parametrize(
+        "override", ["grid.length=inf", "phys.nu=inf", "diag.fit_t_lo=60"], ids=["length", "nu", "fit_window"]
+    )
+    def test_out_of_range_value_is_one_config_error(self, tmp_path, capsys, override):
+        assert main(["simulate", override] + base_overrides(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists()
+
     def test_unknown_key_is_config_error(self, tmp_path):
         rc = main(["simulate", "grid.bogus=3"] + base_overrides(tmp_path))
         assert rc == 2

@@ -73,6 +73,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="grid"):
             build_run_config({"grid.n": "15"})
 
+    @pytest.mark.parametrize(
+        "raw,msg",
+        [
+            ({"grid.length": "inf"}, "length"),
+            ({"grid.length": "nan"}, "length"),
+            ({"phys.nu": "inf"}, "viscosity"),
+            ({"diag.fit_t_lo": "60", "diag.fit_t_hi": "50"}, "fit_t_lo < fit_t_hi"),
+            ({"diag.fit_t_lo": "50", "diag.fit_t_hi": "50"}, "fit_t_lo < fit_t_hi"),
+            ({"diag.fit_t_lo": "-1"}, "fit_t_lo < fit_t_hi"),
+            ({"diag.fit_t_lo": "nan"}, "fit_t_lo < fit_t_hi"),
+            ({"diag.fit_t_hi": "nan"}, "fit_t_lo < fit_t_hi"),
+            ({"diag.fit_tol": "0"}, "fit_tol"),
+            ({"diag.fit_tol": "inf"}, "fit_tol"),
+            ({"diag.fit_tol": "nan"}, "fit_tol"),
+        ],
+    )
+    def test_out_of_range_values_are_config_errors(self, raw, msg):
+        with pytest.raises(ConfigError, match=msg):
+            build_run_config({"grid.n": "16", **raw})
+
+    def test_unbounded_fit_window_allowed(self):
+        assert build_run_config({"grid.n": "16", "diag.fit_t_hi": "inf"}).diag.fit_t_hi == np.inf
+
     def test_serialize_round_trip(self):
         cfg = build_run_config(
             {"grid.n": "16", "phys.nu": "0.7", "step.dt": "0.02", "ic.kind": "equilibrium"}
@@ -142,6 +165,10 @@ class TestMakeInitial:
         # is only reachable pointwise for a large requested norm
         with pytest.raises(InfeasibleInitialCondition, match="delta"):
             make_initial(self._cfg(kind="random_perturbation", delta=100.0, max_mode=2, seed=1))
+
+    def test_infeasible_manufactured_names_its_amplitude(self):
+        with pytest.raises(InfeasibleInitialCondition, match=r"^ic\.amplitude = -1 pushes the density"):
+            make_initial(self._cfg(kind="manufactured", amplitude=-1.0))
 
     def test_max_mode_must_fit_dealiased_band(self):
         with pytest.raises(InfeasibleInitialCondition, match="max_mode"):

@@ -12,7 +12,7 @@ from nsac.initial import make_initial
 from nsac.model import LinearSymbol, TendencyWorkspace, nonlinear_terms, pressure_prime
 from nsac.verify import disable_dealiasing
 
-from conftest import random_admissible_state
+from conftest import random_admissible_state, two_thirds_band
 
 
 class TestStepConfig:
@@ -337,11 +337,21 @@ class TestWorkspaceReuse:
     def test_in_place_mask_honours_disable_dealiasing(self, grid16, params):
         state = random_admissible_state(np.random.default_rng(13), grid16, amplitude=1e-1, max_mode=4)
         work = TendencyWorkspace(grid16)
-        beyond = ~grid16.dealias_mask
+        beyond = ~two_thirds_band(grid16)
         assert not np.any(nonlinear_terms(state, params, work)[:, beyond])
         with disable_dealiasing():
             aliased = nonlinear_terms(state, params, work)
         assert np.any(aliased[:, beyond])
+
+    def test_run_keeps_every_mode_under_disable_dealiasing(self, grid16, params):
+        cfg = _five_step_run(grid16, params)
+        beyond = ~two_thirds_band(grid16)
+        states = []
+        with disable_dealiasing():
+            summary = run(make_initial(cfg), cfg.step, params, observers=(lambda i, s: states.append(s),))
+        assert summary.termination == "t_end" and summary.steps == 5
+        # the stepped states, not just the tendencies, carry modes beyond the cut
+        assert all(np.any(s.stacked()[:, beyond]) for s in states[1:])
 
 
 class TestWholeStep:
@@ -376,7 +386,7 @@ class TestWholeStep:
                 alpha = 0.5 * dt
                 incr = incr + (-0.5 * dt / dt_prev) * (prev - n)
             new = y + B.solve(alpha, dt * incr)
-            new *= grid16.dealias_mask
+            grid16.cut_to_band(new)
             s = State(grid16, s.t + dt, new[0], new[1:-1], new[-1])
             prev, dt_prev = n, dt
         assert held["state"].stacked().tobytes() == s.stacked().tobytes()

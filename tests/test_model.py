@@ -47,6 +47,12 @@ class TestPhysParams:
             (dict(pressure_gamma=0.5), "adiabatic"),
             (dict(lam=float("nan")), "lambda"),
             (dict(pressure_gamma=float("nan")), "adiabatic"),
+            (dict(nu=float("inf")), "viscosity"),
+            (dict(lam=float("inf")), "lambda"),
+            (dict(epsilon=float("inf")), "thickness"),
+            (dict(rho_bar=float("inf")), "density"),
+            (dict(pressure_a=float("inf")), "coefficient"),
+            (dict(pressure_gamma=float("inf")), "adiabatic"),
         ],
     )
     def test_validation(self, kwargs, msg):

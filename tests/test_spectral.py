@@ -17,7 +17,7 @@ from nsac.spectral import (
 )
 from nsac.verify import disable_dealiasing
 
-from conftest import random_zero_mean_field
+from conftest import random_zero_mean_field, two_thirds_band
 
 V = (2 * np.pi) ** 3  # box volume for the standard test grid
 SIN_L2_SQ = V / 2.0  # ||sin(k.x)||^2 on the box, any integer mode
@@ -35,8 +35,9 @@ class TestGrid:
             Grid(dim=3, n=n, length=1.0)
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError, match="length"):
-            Grid(dim=2, n=16, length=-1.0)
+        for length in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="length"):
+                Grid(dim=2, n=16, length=length)
 
     def test_zero_wavenumber_only_at_zero_mode(self, grid16):
         k2 = grid16.k2
@@ -71,29 +72,30 @@ class TestGrid:
         assert a != Grid(dim=2, n=32, length=1.5)
         assert repr(a) == "Grid(dim=2, n=16, length=1.5)"
 
-    @pytest.mark.parametrize("name", ["k2", "weight", "dealias_mask", "shell", "shell_k2"])
+    @pytest.mark.parametrize("name", ["k2", "weight", "shell", "shell_k2"])
     def test_derived_arrays_read_only(self, grid16, name):
         with pytest.raises(ValueError, match="read-only"):
             getattr(grid16, name)[...] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(grid16, name, None)
 
-    def test_disable_dealiasing_restores_dealias_when_its_body_raises(self, grid16):
-        original = Grid.dealias, Grid.band_cut
+    def test_disable_dealiasing_restores_band_cut_when_its_body_raises(self, grid16):
+        original = Grid.band_cut
         with pytest.raises(RuntimeError, match="body"):
             with disable_dealiasing():
-                assert Grid.dealias is not original[0] and Grid.band_cut is not original[1]
+                assert Grid.band_cut is not original
                 raise RuntimeError("body")
-        assert (Grid.dealias, Grid.band_cut) == original
-        assert not np.any(grid16.dealias(np.ones(grid16.rshape, dtype=complex))[~grid16.dealias_mask])
+        assert Grid.band_cut is original
+        ones = grid16.cut_to_band(np.ones((1,) + grid16.rshape, dtype=complex))
+        assert np.array_equal(ones[0] != 0, two_thirds_band(grid16))
 
 
 class TestBatchedTransforms:
     """numpy's per-axis routes against scipy's one-dispatch transforms.
 
     The one-off routes are full transforms; the batched routes with ``out``
-    are band-limited: the forward returns ``dealias(rfftn)`` with exact zeros
-    beyond the cut, and the inverse treats every mode beyond the cut as zero.
+    are band-limited: the forward returns ``rfftn`` on the 2/3 band with exact
+    zeros beyond it, and the inverse treats every mode beyond it as zero.
     """
 
     @staticmethod
@@ -117,7 +119,7 @@ class TestBatchedTransforms:
     def test_in_place_inverse_is_irfftn(self, dim):
         # the band of the input, whatever lies beyond the cut
         g, _, coeffs, axes = self._data(dim)
-        expected = sp_fft.irfftn(coeffs * g.dealias_mask, s=g.shape, axes=axes, norm="forward")
+        expected = sp_fft.irfftn(np.where(two_thirds_band(g), coeffs, 0), s=g.shape, axes=axes, norm="forward")
         out = np.empty((4,) + g.shape)
         assert g.inverse_many(coeffs.copy(), out=out) is out
         assert np.array_equal(out, expected)
@@ -125,11 +127,24 @@ class TestBatchedTransforms:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_in_place_forward_is_rfftn(self, dim):
         g, values, _, axes = self._data(dim)
-        expected = g.dealias(sp_fft.rfftn(values, axes=axes, norm="forward"))
+        band = two_thirds_band(g)
+        expected = np.where(band, sp_fft.rfftn(values, axes=axes, norm="forward"), 0)
         out = np.full((4,) + g.rshape, np.nan, dtype=np.complex128)
         assert g.forward_many(values, out=out) is out
         assert np.array_equal(out, expected)
-        assert np.all(out[:, ~g.dealias_mask] == 0)
+        assert np.all(out[:, ~band] == 0)
+        # forward_product is the same forward of one field
+        assert np.array_equal(g.forward_product(values[0]), expected[0])
+        with pytest.raises(ValueError, match="shape"):
+            g.forward_product(values)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cut_to_band_zeroes_exactly_the_modes_beyond_the_cut(self, dim):
+        g, _, coeffs, _ = self._data(dim)
+        band, cut = two_thirds_band(g), coeffs.copy()
+        assert g.cut_to_band(cut) is cut
+        assert cut[:, band].tobytes() == coeffs[:, band].tobytes()
+        assert np.all(cut[:, ~band] == 0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_disable_dealiasing_makes_the_batched_routes_full(self, dim):
