@@ -94,16 +94,30 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_list(text: str, kind):
-    return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+def _parse_list(option: str, text: str, kind) -> tuple:
+    """The entries of a comma list given to ``option``: at least one, each a ``kind``, none repeated."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    try:
+        values = tuple(kind(tok) for tok in tokens)
+    except ValueError:
+        raise ValueError(f"{option} {text!r}: cannot parse every entry as {kind.__name__}") from None
+    if not values:
+        raise ValueError(f"{option} {text!r} holds no entry")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{option} {text!r} repeats an entry")
+    return values
 
 
 def cmd_linear_decay(args) -> int:
     cfg = _build_config(args)
     params = cfg.phys
-    ls = _parse_list(args.l, int)
-    ss = _parse_list(args.s, float)
-    components = _parse_list(args.components, str)
+    try:
+        ls = _parse_list("--l", args.l, int)
+        ss = _parse_list("--s", args.s, float)
+        components = _parse_list("--components", args.components, str)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if args.points < MIN_FIT_SAMPLES:
         print(
             f"error: --points {args.points} is below {MIN_FIT_SAMPLES}, the fewest samples fit_exponent fits",

@@ -58,6 +58,10 @@ class DiagSpec:
         for l in self.l_list:
             if l not in (0, 1, 2):
                 raise ConfigError(f"diag.l_list entries must be 0, 1 or 2, got {l}")
+        for name in ("s_list", "l_list"):  # a repeated entry would repeat a CSV column or a fit
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"diag.{name} repeats an entry: {entries}")
         if not 0 <= self.fit_t_lo < self.fit_t_hi:  # also false for a NaN
             raise ConfigError(
                 f"diag.fit_t_lo and diag.fit_t_hi need 0 <= fit_t_lo < fit_t_hi, "

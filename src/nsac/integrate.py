@@ -116,12 +116,12 @@ class Stepper:
     ``cfg.reaction_shift`` is set: nothing is factorized or cached, so a new
     time step size costs the same as a repeated one.
 
-    Scratch arrays are allocated once, here: the tendency workspace, the
-    stacked state ``_y`` and the increment ``_incr``. Of what an Euler or
-    CNAB2 step allocates, only the solve's output outlives it, as the new
-    State's arrays (a State owns its arrays and views). The tendency a step
-    returns is a view into the workspace's other transform buffer; it holds
-    until the next `step_cnab2` consumes it as ``prev``.
+    The tendency workspace is allocated once, here. An Euler or CNAB2 step
+    works slab by slab (`Grid.slabs`): of what it allocates, only the new
+    State's arrays outlive it (a State owns its arrays and views), and the
+    rest is a few slab-sized temporaries. The tendency a step returns is a
+    view into the workspace's other transform buffer; it holds until the
+    next `step_cnab2` consumes it as ``prev``.
     """
 
     def __init__(self, grid: Grid, params: PhysParams, cfg: StepConfig):
@@ -131,22 +131,43 @@ class Stepper:
         shift = 2.0 / (params.epsilon * params.rho_bar) if cfg.reaction_shift else 0.0
         self.linear = LinearSymbol(grid, params, shift)
         self.work = TendencyWorkspace(grid)
-        self._y, self._incr = (np.empty((grid.dim + 2,) + grid.rshape, dtype=np.complex128) for _ in range(2))
 
-    def _nonlinear(self, state: State) -> np.ndarray:
+    def _advance(
+        self, state: State, dt: float, alpha: float, prev: np.ndarray | None = None, b0: float = 0.0
+    ) -> tuple[State, np.ndarray]:
+        """The State at ``t + dt`` on ``y + (I - alpha B)^-1 dt((B y + N) + b0 (N_prev - N))``, and ``N``.
+
+        ``N`` is the tendency at ``state`` plus the phase row's shift; without
+        ``prev`` the history term is left out. Every operation acts per mode,
+        so the update runs over one slab of axis-0 planes at a time
+        (`Grid.slabs`), whose operands stay in cache from one pass to the
+        next: ``y`` is stacked into the new state's storage and the solve is
+        added to it there. The planes between the slabs lie outside the 2/3
+        band, so the new state is zero there (and ``N`` lacks the shift,
+        which nothing reads). The history difference is written into
+        ``prev``'s buffer, the workspace's other transform buffer, which the
+        next tendency overwrites anyway.
+        """
+        g, B = self.grid, self.linear
         n = nonlinear_terms(state, self.params, self.work)
-        n[-1] += self.linear.shift * state.phi_hat
-        return n
-
-    def _make_state(self, t: float, y: np.ndarray) -> State:
-        """The State on ``y`` cut to the 2/3 band; cuts ``y`` in place, so ``y`` must be a fresh array."""
-        self.grid.cut_to_band(y)
-        return State(self.grid, t, y[0], y[1:-1], y[-1])
-
-    def _advance(self, t: float, y: np.ndarray, alpha: float, incr: np.ndarray) -> State:
-        """The State at ``t`` on ``y + (I - alpha B)^-1 incr``, summed into the solve's output."""
-        new = self.linear.solve(alpha, incr)
-        return self._make_state(t, np.add(y, new, out=new))
+        new = np.empty_like(n)
+        done = 0
+        for planes in g.slabs():
+            new[:, done : planes.start] = 0
+            done = planes.stop
+            y, n_s = state.stacked(planes, out=new[:, planes]), n[:, planes]
+            n_s[-1] += B.shift * state.phi_hat[planes]
+            # dt * ((B y + N) + b0 (N_prev - N)), evaluated in that order
+            incr = B.apply(y, planes)
+            incr += n_s
+            if prev is not None:
+                hist = np.subtract(prev[:, planes], n_s, out=prev[:, planes])
+                incr += np.multiply(b0, hist, out=hist)
+            incr *= dt
+            y += B.solve(alpha, incr, out=incr, planes=planes)
+            g.cut_to_band(y, slab=True)
+        new[:, done:] = 0
+        return State(g, state.t + dt, new[0], new[1:-1], new[-1]), n
 
     # -- schemes --------------------------------------------------------------
     #
@@ -157,40 +178,32 @@ class Stepper:
 
     def step_euler(self, state: State, dt: float) -> tuple[State, np.ndarray]:
         """IMEX Euler: implicit linear solve around an explicit nonlinear shot."""
-        n = self._nonlinear(state)
-        y = state.stacked(out=self._y)
-        incr = np.add(self.linear.apply(y, out=self._incr), n, out=self._incr)
-        return self._advance(state.t + dt, y, dt, np.multiply(dt, incr, out=incr)), n
+        return self._advance(state, dt, dt)
 
     def step_cnab2(self, state: State, dt: float, prev: np.ndarray | None, dt_prev: float | None):
         """Crank-Nicolson linear part + variable-step Adams-Bashforth nonlinear part.
 
         Bootstraps with an Euler step when no history is available. The
         extrapolated nonlinear term is written ``N + b0 (N_prev - N)`` with
-        ``b0 = -dt / (2 dt_prev)``. The step consumes ``prev``: the history
-        difference is written into its buffer, the workspace's other
-        transform buffer, which the next tendency overwrites anyway.
+        ``b0 = -dt / (2 dt_prev)``. The step consumes ``prev``.
         """
         if prev is None:
             return self.step_euler(state, dt)
-        n = self._nonlinear(state)
-        b0 = -0.5 * dt / dt_prev
-        y = state.stacked(out=self._y)
-        # dt * ((B y + N) + b0 (N_prev - N)), evaluated in that order
-        incr = np.add(self.linear.apply(y, out=self._incr), n, out=self._incr)
-        hist = np.subtract(prev, n, out=prev)
-        np.add(incr, np.multiply(b0, hist, out=hist), out=incr)
-        return self._advance(state.t + dt, y, 0.5 * dt, np.multiply(dt, incr, out=incr)), n
+        return self._advance(state, dt, 0.5 * dt, prev, -0.5 * dt / dt_prev)
 
     def step_ars222(self, state: State, dt: float) -> State:
-        """Self-contained two-stage second-order IMEX Runge-Kutta step."""
+        """Self-contained two-stage second-order IMEX Runge-Kutta step.
+
+        Its first stage is an Euler step of ``gamma dt``.
+        """
         g, dl, B = _ARS_GAMMA, _ARS_DELTA, self.linear
         y0 = state.stacked()
-        n0 = self._nonlinear(state)
-        y1 = y0 + B.solve(g * dt, g * dt * (B.apply(y0) + n0))
-        n1 = self._nonlinear(self._make_state(state.t + g * dt, y1.copy()))
-        incr = dt * (B.apply(y0) + n0 + (1 - dl) * (n1 - n0)) + (1 - g) * dt * B.apply(y1 - y0)
-        return self._advance(state.t + dt, y0, g * dt, incr)
+        mid, n0 = self.step_euler(state, g * dt)
+        n1 = nonlinear_terms(mid, self.params, self.work)
+        n1[-1] += B.shift * mid.phi_hat
+        incr = dt * (B.apply(y0) + n0 + (1 - dl) * (n1 - n0)) + (1 - g) * dt * B.apply(mid.stacked() - y0)
+        new = self.grid.cut_to_band(y0 + B.solve(g * dt, incr))
+        return State(self.grid, state.t + dt, new[0], new[1:-1], new[-1])
 
 
 def step(state: State, cfg: StepConfig, params: PhysParams) -> State:

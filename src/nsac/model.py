@@ -239,9 +239,14 @@ class State:
         phi[(0,) * grid.dim] = phi_value
         return cls(grid, t, zero, np.stack([zero.copy() for _ in range(grid.dim)]), phi)
 
-    def stacked(self, out: np.ndarray | None = None) -> np.ndarray:
-        """``(sigma_hat, u_hat, phi_hat)`` stacked on axis 0: the layout of every tendency."""
-        return np.concatenate([self.sigma_hat[None], self.u_hat, self.phi_hat[None]], out=out)
+    def stacked(self, planes: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """``(sigma_hat, u_hat, phi_hat)`` stacked on axis 0: the layout of every tendency.
+
+        With ``planes``, only those axis-0 planes of each field (one of
+        `Grid.slabs`). Written into ``out`` if given.
+        """
+        fields = [self.sigma_hat[None, planes], self.u_hat[:, planes], self.phi_hat[None, planes]]
+        return np.concatenate(fields, out=out)
 
     def _phys(self, key, builder):
         if key not in self._cache:
@@ -290,6 +295,12 @@ def energy_monotone(energies) -> bool:
 def _nonfinite_fields(state: State) -> tuple[str, ...]:
     arrays = (("sigma", state.sigma_hat), ("u", state.u_hat), ("phi", state.phi_hat))
     return tuple(name for name, arr in arrays if not np.all(np.isfinite(arr)))
+
+
+def _scan(state: State, rho_bar: float) -> tuple:
+    """``(rho_min, rho_max, max |phi|, non-finite fields)``: the part of a report that needs no reference."""
+    rho = rho_bar + state.sigma()
+    return float(rho.min()), float(rho.max()), float(np.max(np.abs(state.phi()))), _nonfinite_fields(state)
 
 
 def _location(arr: np.ndarray, index) -> tuple[int, ...]:
@@ -344,7 +355,9 @@ def invariant_monitor(
 ) -> InvariantReport:
     """Judge a snapshot against the admissible set (see ``InvariantReport``).
 
-    Costs no transform beyond the cached ``state.sigma()`` and ``state.phi()``.
+    Costs no transform beyond the cached ``state.sigma()`` and ``state.phi()``,
+    and the scan of those views is cached on the State as well: `run`'s
+    `check_state` and a sampling observer judge the same State.
     """
     params = params if params is not None else PhysParams()
     mass = state.mass(params)
@@ -353,11 +366,8 @@ def invariant_monitor(
         drift = (mass - mass_reference) / max(abs(mass_reference), 1e-300)
 
     lo, hi = RHO_WINDOW[0] * params.rho_bar, RHO_WINDOW[1] * params.rho_bar
-    rho = params.rho_bar + state.sigma()
-    rho_min, rho_max = float(rho.min()), float(rho.max())
+    rho_min, rho_max, phi_max, nan_fields = state._phys(("scan", params.rho_bar), lambda: _scan(state, params.rho_bar))
     violation = max(lo - rho_min, rho_max - hi, 0.0)
-    phi = state.phi()
-    phi_max = float(np.max(np.abs(phi)))
     rep = InvariantReport(
         mass=mass,
         mass_drift=drift,
@@ -368,14 +378,16 @@ def invariant_monitor(
         rho_max=rho_max,
         rho_window_violation=violation,
         rho_violation_location=None,
-        nan_fields=_nonfinite_fields(state),
+        nan_fields=nan_fields,
         phi_tol=phi_tol,
         rho_window=(lo, hi),
     )
     if not rep.in_window:
+        rho = params.rho_bar + state.sigma()
         worst = np.argmin(rho) if rho_min < lo else np.argmax(rho)
         rep = replace(rep, rho_violation_location=_location(rho, worst))
     if not rep.phase_bounded:
+        phi = state.phi()
         rep = replace(rep, phi_excess_location=_location(phi, np.argmax(np.abs(phi))))
     return rep
 
@@ -451,52 +463,67 @@ class LinearSymbol:
     shift: float = 0.0
 
     def viscous_row(
-        self, u_hat, D, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+        self,
+        u_hat,
+        D,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+        planes: slice = slice(None),
     ) -> np.ndarray:
         """B's viscous row ``-a |k|^2 u + (b - a) i k D``, written into ``out`` if given.
 
         In physical space this is ``(nu Lap u + (nu+lam) grad div u) / rho_bar``.
         ``scratch``, one spectral field, holds the grad-div part of each row.
+        With ``planes`` (one of `Grid.slabs`), the operands hold only those
+        axis-0 planes, and so do all of B's methods.
         """
-        g = self.grid
+        ik, k2 = self.grid.symbols(planes)
         a = self.params.shear_diffusivity
         grad_div = self.params.longitudinal_diffusivity - a
         if out is None:
-            out = np.empty((g.dim,) + g.rshape, dtype=np.complex128)
-        shear = -a * g.k2
-        for i in range(g.dim):
+            out = np.empty(u_hat.shape, dtype=np.complex128)
+        shear = -a * k2
+        for i in range(self.grid.dim):
             np.multiply(shear, u_hat[i], out=out[i])
-            out[i] += np.multiply(grad_div * g.ik[i], D, out=scratch)
+            out[i] += np.multiply(grad_div * ik[i], D, out=scratch)
         return out
 
-    def apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``B y``, written into ``out`` if given, which must not overlap ``y``."""
+    def apply(self, y: np.ndarray, planes: slice = slice(None)) -> np.ndarray:
+        """``B y`` into a fresh array."""
         g, params = self.grid, self.params
+        ik, k2 = g.symbols(planes)
         sigma_hat, u_hat, phi_hat = y[0], y[1:-1], y[-1]
-        out = np.empty_like(y) if out is None else out
-        D = g.divergence(u_hat)
+        out = np.empty_like(y)
+        D = g.divergence(u_hat, planes=planes)
         np.multiply(-params.rho_bar, D, out=out[0])
-        u_row = self.viscous_row(u_hat, D, out=out[1:-1])
+        u_row = self.viscous_row(u_hat, D, out=out[1:-1], planes=planes)
         for i in range(g.dim):
-            u_row[i] -= params.sound_coupling * g.ik[i] * sigma_hat
-        np.subtract(-params.phase_diffusivity * g.k2 * phi_hat, self.shift * phi_hat, out=out[-1])
+            u_row[i] -= params.sound_coupling * ik[i] * sigma_hat
+        np.subtract(-params.phase_diffusivity * k2 * phi_hat, self.shift * phi_hat, out=out[-1])
         return out
 
-    def solve(self, alpha: float, y: np.ndarray) -> np.ndarray:
-        """``(I - alpha B)^-1 y`` in closed form (see the class docstring)."""
+    def solve(
+        self, alpha: float, y: np.ndarray, out: np.ndarray | None = None, planes: slice = slice(None)
+    ) -> np.ndarray:
+        """``(I - alpha B)^-1 y`` in closed form (see the class docstring).
+
+        Written into ``out`` if given, which may be ``y`` itself: each row of
+        ``y`` is read before its own row of ``out`` is written.
+        """
         g, params = self.grid, self.params
+        ik, k2 = g.symbols(planes)
         a, b, c = params.shear_diffusivity, params.longitudinal_diffusivity, params.sound_coupling
-        ak2 = alpha * g.k2
+        ak2 = alpha * k2
         inv_det = 1.0 / (1.0 + ak2 * (b + alpha * params.p_prime_bar))
         r_sigma, r_u = y[0], y[1:-1]
-        out = np.empty_like(y)
-        r_div = g.divergence(r_u)
-        sigma = np.multiply((1.0 + b * ak2) * r_sigma - alpha * params.rho_bar * r_div, inv_det, out=out[0])
+        out = np.empty_like(y) if out is None else out
+        r_div = g.divergence(r_u, planes=planes)
         div = (c * ak2 * r_sigma + r_div) * inv_det
+        sigma = np.multiply((1.0 + b * ak2) * r_sigma - alpha * params.rho_bar * r_div, inv_det, out=out[0])
         q = alpha * ((b - a) * div - c * sigma)  # (1 + alpha a |k|^2) u = r_u + i k q
         inv_den = 1.0 / (1.0 + a * ak2)
         for i in range(g.dim):
-            np.multiply(r_u[i] + g.ik[i] * q, inv_den, out=out[1 + i])
+            np.multiply(r_u[i] + ik[i] * q, inv_den, out=out[1 + i])
         np.divide(y[-1], 1.0 + params.phase_diffusivity * ak2 + alpha * self.shift, out=out[-1])
         return out
 
@@ -578,7 +605,6 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     u = state.u()
     phi = state.phi()
     u_hat = state.u_hat
-    ik = g.ik
     products = work.products
     hats = work.next_hats()
 
@@ -586,19 +612,23 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     # vorticity w_ij for i < j (d(d-1)/2), B's viscous row (d), grad phi (d),
     # Lap phi (1); D = i k.u and one product live in this call's transform
     # buffer, which the forward writes only later. The inverse reads only the
-    # 2/3 band, where every state a run steps on lives
+    # 2/3 band, where every state a run steps on lives, so the stack is set up
+    # slab by slab and the planes between the slabs are left for it to zero
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     o = len(pairs)
     buf = work.spec
-    spare_hat = hats[1]
-    div_u_hat = g.divergence(u_hat, out=hats[0], scratch=spare_hat)
-    LinearSymbol(g, params).viscous_row(u_hat, div_u_hat, out=buf[o : o + d], scratch=spare_hat)
-    for m, (i, j) in enumerate(pairs):
-        np.multiply(ik[i], u_hat[j], out=buf[m])
-        buf[m] -= np.multiply(ik[j], u_hat[i], out=spare_hat)
-    for i in range(d):
-        np.multiply(ik[i], state.phi_hat, out=buf[o + d + i])
-    np.multiply(-g.k2, state.phi_hat, out=buf[o + 2 * d])
+    B = LinearSymbol(g, params)
+    for planes in g.slabs():
+        ik, k2 = g.symbols(planes)
+        u_s, phi_s, b, spare_hat = u_hat[:, planes], state.phi_hat[planes], buf[:, planes], hats[1, planes]
+        div_u_hat = g.divergence(u_s, out=hats[0, planes], scratch=spare_hat, planes=planes)
+        B.viscous_row(u_s, div_u_hat, out=b[o : o + d], scratch=spare_hat, planes=planes)
+        for m, (i, j) in enumerate(pairs):
+            np.multiply(ik[i], u_s[j], out=b[m])
+            b[m] -= np.multiply(ik[j], u_s[i], out=spare_hat)
+        for i in range(d):
+            np.multiply(ik[i], phi_s, out=b[o + d + i])
+        np.multiply(-k2, phi_s, out=b[o + 2 * d])
     derivs = g.inverse_many(buf, out=work.phys)
     vorticity = derivs[:o]
     viscous = derivs[o : o + d]
@@ -652,22 +682,22 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     kinetic -= enthalpy_remainder(sigma, params, out=viscous[0])
 
     # batched forward: sigma u (d), u rows (d), phi row (1), K - H (1); the
-    # derivative stack is spent, so its first row is the spectral scratch
+    # derivative stack is spent, so its first row is the spectral scratch.
+    # The planes between the slabs are zero, and stay zero
     g.forward_many(products, out=hats)
-    spare_hat = buf[0]
-    kh_hat = hats[2 * d + 1]
-    for i in range(d):
-        hats[d + i] -= np.multiply(ik[i], kh_hat, out=spare_hat)
-
-    # the tendency is (-div of sigma u, hats[d:2d+1]): the divergence goes over
-    # the last sigma u transform, once the others are summed into it
-    out = hats[d - 1 : 2 * d + 1]
-    div = out[0]
-    div *= ik[d - 1]
-    for j in range(d - 1):
-        div += np.multiply(ik[j], hats[j], out=spare_hat)
-    np.negative(div, out=div)
-    return out
+    for planes in g.slabs():
+        ik, _ = g.symbols(planes)
+        h, spare_hat = hats[:, planes], buf[0, planes]
+        for i in range(d):
+            h[d + i] -= np.multiply(ik[i], h[2 * d + 1], out=spare_hat)
+        # the tendency is (-div of sigma u, hats[d:2d+1]): the divergence goes
+        # over the last sigma u transform, once the others are summed into it
+        div = h[d - 1]
+        div *= ik[d - 1]
+        for j in range(d - 1):
+            div += np.multiply(ik[j], h[j], out=spare_hat)
+        np.negative(div, out=div)
+    return hats[d - 1 : 2 * d + 1]
 
 
 def rhs(state: State, params: PhysParams) -> np.ndarray:

@@ -19,10 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
+from math import prod
 
 import numpy as np
 
 _FFT_WORKERS = 1  # numpy.fft transforms each line on one thread
+
+#: Bytes of one complex field in a slab of `Grid.slabs`: the step's elementwise
+#: passes each read or write a few such fields, which then stay in a 2 MiB L2 cache.
+SLAB_BYTES = 256 * 1024
 
 
 def _rfftn(values: np.ndarray, dim: int) -> np.ndarray:
@@ -61,7 +66,8 @@ class Grid:
 
     Precomputes the derivative symbol ``ik`` (``1j * k`` per axis) and
     ``|k|^2``, and the Hermitian doubling weights and integer shell index used
-    by every mode sum. The two-thirds band is `band_cut`.
+    by every mode sum. The two-thirds band is `band_cut`, and `slabs` splits
+    its axis-0 planes into cache-sized runs.
     """
 
     dim: int
@@ -163,14 +169,42 @@ class Grid:
         hi = max(n - cut, cut + 1)  # a cut of n // 2 keeps every mode once
         return cut + 1, (slice(0, cut + 1), slice(hi, n)), slice(cut + 1, hi)
 
-    def cut_to_band(self, coeffs: np.ndarray) -> np.ndarray:
+    def cut_to_band(self, coeffs: np.ndarray, slab: bool = False) -> np.ndarray:
         """Zero, in place, every mode of a stack beyond `band_cut`: the tail of
-        the last (half) axis and the gap between the blocks of each full axis."""
+        the last (half) axis and the gap between the blocks of each full axis.
+
+        With ``slab``, ``coeffs`` holds only the axis-0 planes of one of
+        `slabs`, which lie inside the band, so only the later axes are cut.
+        """
         keep, _, gap = self._band()
-        coeffs[..., keep:] = 0
-        for ax in range(1, self.dim):
+        coeffs[..., keep:] = 0  # a 1-D slab is no longer than keep
+        for ax in range(2 if slab else 1, self.dim):
             coeffs[(slice(None),) * ax + (gap, Ellipsis, slice(keep))] = 0
         return coeffs
+
+    def slabs(self) -> tuple[slice, ...]:
+        """The axis-0 planes inside the band, as ascending runs of about `SLAB_BYTES` per complex field.
+
+        The step's elementwise spectral work goes slab by slab, so that each
+        pass finds its operands in cache. The planes between the slabs (the
+        gap of a full axis 0, the tail of a 1-D grid's half axis) hold no mode
+        of the band and are skipped. Each block of the band is split into
+        runs of near-equal length; with `band_cut` at ``n // 2`` (no
+        de-aliasing) the slabs cover every plane.
+        """
+        keep, blocks, _ = self._band()
+        per_slab = max(1, SLAB_BYTES // (16 * prod(self.rshape[1:])))
+        slabs = []
+        for block in [slice(0, keep)] if self.dim == 1 else blocks:
+            size = block.stop - block.start
+            count = -(-size // per_slab)
+            edges = [block.start + size * i // count for i in range(count + 1)]
+            slabs.extend(slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
+        return tuple(slabs)
+
+    def symbols(self, planes: slice = slice(None)) -> tuple[tuple, np.ndarray]:
+        """``(ik, k2)`` on the axis-0 ``planes``, as views: the symbols a slab's elementwise work reads."""
+        return (self.ik[0][planes], *self.ik[1:]), self.k2[planes]
 
     def forward_many(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """De-aliased batched forward over a leading stack axis, written into ``out``.
@@ -216,15 +250,21 @@ class Grid:
         return np.fft.irfft(coeffs[..., :keep], n=self.n, axis=-1, norm="forward", out=out)
 
     def divergence(
-        self, coeffs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+        self,
+        coeffs: np.ndarray,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+        planes: slice = slice(None),
     ) -> np.ndarray:
         """``i k.F`` of a ``(dim, *rshape)`` stack, written into ``out`` if given.
 
-        ``scratch``, one spectral field, holds each term after the first.
+        ``scratch``, one spectral field, holds each term after the first. With
+        ``planes``, ``coeffs`` holds only those axis-0 planes.
         """
-        out = np.multiply(self.ik[0], coeffs[0], out=out)
+        ik, _ = self.symbols(planes)
+        out = np.multiply(ik[0], coeffs[0], out=out)
         for j in range(1, self.dim):
-            out += np.multiply(self.ik[j], coeffs[j], out=scratch)
+            out += np.multiply(ik[j], coeffs[j], out=scratch)
         return out
 
     def forward_product(self, values: np.ndarray) -> np.ndarray:

@@ -165,7 +165,9 @@ class TestSimulate:
         assert read_csv(f"{tmp_path}/run.csv")["t"][-1] == summary["t_final"]
 
     @pytest.mark.parametrize(
-        "override", ["grid.length=inf", "phys.nu=inf", "diag.fit_t_lo=60"], ids=["length", "nu", "fit_window"]
+        "override",
+        ["grid.length=inf", "phys.nu=inf", "diag.fit_t_lo=60", "diag.s_list=0.5,0.5"],
+        ids=["length", "nu", "fit_window", "repeated_s"],
     )
     def test_out_of_range_value_is_one_config_error(self, tmp_path, capsys, override):
         assert main(["simulate", override] + base_overrides(tmp_path)) == 2
@@ -208,6 +210,12 @@ class TestInputErrors:
             ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value"],
             ["verify", "--n", "12"],
             ["verify", "--n", "8"],
+            ["linear-decay", "--l", ","],
+            ["linear-decay", "--components", ""],
+            ["linear-decay", "--l", "1,1"],
+            ["linear-decay", "--s", "0.5,0.50"],
+            ["linear-decay", "--components", "phi,phi"],
+            ["linear-decay", "--l", "one"],
         ],
         ids=[
             "fit_header_only_csv",
@@ -232,6 +240,12 @@ class TestInputErrors:
             "fit_two_series_as_one",
             "verify_n_not_a_power_of_two",
             "verify_n_below_the_suite_minimum",
+            "empty_l",
+            "empty_components",
+            "repeated_l",
+            "repeated_s",
+            "repeated_component",
+            "non_integer_l",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a warning printed before the error line counts as a second line

@@ -204,6 +204,33 @@ class TestInvariantMonitor:
         assert invariant_monitor(state, params, phi_tol=1e-3).clean
         assert not invariant_monitor(state, params).clean
 
+    def test_one_scan_per_sampled_step(self, monkeypatch):
+        import nsac.model
+        from nsac.config import build_run_config
+        from nsac.diagnostics import SeriesObserver
+        from nsac.initial import make_initial
+        from nsac.integrate import run
+
+        cfg = build_run_config(
+            {"grid.n": "16", "ic.kind": "random_perturbation", "step.dt": "0.02", "step.t_end": "0.1"}
+        )
+        state = make_initial(cfg)
+        scans = [0]
+        original = nsac.model._scan
+
+        def counted(*args):
+            scans[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(nsac.model, "_scan", counted)
+        series = SeriesObserver(cfg)
+        marks = []
+        summary = run(state, cfg.step, cfg.phys, observers=(series, lambda i, s: marks.append(scans[0])))
+        assert summary.steps == 5
+        # make_initial's check scanned the first State; then run's check_state
+        # and the observer's report share each new State's scan
+        assert marks == [0, 1, 2, 3, 4, 5]
+
 
 def _boundary_state(grid, params, kind):
     state = State.equilibrium(grid, phi_value=1.0 + 1.5e-4 if kind == "phi" else 1.0)

@@ -87,6 +87,9 @@ class TestConfigParsing:
             ({"diag.fit_tol": "0"}, "fit_tol"),
             ({"diag.fit_tol": "inf"}, "fit_tol"),
             ({"diag.fit_tol": "nan"}, "fit_tol"),
+            ({"diag.s_list": "0.5,0.5"}, "s_list repeats"),
+            ({"diag.s_list": "1,1.0,0.5"}, "s_list repeats"),
+            ({"diag.l_list": "0,0"}, "l_list repeats"),
         ],
     )
     def test_out_of_range_values_are_config_errors(self, raw, msg):

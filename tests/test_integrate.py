@@ -5,6 +5,7 @@ import pytest
 
 import nsac.integrate
 import nsac.model
+import nsac.spectral
 from nsac import Grid, PhysParams, State, StepConfig, adaptive_dt, run, step
 from nsac.config import ICSpec, RunConfig
 from nsac.diagnostics import energy_ledger
@@ -300,8 +301,9 @@ class TestStepCost:
         field = 16 * grid16.n**2 * (grid16.n // 2 + 1)
         peaks = [(peak - held) / field for (held, _), (_, peak) in zip(marks, marks[1:])]
         # the Stepper's workspace holds the tendency's arrays; a step allocates
-        # the linear operator and solve, the new State and its views (15.2), and
-        # the first CNAB2 step builds the second 8-field transform buffer (23.2)
+        # the new State and its views, and the linear operator and solve's
+        # temporaries for one slab of the band (16.1), and the first CNAB2 step
+        # builds the second 8-field transform buffer (24.1)
         assert max(peaks[1:]) <= 25
 
 
@@ -355,15 +357,28 @@ class TestWorkspaceReuse:
 
 
 class TestWholeStep:
-    def test_run_matches_a_written_out_euler_then_cnab2_loop(self, grid16, params):
+    def test_run_matches_a_written_out_euler_then_cnab2_loop(self, grid16, params, monkeypatch):
         """`run`'s steps against their formulas, every tendency a fresh array.
 
         The Stepper keeps the previous tendency in the workspace's other
         transform buffer and writes the history difference into it; this loop
         keeps every array apart, so the two agree only if no buffer is
-        overwritten before it is read.
+        overwritten before it is read. The Stepper works slab by slab, the
+        loop on whole arrays: with one plane per slab every block of the band
+        splits, a 2-D grid has slabs of a different shape, and a 1-D grid's
+        slabs leave out the tail of its half axis.
         """
-        cfg = _five_step_run(grid16, params)
+        for grid in (grid16, Grid(dim=2, n=32, length=2 * np.pi), Grid(dim=1, n=64, length=2 * np.pi)):
+            for slab_bytes in (nsac.spectral.SLAB_BYTES, 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(nsac.spectral, "SLAB_BYTES", slab_bytes)
+                    if slab_bytes == 1:  # one per plane of the band
+                        assert len(grid.slabs()) == (grid.n // 3 + 1 if grid.dim == 1 else 2 * (grid.n // 3) + 1)
+                    self._check_against_the_loop(grid, params)
+
+    @staticmethod
+    def _check_against_the_loop(grid, params):
+        cfg = _five_step_run(grid, params)
         assert cfg.step.reaction_shift
         state = make_initial(cfg)
         held = {}
@@ -371,7 +386,7 @@ class TestWholeStep:
         assert summary.termination == "t_end" and summary.steps == 5
 
         shift = 2.0 / (params.epsilon * params.rho_bar)
-        B = LinearSymbol(grid16, params, shift)
+        B = LinearSymbol(grid, params, shift)
         s, prev, dt_prev, dt_curr = state, None, None, cfg.step.dt
         for _ in range(summary.steps):
             dt_curr = min(dt_curr, adaptive_dt(s, cfg.step, params))
@@ -386,8 +401,8 @@ class TestWholeStep:
                 alpha = 0.5 * dt
                 incr = incr + (-0.5 * dt / dt_prev) * (prev - n)
             new = y + B.solve(alpha, dt * incr)
-            grid16.cut_to_band(new)
-            s = State(grid16, s.t + dt, new[0], new[1:-1], new[-1])
+            grid.cut_to_band(new)
+            s = State(grid, s.t + dt, new[0], new[1:-1], new[-1])
             prev, dt_prev = n, dt
         assert held["state"].stacked().tobytes() == s.stacked().tobytes()
 

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+from math import prod
 
 import numpy as np
 import pytest
 from scipy import fft as sp_fft
 
+import nsac.spectral
 from nsac import Grid
 from nsac.spectral import (
     SpectralField,
@@ -88,6 +91,31 @@ class TestGrid:
         assert Grid.band_cut is original
         ones = grid16.cut_to_band(np.ones((1,) + grid16.rshape, dtype=complex))
         assert np.array_equal(ones[0] != 0, two_thirds_band(grid16))
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["band", "no_dealias"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_slabs_partition_the_planes_of_the_band(self, dim, n, fault):
+        g = Grid(dim=dim, n=n, length=1.0)
+        with disable_dealiasing() if fault else contextlib.nullcontext():
+            slabs = g.slabs()
+        planes = [p for s in slabs for p in range(s.start, s.stop)]
+        assert all(s.start < s.stop and s.step is None for s in slabs)
+        assert planes == sorted(set(planes))  # disjoint and ascending
+        m0 = g.modes[0]
+        assert planes == (list(range(m0.size)) if fault else np.flatnonzero(np.abs(m0) <= n // 3).tolist())
+        # a slab holds at most SLAB_BYTES per complex field, or a single plane
+        plane_bytes = 16 * prod(g.rshape[1:])
+        assert all(s.stop - s.start == 1 or (s.stop - s.start) * plane_bytes <= nsac.spectral.SLAB_BYTES for s in slabs)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_slab_cut_matches_the_whole_cut(self, dim, monkeypatch):
+        monkeypatch.setattr(nsac.spectral, "SLAB_BYTES", 1)  # one plane per slab
+        g = Grid(dim=dim, n=16, length=1.0)
+        coeffs = np.random.default_rng(dim).standard_normal((2,) + g.rshape) + 1j
+        whole = g.cut_to_band(coeffs.copy())
+        for planes in g.slabs():
+            assert g.cut_to_band(coeffs[:, planes].copy(), slab=True).tobytes() == whole[:, planes].tobytes()
 
 
 class TestBatchedTransforms:
