@@ -176,6 +176,9 @@ def cmd_verify(args) -> int:
     if args.n < MIN_SUITE_N or args.n & (args.n - 1):
         print(f"error: --n {args.n}: the property suite needs a power of two >= {MIN_SUITE_N}", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print(f"error: --seed {args.seed}: the suite's random states need a seed >= 0", file=sys.stderr)
+        return 2
     results = run_property_suite(n=args.n, seed=args.seed, inject_fault=args.inject_fault)
     failed = 0
     for res in results:
@@ -214,6 +217,10 @@ def cmd_fit(args) -> int:
     try:
         if (args.l is None) != (args.s is None):
             raise ValueError("--l and --s set the target together: give both or neither")
+        lo = -np.inf if args.t_lo is None else args.t_lo
+        hi = np.inf if args.t_hi is None else args.t_hi
+        if not lo < hi:  # also false for a NaN
+            raise ValueError(f"the fit window [--t-lo, --t-hi] = [{lo}, {hi}] needs t_lo < t_hi")
         data = read_csv(args.csv, numeric=("t", args.column))
         for name in ("t", args.column):
             if name not in data:

@@ -1,14 +1,17 @@
 """Run configuration: flat dotted-key text format and typed assembly.
 
-The on-disk format is one ``key = value`` pair per line with ``#`` comments,
-keys dotted by section (``grid.n``, ``phys.nu``, ``ic.delta``). The same keys
-are accepted as command-line overrides.
+The on-disk format is one ``key = value`` pair per line with ``#`` comments.
+A key is ``<section>.<field>``: a section is a field of `RunConfig` and the
+field is an ``__init__`` field of that section's dataclass, parsed by its
+annotated type (``phys.lambda`` is ``PhysParams.lam``). The same keys are
+accepted as command-line overrides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .integrate import StepConfig
@@ -31,19 +34,25 @@ class ICSpec:
     def __post_init__(self):
         kinds = ("equilibrium", "random_perturbation", "tanh_interface", "manufactured")
         if self.kind not in kinds:
-            raise ConfigError(f"ic.kind must be one of {kinds}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
+        for name in ("delta", "width", "amplitude"):  # whatever the kind
+            value = getattr(self, name)
+            if not abs(value) < math.inf:  # also false for a NaN
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "random_perturbation" and not self.delta > 0:
-            raise ConfigError(f"ic.delta must be positive, got {self.delta}")
+            raise ValueError(f"delta must be positive, got {self.delta}")
         if self.max_mode < 1:
-            raise ConfigError(f"ic.max_mode must be >= 1, got {self.max_mode}")
+            raise ValueError(f"max_mode must be >= 1, got {self.max_mode}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.width > 0:
-            raise ConfigError(f"ic.width must be positive, got {self.width}")
+            raise ValueError(f"width must be positive, got {self.width}")
 
 
 @dataclass(frozen=True)
 class DiagSpec:
-    s_list: tuple = (0.5, 1.0)
-    l_list: tuple = (0, 1, 2)
+    s_list: tuple[float, ...] = (0.5, 1.0)
+    l_list: tuple[int, ...] = (0, 1, 2)
     cadence: int = 1
     fit_t_lo: float = 5.0
     fit_t_hi: float = 50.0
@@ -51,24 +60,23 @@ class DiagSpec:
 
     def __post_init__(self):
         if self.cadence < 1:
-            raise ConfigError("diag.cadence must be >= 1")
+            raise ValueError("cadence must be >= 1")
         for s in self.s_list:
             if not (0.0 < s < 1.5):
-                raise ConfigError(f"diag.s_list entries must lie in (0, 1.5), got {s}")
+                raise ValueError(f"s_list entries must lie in (0, 1.5), got {s}")
         for l in self.l_list:
             if l not in (0, 1, 2):
-                raise ConfigError(f"diag.l_list entries must be 0, 1 or 2, got {l}")
+                raise ValueError(f"l_list entries must be 0, 1 or 2, got {l}")
         for name in ("s_list", "l_list"):  # a repeated entry would repeat a CSV column or a fit
             entries = getattr(self, name)
             if len(set(entries)) != len(entries):
-                raise ConfigError(f"diag.{name} repeats an entry: {entries}")
+                raise ValueError(f"{name} repeats an entry: {entries}")
         if not 0 <= self.fit_t_lo < self.fit_t_hi:  # also false for a NaN
-            raise ConfigError(
-                f"diag.fit_t_lo and diag.fit_t_hi need 0 <= fit_t_lo < fit_t_hi, "
-                f"got {self.fit_t_lo} and {self.fit_t_hi}"
+            raise ValueError(
+                f"fit_t_lo and fit_t_hi need 0 <= fit_t_lo < fit_t_hi, got {self.fit_t_lo} and {self.fit_t_hi}"
             )
         if not 0 < self.fit_tol < math.inf:
-            raise ConfigError(f"diag.fit_tol must be positive and finite, got {self.fit_tol}")
+            raise ValueError(f"fit_tol must be positive and finite, got {self.fit_tol}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,25 @@ class RunConfig:
     out: OutSpec = field(default_factory=OutSpec)
 
 
+#: Section name -> its dataclass, in `RunConfig` field order.
+_SECTIONS = get_type_hints(RunConfig)
+
+
+def _key_table() -> dict[str, tuple[str, str, type]]:
+    """``key -> (section, field, annotated type)`` over every section's ``__init__`` fields."""
+    table = {}
+    for section, cls in _SECTIONS.items():
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.init:
+                name = "lambda" if f.name == "lam" else f.name  # ``lambda`` is a Python keyword
+                table[f"{section}.{name}"] = (section, f.name, hints[f.name])
+    return table
+
+
+_KEYS = _key_table()
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse the flat key/value format into a raw string mapping."""
     out: dict[str, str] = {}
@@ -105,7 +132,11 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_scalar(key: str, value: str, kind):
+def _parse(key: str, value: str, kind):
+    """``value`` as a ``kind``; a ``tuple[T, ...]`` is a comma list of ``T``."""
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(_parse(key, part.strip(), item) for part in value.split(",") if part.strip())
     try:
         if kind is bool:
             lowered = value.lower()
@@ -126,91 +157,29 @@ def _parse_scalar(key: str, value: str, kind):
         raise ConfigError(f"{key}: cannot parse {value!r} as {kind.__name__}") from err
 
 
-def _parse_tuple(key: str, value: str, kind):
-    return tuple(_parse_scalar(key, item.strip(), kind) for item in value.split(",") if item.strip())
-
-
-_SCHEMA = {
-    "grid.dim": int,
-    "grid.n": int,
-    "grid.length": float,
-    "phys.nu": float,
-    "phys.lambda": float,
-    "phys.epsilon": float,
-    "phys.rho_bar": float,
-    "phys.pressure_a": float,
-    "phys.pressure_gamma": float,
-    "step.dt": float,
-    "step.cfl": float,
-    "step.t_end": float,
-    "step.max_steps": int,
-    "step.scheme_order": int,
-    "step.reaction_shift": bool,
-    "step.phi_tol": float,
-    "ic.kind": str,
-    "ic.delta": float,
-    "ic.max_mode": int,
-    "ic.seed": int,
-    "ic.width": float,
-    "ic.amplitude": float,
-    "diag.s_list": (tuple, float),
-    "diag.l_list": (tuple, int),
-    "diag.cadence": int,
-    "diag.fit_t_lo": float,
-    "diag.fit_t_hi": float,
-    "diag.fit_tol": float,
-    "out.csv": str,
-    "out.snapshot": str,
-    "out.summary": str,
-}
-
-
 def build_run_config(raw: dict[str, str]) -> RunConfig:
     """Typed RunConfig from raw keys; unknown keys are errors, not warnings."""
-    typed: dict[str, object] = {}
+    values: dict[str, dict] = {section: {} for section in _SECTIONS}
     for key, value in raw.items():
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        kind = _SCHEMA[key]
-        if isinstance(kind, tuple):
-            typed[key] = _parse_tuple(key, value, kind[1])
-        else:
-            typed[key] = _parse_scalar(key, value, kind)
+        section, name, kind = _KEYS[key]
+        values[section][name] = _parse(key, value, kind)
 
-    def section(prefix: str) -> dict:
-        return {k.split(".", 1)[1]: v for k, v in typed.items() if k.startswith(prefix + ".")}
+    grid = values["grid"]
+    grid.setdefault("dim", 3)
+    grid.setdefault("n", DEFAULT_N.get(grid["dim"]))  # Grid rejects a dim with no default first
+    grid.setdefault("length", 2.0 * math.pi)
+    values["step"].setdefault("dt", 0.05)
+    values["step"].setdefault("t_end", 1.0)
 
-    gsec = section("grid")
-    dim = gsec.get("dim", 3)
-    n = gsec.get("n", DEFAULT_N.get(dim))
-    if n is None:
-        raise ConfigError(f"grid.dim must be 1, 2 or 3, got {dim}")
-    length = gsec.get("length", 2.0 * math.pi)
-    try:
-        grid = Grid(dim=dim, n=n, length=length)
-    except ValueError as err:
-        raise ConfigError(f"grid: {err}") from err
-
-    psec = section("phys")
-    if "lambda" in psec:
-        psec["lam"] = psec.pop("lambda")
-    try:
-        phys = PhysParams(**psec)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"phys: {err}") from err
-
-    ssec = section("step")
-    ssec.setdefault("dt", 0.05)
-    ssec.setdefault("t_end", 1.0)
-    try:
-        step = StepConfig(**ssec)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"step: {err}") from err
-
-    ic = ICSpec(**section("ic"))
-    diag = DiagSpec(**section("diag"))
-    out = OutSpec(**section("out"))
-    return RunConfig(grid=grid, phys=phys, step=step, ic=ic, diag=diag, out=out)
+    built = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            built[section] = cls(**values[section])
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{section}: {err}") from err
+    return RunConfig(**built)
 
 
 def load_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -233,15 +202,6 @@ def _fmt(value) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical flat-text form, suitable for embedding in run summaries."""
-    lines = [
-        f"grid.dim = {cfg.grid.dim}",
-        f"grid.n = {cfg.grid.n}",
-        f"grid.length = {_fmt(cfg.grid.length)}",
-    ]
-    for f_ in fields(PhysParams):
-        key = "lambda" if f_.name == "lam" else f_.name
-        lines.append(f"phys.{key} = {_fmt(getattr(cfg.phys, f_.name))}")
-    for spec, prefix in ((cfg.step, "step"), (cfg.ic, "ic"), (cfg.diag, "diag"), (cfg.out, "out")):
-        for f_ in fields(spec):
-            lines.append(f"{prefix}.{f_.name} = {_fmt(getattr(spec, f_.name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {_fmt(getattr(getattr(cfg, section), name))}\n" for key, (section, name, _) in _KEYS.items()
+    )

@@ -148,11 +148,10 @@ def decay_suite(
     s: float,
     tol: float,
     window: tuple[float, float] | None = None,
-    r2_min: float = R2_MIN,
 ) -> DecayFit:
     """Fit a series and compare the slope against the expected ``-(l+s)``.
 
-    A fit with ``r2 < r2_min`` fails regardless of the slope: a low ``r2``
+    A fit with ``r2 < R2_MIN`` fails regardless of the slope: a low ``r2``
     over a decade is the signature of non-power behavior and must surface
     rather than be averaged through.
     """
@@ -161,7 +160,7 @@ def decay_suite(
         window = (float(t.min()), float(t.max()))
     fit = fit_exponent(t, values, window)
     target = -(l + s)
-    passed = abs(fit.exponent - target) <= tol and fit.r2 >= r2_min
+    passed = abs(fit.exponent - target) <= tol and fit.r2 >= R2_MIN
     return replace(fit, target=target, tol=tol, passed=passed)
 
 

@@ -201,8 +201,8 @@ def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
     return _JACOBI_CACHE[p]
 
 
-#: Refinement levels: (sub-intervals per ladder panel, origin-panel shrink).
-_LEVELS = ((1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (64, 64))
+#: Refinement levels: sub-intervals per ladder panel, which is also the origin panel's shrink.
+_LEVELS = (1, 2, 4, 8, 16, 32, 64)
 
 
 def _adaptive_radial(g, powers, t: float, rate: float, rtol: float = QUADRATURE_RTOL) -> list[float]:
@@ -228,8 +228,8 @@ def _adaptive_radial(g, powers, t: float, rate: float, rtol: float = QUADRATURE_
     residuals = [np.inf] * len(powers)
     active = list(range(len(powers)))
 
-    for level, (n_sub, shrink) in enumerate(_LEVELS):
-        first = r_eff / (4.0 * shrink)
+    for level, n_sub in enumerate(_LEVELS):
+        first = r_eff / (4.0 * n_sub)
         totals = {}
         for i in active:
             # origin panel [0, first]: int r^p g = (first/2)^(p+1) * sum wj g(nodes)

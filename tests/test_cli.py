@@ -166,8 +166,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "override",
-        ["grid.length=inf", "phys.nu=inf", "diag.fit_t_lo=60", "diag.s_list=0.5,0.5"],
-        ids=["length", "nu", "fit_window", "repeated_s"],
+        [
+            "grid.length=inf",
+            "phys.nu=inf",
+            "diag.fit_t_lo=60",
+            "diag.s_list=0.5,0.5",
+            "ic.seed=-1",
+            "ic.delta=inf",
+            "ic.amplitude=nan",
+            "ic.width=inf",
+        ],
+        ids=["length", "nu", "fit_window", "repeated_s", "negative_seed", "delta_inf", "amplitude_nan", "width_inf"],
     )
     def test_out_of_range_value_is_one_config_error(self, tmp_path, capsys, override):
         assert main(["simulate", override] + base_overrides(tmp_path)) == 2
@@ -216,6 +225,11 @@ class TestInputErrors:
             ["linear-decay", "--s", "0.5,0.50"],
             ["linear-decay", "--components", "phi,phi"],
             ["linear-decay", "--l", "one"],
+            ["verify", "--n", "16", "--seed", "-1"],
+            ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value", "--where", "component=a", "--t-lo", "nan"],
+            ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value", "--where", "component=a", "--t-hi", "nan"],
+            ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value", "--where", "component=a",
+             "--t-lo", "0.3", "--t-hi", "0.1"],
         ],
         ids=[
             "fit_header_only_csv",
@@ -246,6 +260,10 @@ class TestInputErrors:
             "repeated_s",
             "repeated_component",
             "non_integer_l",
+            "verify_negative_seed",
+            "fit_t_lo_nan",
+            "fit_t_hi_nan",
+            "fit_t_lo_above_t_hi",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a warning printed before the error line counts as a second line
@@ -411,6 +429,23 @@ class TestFit:
         assert rc == 0
         rc = main(["fit", "--csv", path, "--column", "E_total", "--l", "2", "--s", "0.5", "--tol", "0.1"])
         assert rc == 1
+
+    def test_unbounded_window_allowed(self, tmp_path, capsys):
+        path = self._write_series(tmp_path, -2.0)
+        assert main(["fit", "--csv", path, "--t-lo", "10", "--t-hi", "inf"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["window"] == [10.0, np.inf] and out["exponent"] == pytest.approx(-2.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "window",
+        [["--t-lo", "nan"], ["--t-hi", "nan"], ["--t-lo", "30", "--t-hi", "20"]],
+        ids=["lo_nan", "hi_nan", "inverted"],
+    )
+    def test_window_error_names_the_options(self, tmp_path, capsys, window):
+        path = self._write_series(tmp_path, -2.0)
+        assert main(["fit", "--csv", path, *window]) == 2
+        err = capsys.readouterr().err
+        assert "--t-lo" in err and "--t-hi" in err and "samples" not in err
 
     def test_missing_column(self, tmp_path):
         path = self._write_series(tmp_path, -1.0)

@@ -90,6 +90,12 @@ class TestConfigParsing:
             ({"diag.s_list": "0.5,0.5"}, "s_list repeats"),
             ({"diag.s_list": "1,1.0,0.5"}, "s_list repeats"),
             ({"diag.l_list": "0,0"}, "l_list repeats"),
+            ({"ic.seed": "-1"}, "seed must be >= 0"),
+            ({"ic.kind": "random_perturbation", "ic.seed": "-1"}, "seed must be >= 0"),
+            ({"ic.delta": "inf"}, "delta must be finite"),
+            ({"ic.kind": "random_perturbation", "ic.delta": "inf"}, "delta must be finite"),
+            ({"ic.kind": "manufactured", "ic.amplitude": "nan"}, "amplitude must be finite"),
+            ({"ic.kind": "tanh_interface", "ic.width": "inf"}, "width must be finite"),
         ],
     )
     def test_out_of_range_values_are_config_errors(self, raw, msg):
@@ -105,6 +111,73 @@ class TestConfigParsing:
         )
         back = build_run_config(parse_config_text(serialize_config(cfg)))
         assert back == cfg
+
+    # a legal value other than the default for every key
+    NON_DEFAULT = {
+        "grid.dim": "2",
+        "grid.n": "32",
+        "grid.length": "1.5",
+        "phys.nu": "0.7",
+        "phys.lambda": "0.5",
+        "phys.epsilon": "0.2",
+        "phys.rho_bar": "1.3",
+        "phys.pressure_a": "2.5",
+        "phys.pressure_gamma": "1.6",
+        "step.dt": "0.02",
+        "step.t_end": "2.5",
+        "step.cfl": "0.3",
+        "step.max_steps": "77",
+        "step.scheme_order": "1",
+        "step.reaction_shift": "off",
+        "step.phi_tol": "1e-4",
+        "ic.kind": "manufactured",
+        "ic.delta": "0.02",
+        "ic.max_mode": "2",
+        "ic.seed": "0",
+        "ic.width": "0.3",
+        "ic.amplitude": "-0.01",
+        "diag.s_list": "0.25, 1.25",
+        "diag.l_list": "2",
+        "diag.cadence": "3",
+        "diag.fit_t_lo": "1",
+        "diag.fit_t_hi": "inf",
+        "diag.fit_tol": "0.5",
+        "out.csv": "a.csv",
+        "out.snapshot": "b.nsac",
+        "out.summary": "c.json",
+    }
+
+    def test_keys_are_the_init_fields_of_the_sections(self):
+        from dataclasses import fields
+
+        from nsac.config import DiagSpec, OutSpec
+
+        sections = {
+            "grid": Grid, "phys": PhysParams, "step": StepConfig, "ic": ICSpec, "diag": DiagSpec, "out": OutSpec
+        }
+        expected = {
+            f"{section}.{'lambda' if f.name == 'lam' else f.name}"
+            for section, cls in sections.items()
+            for f in fields(cls)
+            if f.init
+        }
+        serialized = parse_config_text(serialize_config(build_run_config({"grid.n": "16"})))
+        assert set(serialized) == expected
+        # a new field needs a value here, so the round trips below cover it
+        assert set(self.NON_DEFAULT) == expected
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_every_key_round_trips(self, key):
+        section, name = key.split(".")
+        name = "lam" if name == "lambda" else name
+        default = build_run_config({"grid.n": "16"})
+        cfg = build_run_config({"grid.n": "16", key: self.NON_DEFAULT[key]})
+        assert getattr(getattr(cfg, section), name) != getattr(getattr(default, section), name)
+        assert build_run_config(parse_config_text(serialize_config(cfg))) == cfg
+
+    def test_all_keys_at_once_round_trip(self):
+        cfg = build_run_config(self.NON_DEFAULT)
+        assert build_run_config(parse_config_text(serialize_config(cfg))) == cfg
 
     def test_load_with_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
