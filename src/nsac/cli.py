@@ -129,6 +129,10 @@ def cmd_linear_decay(args) -> int:
             f"error: --t-lo {args.t_lo} and --t-hi {args.t_hi} must be finite with 0 < t_lo < t_hi", file=sys.stderr
         )
         return 2
+    for option, tol in (("--tol-heat", args.tol_heat), ("--tol-flow", args.tol_flow)):
+        if not 0 < tol < np.inf:  # also false for a NaN
+            print(f"error: {option} {tol} must be positive and finite", file=sys.stderr)
+            return 2
     ts = np.geomspace(args.t_lo, args.t_hi, args.points)
 
     lines = ["component,kind,l,s,t,value"]
@@ -221,6 +225,8 @@ def cmd_fit(args) -> int:
         hi = np.inf if args.t_hi is None else args.t_hi
         if not lo < hi:  # also false for a NaN
             raise ValueError(f"the fit window [--t-lo, --t-hi] = [{lo}, {hi}] needs t_lo < t_hi")
+        if not 0 < args.tol < np.inf:  # also false for a NaN
+            raise ValueError(f"--tol {args.tol} must be positive and finite")
         data = read_csv(args.csv, numeric=("t", args.column))
         for name in ("t", args.column):
             if name not in data:

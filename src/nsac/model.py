@@ -531,33 +531,36 @@ class LinearSymbol:
 class TendencyWorkspace:
     """The arrays `nonlinear_terms` fills in place on one grid, allocated once.
 
-    ``spec`` is the spectral derivative stack: the ``d(d-1)/2`` vorticity
-    components, B's viscous row (d), grad phi (d) and Lap phi, 10 fields at
-    3-D. Its batched inverse overwrites it and lands in ``phys``.
-    ``products`` holds the ``2 dim + 2`` explicit products, the last of them
-    ``K - H`` (kinetic energy density minus enthalpy remainder). Their
-    transforms go to ``hats[turn]``, and ``turn`` flips on every call, so the
-    tendency one call returns (a view of its ``hats``) stays intact through
-    the next call: CNAB2 extrapolates from the previous step's tendency. Each
-    ``hats`` buffer is allocated by the first call that writes it, so a
-    one-off call builds one. The pointwise and spectral work needs no further
-    arrays: its scratch is rows not yet written or already spent.
+    The derivative stack is ``[w, Lap phi, grad phi, viscous]``: the
+    ``d(d-1)/2`` vorticity components, Lap phi, grad phi (d) and B's viscous
+    row (d), 10 fields at 3-D. Each call sets it up in its transform buffer
+    ``hats[turn]``, of ``max(stack, 2 dim + 3)`` rows, whose batched inverse
+    overwrites it and lands in ``phys``. Once the stack is spent, the buffer
+    takes the transforms of phi^2 (row ``2 dim + 1``) and of the ``2 dim +
+    2`` explicit products, and row ``2 dim + 2`` is the scratch of the work
+    after the forward. ``turn`` flips on every call, so the tendency one call
+    returns (a view of its ``hats``) stays intact through the next call:
+    CNAB2 extrapolates from the previous step's tendency.
+
+    ``phys`` holds ``[1/rho | derivative block | phi row, K - H]``, where
+    ``K - H`` is the kinetic energy density minus the enthalpy remainder. The
+    products are formed in the rows their operands leave: the u rows in the
+    viscous rows, sigma u in the grad phi rows. So the block from grad phi to
+    ``K - H`` is the forward's input in the product order (sigma u, u rows,
+    phi row, ``K - H``). The pointwise and spectral work needs no further
+    arrays: its scratch is rows not yet written or already spent. At 3-D the
+    workspace is 20 complex and 13 real fields.
     """
 
     def __init__(self, grid: Grid):
         d = grid.dim
         stack = 2 * d + d * (d - 1) // 2 + 1
-        self.spec = np.empty((stack,) + grid.rshape, dtype=np.complex128)
-        self.phys = np.empty((stack,) + grid.shape)
-        self.products = np.empty((2 * d + 2,) + grid.shape)
-        self._hats_shape = (2 * d + 2,) + grid.rshape
-        self.hats = [None, None]
+        self.hats = [np.empty((max(stack, 2 * d + 3),) + grid.rshape, dtype=np.complex128) for _ in range(2)]
+        self.phys = np.empty((1 + stack + 2,) + grid.shape)
         self.turn = 0
 
     def next_hats(self) -> np.ndarray:
         """The buffer this call transforms into; ``turn`` flips to the other one."""
-        if self.hats[self.turn] is None:
-            self.hats[self.turn] = np.empty(self._hats_shape, dtype=np.complex128)
         hats = self.hats[self.turn]
         self.turn ^= 1
         return hats
@@ -572,7 +575,10 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     integrator can treat it exactly per mode. Given a ``work`` space the
     tendency allocates nothing beyond a few wavenumber-sized arrays and the
     result is a view into it, valid until the call after next on the same
-    workspace; without one a fresh workspace is used.
+    workspace; without one a fresh workspace is used. The derivative stack
+    lives in the call's transform buffer and each product in the physical
+    rows its operands leave (`TendencyWorkspace`), so every array is spent
+    before it is overwritten.
 
     Advection is taken in rotational form,
     ``(u.grad) u_i = d_i K - sum_j u_j w_ij`` with ``K = |u|^2/2`` and the
@@ -605,50 +611,52 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     u = state.u()
     phi = state.phi()
     u_hat = state.u_hat
-    products = work.products
     hats = work.next_hats()
 
     # one batched inverse for every derivative this evaluation needs:
-    # vorticity w_ij for i < j (d(d-1)/2), B's viscous row (d), grad phi (d),
-    # Lap phi (1); D = i k.u and one product live in this call's transform
-    # buffer, which the forward writes only later. The inverse reads only the
-    # 2/3 band, where every state a run steps on lives, so the stack is set up
-    # slab by slab and the planes between the slabs are left for it to zero
+    # vorticity w_ij for i < j (d(d-1)/2), Lap phi (1), grad phi (d), B's
+    # viscous row (d). The stack is set up in this call's transform buffer:
+    # D = i k.u lives in the Lap phi row, which is written last, and the
+    # set-up's scratch in the first grad phi row, which is written after the
+    # viscous and vorticity rows. The inverse reads only the 2/3 band, where
+    # every state a run steps on lives, so the stack is set up slab by slab
+    # and the planes between the slabs are left for it to zero
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     o = len(pairs)
-    buf = work.spec
+    stack = o + 2 * d + 1
     B = LinearSymbol(g, params)
     for planes in g.slabs():
         ik, k2 = g.symbols(planes)
-        u_s, phi_s, b, spare_hat = u_hat[:, planes], state.phi_hat[planes], buf[:, planes], hats[1, planes]
-        div_u_hat = g.divergence(u_s, out=hats[0, planes], scratch=spare_hat, planes=planes)
-        B.viscous_row(u_s, div_u_hat, out=b[o : o + d], scratch=spare_hat, planes=planes)
+        u_s, phi_s, b = u_hat[:, planes], state.phi_hat[planes], hats[:stack, planes]
+        div_u_hat, spare_hat = b[o], b[o + 1]
+        g.divergence(u_s, out=div_u_hat, scratch=spare_hat, planes=planes)
+        B.viscous_row(u_s, div_u_hat, out=b[o + 1 + d :], scratch=spare_hat, planes=planes)
         for m, (i, j) in enumerate(pairs):
             np.multiply(ik[i], u_s[j], out=b[m])
             b[m] -= np.multiply(ik[j], u_s[i], out=spare_hat)
         for i in range(d):
-            np.multiply(ik[i], phi_s, out=b[o + d + i])
-        np.multiply(-k2, phi_s, out=b[o + 2 * d])
-    derivs = g.inverse_many(buf, out=work.phys)
+            np.multiply(ik[i], phi_s, out=b[o + 1 + i])
+        np.multiply(-k2, phi_s, out=b[o])
+    phys = work.phys
+    inv_rho, derivs, row, spare = phys[0], phys[1 : 1 + stack], phys[1 + stack], phys[2 + stack]
+    g.inverse_many(hats[:stack], out=derivs)
     vorticity = derivs[:o]
-    viscous = derivs[o : o + d]
-    grad_phi = derivs[o + d : o + 2 * d]
-    lap_phi = derivs[o + 2 * d]
+    lap_phi = derivs[o]
+    grad_phi = derivs[o + 1 : o + 1 + d]
+    viscous = derivs[o + 1 + d :]
 
-    # de-aliased phi^2 through the K - H slots, which K - H overwrites last;
-    # until then the physical slot is this call's scratch field
-    square, square_hat = products[2 * d + 1 :], hats[2 * d + 1 :]
-    spare = square[0]
+    # de-aliased phi^2 through the K - H row, which K - H overwrites last;
+    # until then that row is this call's scratch field
+    square, square_hat = phys[2 + stack :], hats[2 * d + 1 : 2 * d + 2]
     np.multiply(phi, phi, out=spare)
     g.forward_many(square, out=square_hat)
     phi2 = g.inverse_many(square_hat, out=square)[0]
 
-    # 1/rho, in the first sigma u slot until sigma u is formed
-    inv_rho = np.add(sigma, params.rho_bar, out=products[0])
+    np.add(sigma, params.rho_bar, out=inv_rho)
     np.divide(1.0, inv_rho, out=inv_rho)
 
     # phi row: (1 - phi^2) phi / (eps rho) + (eps/rho^2 - eps/rho_bar^2) Lap phi - u.grad phi
-    row = np.subtract(1.0, phi2, out=products[2 * d])
+    np.subtract(1.0, phi2, out=row)
     row *= phi
     row *= inv_rho
     row /= eps
@@ -660,34 +668,36 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     for j in range(d):
         row -= np.multiply(u[j], grad_phi[j], out=spare)
 
-    # u rows: -h2 (nu Lap u + (nu+lam) grad div u) = -(sigma/rho) times the
-    # viscous row, the capillary force -(eps/rho) Lap phi grad phi, + sum_j u_j w_ij
+    # u rows, in place in the viscous rows: -h2 (nu Lap u + (nu+lam) grad div u)
+    # = -(sigma/rho) times the viscous row, the capillary force
+    # -(eps/rho) Lap phi grad phi, + sum_j u_j w_ij
     capillary = np.multiply(lap_phi, inv_rho, out=lap_phi)
     capillary *= -eps
     weight = np.multiply(sigma, inv_rho, out=inv_rho)
     for i in range(d):
-        row = np.multiply(weight, viscous[i], out=products[d + i])
-        np.subtract(np.multiply(capillary, grad_phi[i], out=grad_phi[i]), row, out=row)
+        u_row = np.multiply(weight, viscous[i], out=viscous[i])
+        np.subtract(np.multiply(capillary, grad_phi[i], out=grad_phi[i]), u_row, out=u_row)
     for m, (a, b) in enumerate(pairs):  # w_ba = -w_ab
-        products[d + a] += np.multiply(u[b], vorticity[m], out=spare)
-        products[d + b] -= np.multiply(u[a], vorticity[m], out=vorticity[m])
+        viscous[a] += np.multiply(u[b], vorticity[m], out=spare)
+        viscous[b] -= np.multiply(u[a], vorticity[m], out=vorticity[m])
 
-    # sigma u, then K - H with K = |u|^2/2 in the last slot; the viscous rows are spent
+    # sigma u in the spent grad phi rows, then K - H with K = |u|^2/2 in the
+    # last row; the Lap phi row is spent
     for j in range(d):
-        np.multiply(sigma, u[j], out=products[j])
-    kinetic = np.multiply(u[0], u[0], out=products[2 * d + 1])
+        np.multiply(sigma, u[j], out=grad_phi[j])
+    kinetic = np.multiply(u[0], u[0], out=spare)
     for j in range(1, d):
-        kinetic += np.multiply(u[j], u[j], out=viscous[0])
+        kinetic += np.multiply(u[j], u[j], out=lap_phi)
     kinetic *= 0.5
-    kinetic -= enthalpy_remainder(sigma, params, out=viscous[0])
+    kinetic -= enthalpy_remainder(sigma, params, out=lap_phi)
 
-    # batched forward: sigma u (d), u rows (d), phi row (1), K - H (1); the
-    # derivative stack is spent, so its first row is the spectral scratch.
+    # batched forward of the block from grad phi to K - H: sigma u (d), u rows
+    # (d), phi row (1), K - H (1); the row after them is the spectral scratch.
     # The planes between the slabs are zero, and stay zero
-    g.forward_many(products, out=hats)
+    g.forward_many(phys[2 + o :], out=hats[: 2 * d + 2])
     for planes in g.slabs():
         ik, _ = g.symbols(planes)
-        h, spare_hat = hats[:, planes], buf[0, planes]
+        h, spare_hat = hats[:, planes], hats[2 * d + 2, planes]
         for i in range(d):
             h[d + i] -= np.multiply(ik[i], h[2 * d + 1], out=spare_hat)
         # the tendency is (-div of sigma u, hats[d:2d+1]): the divergence goes

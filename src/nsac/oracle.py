@@ -350,17 +350,20 @@ class DecayFit:
 def fit_exponent(t, values, window: tuple[float, float]) -> DecayFit:
     """Fit ``log(values)`` against ``log(1+t)`` over the window.
 
-    Requires at least ``MIN_FIT_SAMPLES`` strictly positive samples inside the window.
+    Requires finite sample times and at least ``MIN_FIT_SAMPLES`` finite,
+    strictly positive samples inside the window.
     """
     t = np.asarray(t, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("sample times t must be finite")
     lo, hi = window
     sel = (t >= lo) & (t <= hi)
     if int(np.count_nonzero(sel)) < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples in window [{lo}, {hi}], got {np.count_nonzero(sel)}")
     v = values[sel]
-    if np.any(v <= 0):
-        raise ValueError("series must be strictly positive inside the fit window")
+    if not np.all((v > 0) & (v < np.inf)):  # also false for a NaN
+        raise ValueError("series must be finite and strictly positive inside the fit window")
     x = np.log1p(t[sel])
     y = np.log(v)
     slope, intercept = np.polyfit(x, y, 1)

@@ -230,6 +230,8 @@ class TestInputErrors:
             ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value", "--where", "component=a", "--t-hi", "nan"],
             ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value", "--where", "component=a",
              "--t-lo", "0.3", "--t-hi", "0.1"],
+            ["fit", "--csv", "{tmp}/nan_value.csv", "--column", "E_total"],
+            ["fit", "--csv", "{tmp}/inf_t.csv", "--column", "E_total"],
         ],
         ids=[
             "fit_header_only_csv",
@@ -264,6 +266,8 @@ class TestInputErrors:
             "fit_t_lo_nan",
             "fit_t_hi_nan",
             "fit_t_lo_above_t_hi",
+            "fit_nan_value",
+            "fit_inf_t",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a warning printed before the error line counts as a second line
@@ -278,6 +282,10 @@ class TestInputErrors:
         t = np.geomspace(1, 1e3, 12).tolist()
         series = [f"{c},{ti!r},{(1 + ti) ** -p!r}" for c, p in (("a", 1), ("b", 2)) for ti in t]
         (tmp_path / "two_series.csv").write_text("\n".join(["component,t,value"] + series) + "\n")
+        # one decay series with a NaN sample, and one ending at t = inf
+        decay = [f"{ti!r},{(1 + ti) ** -1!r}" for ti in t]
+        (tmp_path / "nan_value.csv").write_text("\n".join(["t,E_total"] + decay[:5] + [f"{t[5]!r},nan"] + decay[6:]) + "\n")
+        (tmp_path / "inf_t.csv").write_text("\n".join(["t,E_total"] + decay + ["inf,1e-4"]) + "\n")
         outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
         argv = [a.format(tmp=tmp_path) for a in argv] + (outputs if argv[0] == "linear-decay" else [])
         assert main(argv) == 2
@@ -291,6 +299,26 @@ class TestInputErrors:
         assert main(["linear-decay", "--points", "9"] + outputs) == 2
         err = capsys.readouterr().err
         assert "--points 9" in err and "10" in err and "fit_exponent" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["linear-decay", "--tol-flow", "nan"], "--tol-flow"),
+            (["linear-decay", "--tol-heat", "-1"], "--tol-heat"),
+            (["fit", "--csv", "{tmp}/absent.csv", "--l", "1", "--s", "0", "--tol", "nan"], "--tol"),
+        ],
+        ids=["tol_flow", "tol_heat", "fit_tol"],
+    )
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, capsys, argv, option):
+        # the linear-decay sweep would take seconds and the fit would read a missing CSV:
+        # the tolerance is checked before either
+        outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
+        argv = [a.format(tmp=tmp_path) for a in argv] + (outputs if argv[0] == "linear-decay" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {option} ") and "positive and finite" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "lin.csv").exists() and not (tmp_path / "lin.json").exists()
 
 
 class TestStartup:

@@ -300,11 +300,19 @@ class TestStepCost:
         # peak above the memory held when the step began, in spectral fields
         field = 16 * grid16.n**2 * (grid16.n // 2 + 1)
         peaks = [(peak - held) / field for (held, _), (_, peak) in zip(marks, marks[1:])]
-        # the Stepper's workspace holds the tendency's arrays; a step allocates
-        # the new State and its views, and the linear operator and solve's
-        # temporaries for one slab of the band (16.1), and the first CNAB2 step
-        # builds the second 8-field transform buffer (24.1)
+        # the Stepper's workspace holds the tendency's arrays, both transform
+        # buffers from the start; a step allocates the new State and its views,
+        # and the linear operator and solve's temporaries for one slab of the
+        # band (16.1)
         assert max(peaks[1:]) <= 25
+
+    @pytest.mark.parametrize("dim, complex_fields, real_fields", [(3, 20, 13), (2, 14, 9), (1, 10, 6)])
+    def test_workspace_fields(self, dim, complex_fields, real_fields):
+        grid = Grid(dim=dim, n=16, length=2 * np.pi)
+        work = TendencyWorkspace(grid)
+        spectral, physical = 16 * np.prod(grid.rshape), 8 * np.prod(grid.shape)
+        assert sum(h.nbytes for h in work.hats) == complex_fields * spectral
+        assert work.phys.nbytes == real_fields * physical
 
 
 class TestWorkspaceReuse:

@@ -366,6 +366,19 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="positive"):
             fit_exponent(t, vals, (1.0, 10.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_requires_finite_values_and_times(self, bad):
+        t = np.linspace(1, 10, 20)
+        vals = np.ones(20)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="strictly positive"):
+            fit_exponent(t, vals, (1.0, 10.0))
+        vals[3] = 1.0
+        fit_exponent(t, vals, (1.0, 10.0))
+        t[-1] = bad
+        with pytest.raises(ValueError, match="t must be finite"):
+            fit_exponent(t, vals, (1.0, np.inf))
+
 
 class TestQuadratureFailure:
     def test_bad_weight_exponent_rejected(self):
