@@ -3,12 +3,11 @@ two-phase flow coupled to a phase field on a periodic box."""
 
 from .config import DiagSpec, ICSpec, OutSpec, RunConfig, build_run_config, load_config
 from .diagnostics import (
-    InvariantReport,
+    EnergyReport,
     LevelEnergy,
     NegativeFunctional,
     decay_suite,
     energy_ledger,
-    invariant_monitor,
     level_energy,
     negative_functional,
 )
@@ -23,22 +22,21 @@ from .errors import (
 from .initial import make_initial
 from .integrate import RunSummary, StepConfig, Stepper, adaptive_dt, run, step
 from .model import (
-    EnergyReport,
+    InvariantReport,
     PhysParams,
     State,
     chemical_potential,
     g_potential,
+    invariant_monitor,
     pressure,
     pressure_prime,
     rhs,
-    total_energy,
 )
 from .oracle import (
     DataProfile,
     DecayFit,
     SymbolBlock,
     build_symbol,
-    decay_norm,
     decay_norms,
     evolve_mode,
     fit_exponent,

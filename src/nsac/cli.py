@@ -9,7 +9,9 @@ byte-stable given identical configuration (seed included).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -42,14 +44,29 @@ def _build_config(args) -> RunConfig:
     return build_run_config(overrides)
 
 
+def _check_outputs(*outputs: tuple[str, str]) -> None:
+    """Raise ``OSError`` for the first ``(name, path)`` that cannot be created: its directory
+    does not exist or the path is a directory.
+
+    Called before any work, so a bad path costs no run and writes no file.
+    """
+    for name, path in outputs:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(errno.ENOENT, f"{name}: no such directory", directory)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, f"{name}: is a directory", path)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
-    """Run one configuration; CSV, snapshot and summary are written on any outcome."""
+    """Run one configuration; once their paths check out, CSV, snapshot and summary are written on any outcome."""
     cfg = _build_config(args)
+    _check_outputs(("out.csv", cfg.out.csv), ("out.snapshot", cfg.out.snapshot), ("out.summary", cfg.out.summary))
     summary: dict = {"config": serialize_config(cfg)}
     writer = CsvWriter(cfg.out.csv, cfg.diag.s_list)
     series = SeriesObserver(cfg)
@@ -133,6 +150,7 @@ def cmd_linear_decay(args) -> int:
         if not 0 < tol < np.inf:  # also false for a NaN
             print(f"error: {option} {tol} must be positive and finite", file=sys.stderr)
             return 2
+    _check_outputs(("--out-csv", args.out_csv), ("--out-json", args.out_json))
     ts = np.geomspace(args.t_lo, args.t_hi, args.points)
 
     lines = ["component,kind,l,s,t,value"]

@@ -133,10 +133,13 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _parse(key: str, value: str, kind):
-    """``value`` as a ``kind``; a ``tuple[T, ...]`` is a comma list of ``T``."""
+    """``value`` as a ``kind``; a ``tuple[T, ...]`` is a comma list of at least one ``T``."""
     if get_origin(kind) is tuple:
         item = get_args(kind)[0]
-        return tuple(_parse(key, part.strip(), item) for part in value.split(",") if part.strip())
+        entries = tuple(_parse(key, part.strip(), item) for part in value.split(",") if part.strip())
+        if not entries:  # an empty list would serialize to a line that does not load back
+            raise ConfigError(f"{key} {value!r} holds no entry")
+        return entries
     try:
         if kind is bool:
             lowered = value.lower()

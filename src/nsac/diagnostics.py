@@ -1,7 +1,6 @@
 """Observer-side functionals: energy ledger, level energies, negative norms,
 decay fitting and ``SeriesObserver``, the one sample row and verdicts of a
-run. The invariant monitor lives beside the admissible set in ``model`` and is
-re-exported here.
+run. The invariant monitor lives beside the admissible set in ``model``.
 
 All operations are read-only over immutable state snapshots and safe to run
 concurrently with integration.
@@ -14,14 +13,66 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .model import DISSIPATION_BUDGET, energy_monotone
-from .model import EnergyReport, InvariantReport, PhysParams, State, invariant_monitor, total_energy  # noqa: F401  (re-exported)
+from .model import DISSIPATION_BUDGET, PhysParams, State, chemical_potential, energy_monotone, g_potential
+from .model import invariant_monitor
 from .oracle import DecayFit, fit_exponent
+
+# ---------------------------------------------------------------------------
+# Energy ledger
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EnergyReport:
+    """Components of the total free energy and its dissipation.
+
+    ``total = kinetic + g_part + gradient_part + double_well`` and along exact
+    dynamics ``d total/dt = -(diss_visc + diss_div + diss_mu)``.
+    """
+
+    kinetic: float
+    g_part: float
+    gradient_part: float
+    double_well: float
+    total: float
+    diss_visc: float
+    diss_div: float
+    diss_mu: float
 
 
 def energy_ledger(state: State, params: PhysParams) -> EnergyReport:
-    """Energy components and dissipation terms for a snapshot."""
-    return total_energy(state, params)
+    """Energy ledger: ``int( rho|u|^2/2 + G(rho) + eps|grad phi|^2/2 + rho (phi^2-1)^2/(4 eps) )``.
+
+    Dissipation terms: ``nu ||grad u||^2``, ``(nu+lambda) ||div u||^2`` and
+    ``||mu||^2`` with the chemical potential mu.
+    """
+    g = state.grid
+    V = g.volume
+    u = state.u()
+    sigma = state.sigma()
+    phi = state.phi()
+    rho = params.rho_bar + sigma
+
+    kinetic = 0.5 * V * float(np.mean(rho * np.sum(u * u, axis=0)))
+    g_part = V * float(np.mean(g_potential(rho, params)))
+    gradient_part = 0.5 * params.epsilon * g.shell_sum(state.spectrum("phi"), order=1.0)
+    double_well = V / (4.0 * params.epsilon) * float(np.mean(rho * (phi**2 - 1.0) ** 2))
+
+    grad_u_sq = g.shell_sum(state.spectrum("u"), order=1.0)
+    div_u_sq = g.mode_sum_sq(g.divergence(state.u_hat), order=0.0)
+    mu = chemical_potential(state, params)
+    mu_sq = V * float(np.mean(mu * mu))
+
+    return EnergyReport(
+        kinetic=kinetic,
+        g_part=g_part,
+        gradient_part=gradient_part,
+        double_well=double_well,
+        total=kinetic + g_part + gradient_part + double_well,
+        diss_visc=params.nu * grad_u_sq,
+        diss_div=(params.nu + params.lam) * div_u_sq,
+        diss_mu=mu_sq,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ class State:
         return self._phys("sigma", lambda: self.grid.inverse(self.sigma_hat))
 
     def u(self) -> np.ndarray:
-        return self._phys("u", lambda: self.grid.inverse_many(self.u_hat))
+        return self._phys("u", lambda: self.grid.inverse(self.u_hat))
 
     def phi(self) -> np.ndarray:
         return self._phys("phi", lambda: self.grid.inverse(self.phi_hat))
@@ -716,61 +716,3 @@ def rhs(state: State, params: PhysParams) -> np.ndarray:
     if nonfinite:
         raise InvariantViolation(nonfinite[0], "non-finite field passed to rhs")
     return nonlinear_terms(state, params) + LinearSymbol(state.grid, params).apply(state.stacked())
-
-
-# ---------------------------------------------------------------------------
-# Energy ledger
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Components of the total free energy and its dissipation.
-
-    ``total = kinetic + g_part + gradient_part + double_well`` and along exact
-    dynamics ``d total/dt = -(diss_visc + diss_div + diss_mu)``.
-    """
-
-    kinetic: float
-    g_part: float
-    gradient_part: float
-    double_well: float
-    total: float
-    diss_visc: float
-    diss_div: float
-    diss_mu: float
-
-
-def total_energy(state: State, params: PhysParams) -> EnergyReport:
-    """Energy ledger: ``int( rho|u|^2/2 + G(rho) + eps|grad phi|^2/2 + rho (phi^2-1)^2/(4 eps) )``.
-
-    Dissipation terms: ``nu ||grad u||^2``, ``(nu+lambda) ||div u||^2`` and
-    ``||mu||^2`` with the chemical potential mu.
-    """
-    g = state.grid
-    V = g.volume
-    u = state.u()
-    sigma = state.sigma()
-    phi = state.phi()
-    rho = params.rho_bar + sigma
-
-    kinetic = 0.5 * V * float(np.mean(rho * np.sum(u * u, axis=0)))
-    g_part = V * float(np.mean(g_potential(rho, params)))
-    gradient_part = 0.5 * params.epsilon * g.shell_sum(state.spectrum("phi"), order=1.0)
-    double_well = V / (4.0 * params.epsilon) * float(np.mean(rho * (phi**2 - 1.0) ** 2))
-
-    grad_u_sq = g.shell_sum(state.spectrum("u"), order=1.0)
-    div_u_sq = g.mode_sum_sq(g.divergence(state.u_hat), order=0.0)
-    mu = chemical_potential(state, params)
-    mu_sq = V * float(np.mean(mu * mu))
-
-    return EnergyReport(
-        kinetic=kinetic,
-        g_part=g_part,
-        gradient_part=gradient_part,
-        double_well=double_well,
-        total=kinetic + g_part + gradient_part + double_well,
-        diss_visc=params.nu * grad_u_sq,
-        diss_div=(params.nu + params.lam) * div_u_sq,
-        diss_mu=mu_sq,
-    )

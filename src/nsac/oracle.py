@@ -267,12 +267,17 @@ def _adaptive_radial(g, powers, t: float, rate: float, rtol: float = QUADRATURE_
 
 
 def decay_norms(pairs, t: float, component: str, params: PhysParams) -> list[float]:
-    """``decay_norm`` of every ``(l, profile)`` in ``pairs`` at one ``t``, in order.
+    """Squared derivative norm ``4 pi int r^(2l+2) |w_hat(t, r)|^2 dr`` on R^3
+    of every ``(l, profile)`` in ``pairs`` at one ``t``, in order.
 
-    The amplification factor depends only on ``component`` and ``t``, so
-    every pair integrates it on the same ladder nodes and it is evaluated
-    once per node for all of them. Each value equals the single-pair one
-    bit for bit; nothing is kept beyond the call.
+    Each field starts from the profile amplitude (velocity: one longitudinal
+    plus two transverse polarizations). At ``t = 0`` a norm is the plain
+    squared data norm; it decreases in ``t`` and its log-log slope against
+    ``1 + t`` is the decay exponent under test. The amplification factor
+    depends only on ``component`` and ``t``, so every pair integrates it on
+    the same ladder nodes, evaluated once per node for all of them. Each
+    value equals that of a call with its pair alone, bit for bit; nothing is
+    kept beyond the call.
     """
     pairs = list(pairs)
     for l, _ in pairs:
@@ -287,27 +292,6 @@ def decay_norms(pairs, t: float, component: str, params: PhysParams) -> list[flo
     else:
         rate = params.longitudinal_diffusivity
     return [4.0 * np.pi * value for value in _adaptive_radial(g, powers, t, rate)]
-
-
-def decay_norm(
-    l: int,
-    s: float,
-    t: float,
-    profile: DataProfile,
-    component: str,
-    params: PhysParams,
-) -> float:
-    """Squared derivative norm ``4 pi int r^(2l+2) |w_hat(t, r)|^2 dr`` on R^3.
-
-    Each field starts from the profile amplitude (velocity: one longitudinal
-    plus two transverse polarizations). At ``t = 0`` this is the plain squared
-    data norm; it decreases in ``t`` and its log-log slope against ``1 + t``
-    is the decay exponent under test. This is the one-pair case of
-    ``decay_norms``.
-    """
-    if abs(profile.s - s) > 1e-12:
-        raise ValueError(f"profile was built for s = {profile.s}, requested s = {s}")
-    return decay_norms([(l, profile)], t, component, params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,32 +30,6 @@ _FFT_WORKERS = 1  # numpy.fft transforms each line on one thread
 SLAB_BYTES = 256 * 1024
 
 
-def _rfftn(values: np.ndarray, dim: int) -> np.ndarray:
-    """Forward over the last ``dim`` axes, one numpy pass per axis in scipy's order.
-
-    A real transform of the last axis into a fresh array, then a complex
-    transform of each leading spatial axis in turn, in place. Since ``n`` is a
-    power of two the per-pass scalings ``1/n`` are exact, and the result equals
-    scipy's one-dispatch ``rfftn`` bit for bit.
-    """
-    out = np.fft.rfft(values, axis=-1, norm="forward")
-    for ax in range(-dim, -1):
-        np.fft.fft(out, axis=ax, norm="forward", out=out)
-    return out
-
-
-def _irfftn(coeffs: np.ndarray, dim: int, n: int) -> np.ndarray:
-    """Inverse of `_rfftn` in scipy's ``irfftn`` order; ``coeffs`` is left untouched.
-
-    The first complex pass writes a fresh array and the others work in place
-    on it, so a read-only input is never copied.
-    """
-    work = coeffs
-    for ax in range(-dim, -1):
-        work = np.fft.ifft(work, axis=ax, norm="forward", out=None if work is coeffs else work)
-    return np.fft.irfft(work, n=n, axis=-1, norm="forward")
-
-
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -149,14 +123,29 @@ class Grid:
     # -- transforms ---------------------------------------------------------
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Real field on the grid -> amplitude-normalized rfft coefficients."""
+        """Real field on the grid -> amplitude-normalized rfft coefficients.
+
+        One numpy pass per axis in scipy's ``rfftn`` order; the scalings
+        ``1/n`` are exact (``n`` is a power of two), so the result equals
+        scipy's ``rfftn`` bit for bit.
+        """
         if values.shape != self.shape:
             raise ValueError(f"field shape {values.shape} != grid shape {self.shape}")
-        return _rfftn(values, self.dim)
+        out = np.fft.rfft(values, axis=-1, norm="forward")
+        for ax in range(-self.dim, -1):
+            np.fft.fft(out, axis=ax, norm="forward", out=out)
+        return out
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Amplitude-normalized coefficients -> real field on the grid."""
-        return _irfftn(coeffs, self.dim, self.n)
+        """Amplitude-normalized coefficients of one field or a stack -> real values on the grid.
+
+        Passes in scipy's ``irfftn`` order. The first writes a fresh array, so
+        ``coeffs`` is left untouched and a read-only input is never copied.
+        """
+        work = coeffs
+        for ax in range(-self.dim, -1):
+            work = np.fft.ifft(work, axis=ax, norm="forward", out=None if work is coeffs else work)
+        return np.fft.irfft(work, n=self.n, axis=-1, norm="forward")
 
     def band_cut(self) -> int:
         """The largest ``|m|`` per axis that every de-aliased product and state keeps: the 2/3 rule's ``n // 3``."""
@@ -226,21 +215,18 @@ class Grid:
                 np.fft.fft(lines, axis=ax, norm="forward", out=lines)
         return self.cut_to_band(out)
 
-    def inverse_many(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Batched inverse over a leading stack axis.
+    def inverse_many(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Band-limited batched inverse over a leading stack axis, written into ``out``.
 
-        Without ``out``, the full inverse of each field into a fresh array.
-        With ``out``, a band-limited inverse written there: every mode of
-        ``coeffs`` beyond the cut (`band_cut`) counts as zero, and ``coeffs``
-        is scratch (overwritten). Its gaps are zeroed; each leading spatial
-        axis, in scipy's ``irfftn`` order, gets an in-place complex transform
-        of only the lines whose untransformed indices lie in the band (at
-        64^3, 946 and then 1408 lines of 2112); a real transform of the last
-        axis's kept modes writes ``out``. For input that is zero beyond the
-        cut the result equals scipy's ``irfftn`` bit for bit.
+        Every mode of ``coeffs`` beyond the cut (`band_cut`) counts as zero,
+        and ``coeffs`` is scratch (overwritten). Its gaps are zeroed; each
+        leading spatial axis, in scipy's ``irfftn`` order, gets an in-place
+        complex transform of only the lines whose untransformed indices lie
+        in the band (at 64^3, 946 and then 1408 lines of 2112); a real
+        transform of the last axis's kept modes writes ``out``. For input
+        that is zero beyond the cut the result equals scipy's ``irfftn`` bit
+        for bit.
         """
-        if out is None:
-            return _irfftn(coeffs, self.dim, self.n)
         keep, blocks, _ = self._band()
         self.cut_to_band(coeffs[..., :keep])  # the gaps: no pass reads the last axis beyond keep
         for ax in range(1, self.dim):
@@ -330,9 +316,6 @@ class SpectralField:
 
     def to_physical(self) -> np.ndarray:
         return self.grid.inverse(self.coeffs)
-
-    def mean(self) -> float:
-        return self.grid.mean_value(self.coeffs)
 
 
 def band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> SpectralField:

@@ -14,7 +14,7 @@ from nsac import Grid, PhysParams, State, StepConfig, run
 from nsac.config import ICSpec, RunConfig
 from nsac.diagnostics import decay_suite, energy_ledger, level_energy, negative_functional
 from nsac.initial import make_initial
-from nsac.oracle import DataProfile, build_symbol, decay_norm, evolve_mode
+from nsac.oracle import DataProfile, build_symbol, decay_norms, evolve_mode
 from nsac.spectral import (
     SpectralField,
     fractional_laplacian,
@@ -47,7 +47,7 @@ class TestLinearDecayExponents:
             for s in (0.5, 1.0, 1.5 - 0.01):
                 prof = DataProfile(s=s)
                 for l in (0, 1, 2):
-                    vals = [decay_norm(l, s, t, prof, comp, params) for t in ts]
+                    vals = [decay_norms([(l, prof)], t, comp, params)[0] for t in ts]
                     fit = decay_suite(ts, vals, l, s, tol=tol)
                     worst = max(worst, abs(fit.exponent - fit.target))
                     if not fit.passed:
@@ -66,7 +66,7 @@ class TestLinearDecayExponents:
         worst = 0.0
         ok = True
         for l in (0, 1, 2):
-            vals = [decay_norm(l, 0.0, t, prof, "phi", params) for t in ts]
+            vals = [decay_norms([(l, prof)], t, "phi", params)[0] for t in ts]
             fit = decay_suite(ts, vals, l, 1.5, tol=0.1)
             worst = max(worst, abs(fit.exponent + (l + 1.5)))
             ok = ok and fit.passed

@@ -59,7 +59,8 @@ class TestSimulate:
         assert filecmp.cmp(f"{tmp_path}/runa.csv", f"{tmp_path}/runb.csv", shallow=False)
 
     def test_each_column_is_the_functional_its_header_names(self, tmp_path, params):
-        from nsac.diagnostics import energy_ledger, invariant_monitor, level_energy, negative_functional
+        from nsac.diagnostics import energy_ledger, level_energy, negative_functional
+        from nsac.model import invariant_monitor
         from nsac.io import read_snapshot
 
         argv = ["simulate", "ic.kind=random_perturbation", "ic.delta=0.01", "ic.max_mode=3", "ic.seed=4"]
@@ -232,6 +233,11 @@ class TestInputErrors:
              "--t-lo", "0.3", "--t-hi", "0.1"],
             ["fit", "--csv", "{tmp}/nan_value.csv", "--column", "E_total"],
             ["fit", "--csv", "{tmp}/inf_t.csv", "--column", "E_total"],
+            ["simulate", "out.csv={tmp}/x.csv", "out.snapshot={tmp}/absent/x.nsac", "out.summary={tmp}/x.json"],
+            ["simulate", "out.csv={tmp}/x.csv", "out.snapshot={tmp}/x.nsac", "out.summary={tmp}/absent/x.json"],
+            ["linear-decay", "--out-json", "{tmp}/absent/x.json"],
+            ["linear-decay", "--out-csv", "{tmp}/absent/x.csv"],
+            ["simulate", "out.csv={tmp}/x.csv", "out.snapshot={tmp}/x.nsac", "out.summary={tmp}"],
         ],
         ids=[
             "fit_header_only_csv",
@@ -268,6 +274,11 @@ class TestInputErrors:
             "fit_t_lo_above_t_hi",
             "fit_nan_value",
             "fit_inf_t",
+            "simulate_snapshot_missing_dir",
+            "simulate_summary_missing_dir",
+            "linear_decay_json_missing_dir",
+            "linear_decay_csv_missing_dir",
+            "simulate_summary_is_a_directory",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a warning printed before the error line counts as a second line
@@ -286,13 +297,17 @@ class TestInputErrors:
         decay = [f"{ti!r},{(1 + ti) ** -1!r}" for ti in t]
         (tmp_path / "nan_value.csv").write_text("\n".join(["t,E_total"] + decay[:5] + [f"{t[5]!r},nan"] + decay[6:]) + "\n")
         (tmp_path / "inf_t.csv").write_text("\n".join(["t,E_total"] + decay + ["inf,1e-4"]) + "\n")
+        # a case's own --out-csv or --out-json comes later, so it wins
         outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
-        argv = [a.format(tmp=tmp_path) for a in argv] + (outputs if argv[0] == "linear-decay" else [])
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        argv = argv[:1] + outputs + argv[1:] if argv[0] == "linear-decay" else argv
+        before = sorted(tmp_path.iterdir())
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / "lin.csv").exists() and not (tmp_path / "lin.json").exists()
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_points_below_the_fit_minimum_name_the_option(self, tmp_path, capsys):
         outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
@@ -363,8 +378,8 @@ class TestSampleCost:
 
             monkeypatch.setattr(Grid, name, counted)
 
-        for name in ("forward", "inverse"):
-            count(name, "fft_fields", lambda arr: 1)
+        count("forward", "fft_fields", lambda arr: 1)
+        count("inverse", "fft_fields", lambda arr: int(np.prod(arr.shape[: -cfg.grid.dim])))  # a stack counts each field
         for name in ("forward_many", "inverse_many"):
             count(name, "fft_fields", lambda arr: arr.shape[0])
         count("shell_spectrum", "spectra", lambda arr: 1)

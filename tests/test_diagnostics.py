@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from nsac import Grid, PhysParams, State
-from nsac.diagnostics import (
-    decay_suite,
-    energy_ledger,
-    invariant_monitor,
-    level_energy,
-    negative_functional,
-)
-from nsac.model import total_energy
-from nsac.oracle import DataProfile, decay_norm
+from nsac.diagnostics import decay_suite, energy_ledger, level_energy, negative_functional
+from nsac.model import invariant_monitor
+from nsac.oracle import DataProfile, decay_norms
 from nsac.spectral import SpectralField, negative_norm, sobolev_norm
 
 from conftest import random_admissible_state
@@ -22,13 +16,6 @@ class TestEnergyLedger:
     def test_equilibrium_zero(self, grid16, params):
         rep = energy_ledger(State.equilibrium(grid16), params)
         assert rep.total == 0.0
-
-    def test_matches_model_energy(self, grid16, params):
-        rng = np.random.default_rng(30)
-        state = random_admissible_state(rng, grid16)
-        a = energy_ledger(state, params)
-        b = total_energy(state, params)
-        assert a == b
 
     def test_time_differencing_matches_dissipation(self, params):
         # finite difference of the total over one small step approximates the
@@ -294,7 +281,7 @@ class TestDecaySuite:
     def test_oracle_series_passes(self, params):
         ts = np.geomspace(1e2, 1e4, 30)
         prof = DataProfile(s=0.5)
-        vals = [decay_norm(1, 0.5, t, prof, "phi", params) for t in ts]
+        vals = [decay_norms([(1, prof)], t, "phi", params)[0] for t in ts]
         fit = decay_suite(ts, vals, l=1, s=0.5, tol=0.1)
         assert fit.passed
         assert abs(fit.exponent + 1.5) <= 0.1

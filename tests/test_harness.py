@@ -96,6 +96,8 @@ class TestConfigParsing:
             ({"ic.kind": "random_perturbation", "ic.delta": "inf"}, "delta must be finite"),
             ({"ic.kind": "manufactured", "ic.amplitude": "nan"}, "amplitude must be finite"),
             ({"ic.kind": "tanh_interface", "ic.width": "inf"}, "width must be finite"),
+            ({"diag.s_list": ","}, "holds no entry"),
+            ({"diag.l_list": ","}, "holds no entry"),
         ],
     )
     def test_out_of_range_values_are_config_errors(self, raw, msg):

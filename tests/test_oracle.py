@@ -10,7 +10,6 @@ from nsac.oracle import (
     SymbolBlock,
     _longitudinal_gains,
     build_symbol,
-    decay_norm,
     decay_norms,
     evolve_mode,
     fit_exponent,
@@ -184,16 +183,16 @@ class TestDecayNorm:
     def test_t_zero_is_plain_data_norm(self, params):
         prof = DataProfile(s=0.0, kind="l1")
         # phi: 4 pi / 3; u: one longitudinal + two transverse polarizations
-        assert decay_norm(0, 0.0, 0.0, prof, "phi", params) == pytest.approx(4 * np.pi / 3, rel=1e-10)
-        assert decay_norm(0, 0.0, 0.0, prof, "sigma", params) == pytest.approx(4 * np.pi / 3, rel=1e-10)
-        assert decay_norm(0, 0.0, 0.0, prof, "u", params) == pytest.approx(3 * 4 * np.pi / 3, rel=1e-10)
+        assert decay_norms([(0, prof)], 0.0, "phi", params)[0] == pytest.approx(4 * np.pi / 3, rel=1e-10)
+        assert decay_norms([(0, prof)], 0.0, "sigma", params)[0] == pytest.approx(4 * np.pi / 3, rel=1e-10)
+        assert decay_norms([(0, prof)], 0.0, "u", params)[0] == pytest.approx(3 * 4 * np.pi / 3, rel=1e-10)
 
     def test_heat_norm_against_quadrature_oracle(self):
         # eps t / rho_bar^2 = 1: N = 4 pi int_0^1 e^(-2 r^2) r^2 dr
         params = PhysParams(epsilon=1.0, rho_bar=1.0)
         prof = DataProfile(s=0.0, kind="l1")
         oracle = 4 * np.pi * quad(lambda r: np.exp(-2 * r**2) * r**2, 0, 1, epsrel=1e-13)[0]
-        assert decay_norm(0, 0.0, 1.0, prof, "phi", params) == pytest.approx(oracle, rel=1e-9)
+        assert decay_norms([(0, prof)], 1.0, "phi", params)[0] == pytest.approx(oracle, rel=1e-9)
 
     @pytest.mark.parametrize("l,s", [(0, 0.5), (1, 1.0), (2, 1.2)])
     def test_heat_norm_against_incomplete_gamma(self, params, l, s):
@@ -205,7 +204,7 @@ class TestDecayNorm:
         for t in (3.0, 40.0, 800.0):
             x = 2 * c * t
             closed = 2 * np.pi * x ** (-a) * np.exp(gammaln(a)) * gammainc(a, x)
-            assert decay_norm(l, s, t, prof, "phi", params) == pytest.approx(closed, rel=1e-7)
+            assert decay_norms([(l, prof)], t, "phi", params)[0] == pytest.approx(closed, rel=1e-7)
 
     @pytest.mark.parametrize("component", ["sigma", "u"])
     def test_acoustic_norm_against_scipy_quad(self, params, component):
@@ -222,29 +221,27 @@ class TestDecayNorm:
             return r ** (2 * l + 2 + 2 * prof.beta) * amp2
 
         oracle = 4 * np.pi * quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)[0]
-        assert decay_norm(l, 1.0, t, prof, component, params) == pytest.approx(oracle, rel=1e-7)
+        assert decay_norms([(l, prof)], t, component, params)[0] == pytest.approx(oracle, rel=1e-7)
 
     def test_decreasing_in_time(self, params):
         prof = DataProfile(s=1.0)
         for comp in ("phi", "sigma", "u"):
-            vals = [decay_norm(0, 1.0, t, prof, comp, params) for t in (0.0, 1.0, 10.0, 100.0)]
+            vals = [decay_norms([(0, prof)], t, comp, params)[0] for t in (0.0, 1.0, 10.0, 100.0)]
             assert np.all(np.diff(vals) < 0)
 
     def test_l1_profile_slope(self, params):
         ts = np.geomspace(1e2, 1e4, 30)
         prof = DataProfile(s=0.0, kind="l1")
-        vals = [decay_norm(0, 0.0, t, prof, "phi", params) for t in ts]
+        vals = [decay_norms([(0, prof)], t, "phi", params)[0] for t in ts]
         fit = fit_exponent(ts, vals, (ts[0], ts[-1]))
         assert abs(fit.exponent - (-1.5)) <= 0.05
 
     def test_validation(self, params):
         prof = DataProfile(s=0.5)
         with pytest.raises(ValueError, match="l must lie"):
-            decay_norm(4, 0.5, 1.0, prof, "phi", params)
-        with pytest.raises(ValueError, match="requested"):
-            decay_norm(0, 1.0, 1.0, prof, "phi", params)
+            decay_norms([(4, prof)], 1.0, "phi", params)
         with pytest.raises(ValueError, match="component"):
-            decay_norm(0, 0.5, 1.0, prof, "pressure", params)
+            decay_norms([(0, prof)], 1.0, "pressure", params)
 
 
 class TestQuadratureCost:
@@ -258,7 +255,7 @@ class TestQuadratureCost:
             return _longitudinal_gains(k2, t, params_)
 
         monkeypatch.setattr(oracle, "_longitudinal_gains", counted)
-        decay_norm(1, 1.0, 1e4, DataProfile(s=1.0), "u", params)
+        decay_norms([(1, DataProfile(s=1.0))], 1e4, "u", params)
         # 5 refinement levels, each one origin-panel call plus the ladder's
         # 12, 26, 60, 128 and 288 sub-intervals in blocks of 64
         assert len(sizes) == 5 + (1 + 1 + 1 + 2 + 5)
@@ -295,7 +292,7 @@ class TestQuadratureCost:
             levels.append(per_panel(n, n))
             if abs(levels[-1] - levels[-2]) <= oracle.QUADRATURE_RTOL * abs(levels[-1]):
                 break
-        ours = decay_norm(l, s, t, prof, component, params)
+        ours = decay_norms([(l, prof)], t, component, params)[0]
         assert ours == pytest.approx(4.0 * np.pi * levels[-1], rel=1e-13, abs=0)
 
 #: The CLI's default (l, profile) pairs, in its (s, l) order.
@@ -309,7 +306,7 @@ class TestSharedQuadrature:
     def test_equals_one_quadrature_per_pair(self, params, component):
         # at (sigma, 1e3) and (sigma, 1e4) the pairs stop at different levels
         for t in (0.0, 100.0, 1e3, 1e4):
-            alone = [decay_norm(l, prof.s, t, prof, component, params) for l, prof in DEFAULT_PAIRS]
+            alone = [decay_norms([(l, prof)], t, component, params)[0] for l, prof in DEFAULT_PAIRS]
             assert decay_norms(DEFAULT_PAIRS, t, component, params) == alone
 
     def test_envelope_calls_of_one_shared_evaluation(self, params, monkeypatch):
@@ -321,7 +318,7 @@ class TestSharedQuadrature:
 
         monkeypatch.setattr(oracle, "_longitudinal_gains", counted)
         for l, prof in DEFAULT_PAIRS:
-            decay_norm(l, prof.s, 1e4, prof, "sigma", params)
+            decay_norms([(l, prof)], 1e4, "sigma", params)
         alone, levels[:] = len(levels), []
         decay_norms(DEFAULT_PAIRS, 1e4, "sigma", params)
         # seven pairs stop after 5 levels and two after 6: 47 origin panels,
