@@ -4,6 +4,10 @@
 ``--config <file>`` in the flat dotted-key format; any trailing
 ``key=value`` arguments override file entries. Outputs are
 byte-stable given identical configuration (seed included).
+
+A subcommand rejects bad input by raising ``ConfigError``, ``OSError`` or
+``ValueError``; `main` alone turns it into one ``error:`` or
+``configuration error:`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ def cmd_simulate(args) -> int:
     cfg = _build_config(args)
     _check_outputs(("out.csv", cfg.out.csv), ("out.snapshot", cfg.out.snapshot), ("out.summary", cfg.out.summary))
     summary: dict = {"config": serialize_config(cfg)}
-    writer = CsvWriter(cfg.out.csv, cfg.diag.s_list)
     series = SeriesObserver(cfg)
+    writer = CsvWriter(cfg.out.csv, series.columns)
     state = None
     try:
         state = make_initial(cfg)
@@ -128,28 +132,16 @@ def _parse_list(option: str, text: str, kind) -> tuple:
 def cmd_linear_decay(args) -> int:
     cfg = _build_config(args)
     params = cfg.phys
-    try:
-        ls = _parse_list("--l", args.l, int)
-        ss = _parse_list("--s", args.s, float)
-        components = _parse_list("--components", args.components, str)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    ls = _parse_list("--l", args.l, int)
+    ss = _parse_list("--s", args.s, float)
+    components = _parse_list("--components", args.components, str)
     if args.points < MIN_FIT_SAMPLES:
-        print(
-            f"error: --points {args.points} is below {MIN_FIT_SAMPLES}, the fewest samples fit_exponent fits",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"--points {args.points} is below {MIN_FIT_SAMPLES}, the fewest samples fit_exponent fits")
     if not 0 < args.t_lo < args.t_hi < np.inf:  # also false for a NaN
-        print(
-            f"error: --t-lo {args.t_lo} and --t-hi {args.t_hi} must be finite with 0 < t_lo < t_hi", file=sys.stderr
-        )
-        return 2
+        raise ValueError(f"--t-lo {args.t_lo} and --t-hi {args.t_hi} must be finite with 0 < t_lo < t_hi")
     for option, tol in (("--tol-heat", args.tol_heat), ("--tol-flow", args.tol_flow)):
         if not 0 < tol < np.inf:  # also false for a NaN
-            print(f"error: {option} {tol} must be positive and finite", file=sys.stderr)
-            return 2
+            raise ValueError(f"{option} {tol} must be positive and finite")
     _check_outputs(("--out-csv", args.out_csv), ("--out-json", args.out_json))
     ts = np.geomspace(args.t_lo, args.t_hi, args.points)
 
@@ -171,9 +163,9 @@ def cmd_linear_decay(args) -> int:
                 entry = {"component": comp, "l": l, "s": s, "profile": args.profile}
                 entry.update(fit.as_dict())
                 fits.append(entry)
-    except (QuadratureError, ValueError) as err:
+    except QuadratureError as err:  # a solver failure, not bad input
         print(f"error: {err}", file=sys.stderr)
-        return 1 if isinstance(err, QuadratureError) else 2
+        return 1
 
     with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -196,11 +188,9 @@ def cmd_linear_decay(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.n < MIN_SUITE_N or args.n & (args.n - 1):
-        print(f"error: --n {args.n}: the property suite needs a power of two >= {MIN_SUITE_N}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--n {args.n}: the property suite needs a power of two >= {MIN_SUITE_N}")
     if args.seed < 0:
-        print(f"error: --seed {args.seed}: the suite's random states need a seed >= 0", file=sys.stderr)
-        return 2
+        raise ValueError(f"--seed {args.seed}: the suite's random states need a seed >= 0")
     results = run_property_suite(n=args.n, seed=args.seed, inject_fault=args.inject_fault)
     failed = 0
     for res in results:
@@ -236,40 +226,36 @@ def _where(data: dict[str, np.ndarray], where: str) -> dict[str, np.ndarray]:
 
 
 def cmd_fit(args) -> int:
-    try:
-        if (args.l is None) != (args.s is None):
-            raise ValueError("--l and --s set the target together: give both or neither")
-        lo = -np.inf if args.t_lo is None else args.t_lo
-        hi = np.inf if args.t_hi is None else args.t_hi
-        if not lo < hi:  # also false for a NaN
-            raise ValueError(f"the fit window [--t-lo, --t-hi] = [{lo}, {hi}] needs t_lo < t_hi")
-        if not 0 < args.tol < np.inf:  # also false for a NaN
-            raise ValueError(f"--tol {args.tol} must be positive and finite")
-        data = read_csv(args.csv, numeric=("t", args.column))
-        for name in ("t", args.column):
-            if name not in data:
-                raise ValueError(f"column {name!r} not in {sorted(data)}")
+    if (args.l is None) != (args.s is None):
+        raise ValueError("--l and --s set the target together: give both or neither")
+    lo = -np.inf if args.t_lo is None else args.t_lo
+    hi = np.inf if args.t_hi is None else args.t_hi
+    if not lo < hi:  # also false for a NaN
+        raise ValueError(f"the fit window [--t-lo, --t-hi] = [{lo}, {hi}] needs t_lo < t_hi")
+    if not 0 < args.tol < np.inf:  # also false for a NaN
+        raise ValueError(f"--tol {args.tol} must be positive and finite")
+    data = read_csv(args.csv, numeric=("t", args.column))
+    for name in ("t", args.column):
+        if name not in data:
+            raise ValueError(f"column {name!r} not in {sorted(data)}")
+    if args.where:
+        data = _where(data, args.where)
+    t = data["t"]
+    if not t.size:
         if args.where:
-            data = _where(data, args.where)
-        t = data["t"]
-        if not t.size:
-            if args.where:
-                raise ValueError(f"no row of {args.csv} matches --where {args.where}")
-            raise ValueError(f"{args.csv} holds no samples")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError(
-                f"t is not strictly increasing in the selected rows of {args.csv}: they hold more than"
-                " one series; pick one with --where column=value"
-            )
-        window = (args.t_lo if args.t_lo is not None else float(t.min()),
-                  args.t_hi if args.t_hi is not None else float(t.max()))
-        if args.l is not None:
-            fit = decay_suite(t, data[args.column], args.l, args.s, tol=args.tol, window=window)
-        else:
-            fit = fit_exponent(t, data[args.column], window)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+            raise ValueError(f"no row of {args.csv} matches --where {args.where}")
+        raise ValueError(f"{args.csv} holds no samples")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError(
+            f"t is not strictly increasing in the selected rows of {args.csv}: they hold more than"
+            " one series; pick one with --where column=value"
+        )
+    window = (args.t_lo if args.t_lo is not None else float(t.min()),
+              args.t_hi if args.t_hi is not None else float(t.max()))
+    if args.l is not None:
+        fit = decay_suite(t, data[args.column], args.l, args.s, tol=args.tol, window=window)
+    else:
+        fit = fit_exponent(t, data[args.column], window)
     print(json.dumps(fit.as_dict(), indent=2, sort_keys=True))
     if fit.passed is not None and not fit.passed:
         return 1
@@ -353,7 +339,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:  # an input that cannot be read or an output that cannot be created
+    except (OSError, ValueError) as err:  # unreadable input, an output that cannot be created, a bad value
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -243,11 +243,13 @@ class SeriesObserver:
 
     Each sample takes one ``invariant_monitor`` report at ``step.phi_tol``, one
     energy ledger, the level energies of ``diag.l_list`` and the negative
-    functionals of ``diag.s_list``. A verdict holds when every sample passed it.
+    functionals of ``diag.s_list``; ``columns`` names the row's entries. A
+    verdict holds when every sample passed it.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self.columns = CSV_BASE_COLUMNS + tuple(f"Eneg_s{s:g}" for s in cfg.diag.s_list)
         self.t, self.energy = [], []
         self.level = {l: [] for l in cfg.diag.l_list}
         self.mass0 = self.last_state = self._last = None  # _last: (t, dissipation) for the trapezoid

@@ -6,7 +6,10 @@ class NsacError(Exception):
 
 
 class VacuumError(NsacError):
-    """Density reached zero or left the admissible window."""
+    """A pointwise law met a density ``rho <= 0`` (vacuum).
+
+    Leaving the admissible density window raises ``InvariantViolation``.
+    """
 
 
 class InvariantViolation(NsacError):

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ICSpec, RunConfig
-from .errors import InfeasibleInitialCondition
-from .model import PhysParams, State, invariant_monitor
+from .errors import InfeasibleInitialCondition, InvariantViolation
+from .model import PhysParams, State, check_state
 from .spectral import Grid, band_limited_noise
 
 
@@ -82,22 +82,10 @@ def _random_perturbation(grid: Grid, ic: ICSpec) -> State:
 
 def _check_feasible(state: State, params: PhysParams, size: str, phi_tol: float) -> None:
     """Fail fast on an inadmissible initial state; ``size`` names the IC's parameter, ``ic.<key> = <value>``."""
-    rep = invariant_monitor(state, params, phi_tol=phi_tol)
-    if rep.nan_fields:
-        raise InfeasibleInitialCondition(
-            f"{size} gives non-finite {', '.join(rep.nan_fields)} coefficients"
-        )
-    if not rep.in_window:
-        lo, hi = rep.rho_window
-        raise InfeasibleInitialCondition(
-            f"{size} pushes the density out of [{lo:g}, {hi:g}] before any stepping "
-            f"(range [{rep.rho_min:.6g}, {rep.rho_max:.6g}])"
-        )
-    if not rep.phase_bounded:
-        raise InfeasibleInitialCondition(
-            f"{size} violates the phase bound |phi| <= 1 + {phi_tol:g} at t = 0 "
-            f"(max |phi| = {rep.phi_max:.6g})"
-        )
+    try:
+        check_state(state, params, phi_tol=phi_tol)
+    except InvariantViolation as err:
+        raise InfeasibleInitialCondition(f"{size} gives an inadmissible initial state: {err}") from err
 
 
 def _tanh_interface(grid: Grid, width: float) -> State:

@@ -18,16 +18,10 @@ import struct
 
 import numpy as np
 
-from .diagnostics import CSV_BASE_COLUMNS
 from .model import State
 from .spectral import Grid
 
 SNAPSHOT_MAGIC = b"NSAC1"
-
-
-def csv_header(s_list=()) -> str:
-    cols = list(CSV_BASE_COLUMNS) + [f"Eneg_s{s:g}" for s in s_list]
-    return ",".join(cols)
 
 
 def format_float(x: float) -> str:
@@ -39,19 +33,18 @@ def csv_row(values) -> str:
 
 
 class CsvWriter:
-    """Streaming writer for the simulation time-series schema."""
+    """Streaming writer of a time series: a header naming ``columns``, then one row per `write`."""
 
-    def __init__(self, path: str, s_list=()):
+    def __init__(self, path: str, columns):
         self.path = path
-        self.s_list = tuple(s_list)
+        self.columns = tuple(columns)
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
-        self._fh.write(csv_header(self.s_list) + "\n")
+        self._fh.write(",".join(self.columns) + "\n")
 
     def write(self, values) -> None:
-        expected = len(CSV_BASE_COLUMNS) + len(self.s_list)
         values = list(values)
-        if len(values) != expected:
-            raise ValueError(f"expected {expected} columns, got {len(values)}")
+        if len(values) != len(self.columns):
+            raise ValueError(f"expected {len(self.columns)} columns, got {len(values)}")
         self._fh.write(csv_row(values) + "\n")
 
     def close(self) -> None:

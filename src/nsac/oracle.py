@@ -25,6 +25,8 @@ from .errors import QuadratureError
 from .model import PhysParams
 
 QUADRATURE_RTOL = 1e-8
+#: How far a ``power`` profile sits inside the negative-order space of its ``s``.
+PROFILE_MARGIN = 0.01
 #: Fewest samples inside the window that `fit_exponent` fits a power law to.
 MIN_FIT_SAMPLES = 10
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -92,28 +94,26 @@ class DataProfile:
 
     ``kind='l1'`` is the flat profile ``a = 1`` on the unit ball (the endpoint
     case, squared norms decaying like ``t^-(l+3/2)``). ``kind='power'`` shapes
-    ``a = r^(s - 3/2 + margin)``, which puts the data just inside the
-    negative-order space of index ``s`` and produces ``t^-(l+s+margin)``.
+    ``a = r^(s - 3/2 + PROFILE_MARGIN)``, which puts the data just inside the
+    negative-order space of index ``s`` and produces
+    ``t^-(l+s+PROFILE_MARGIN)``.
     """
 
     s: float
     kind: str = "power"
-    margin: float = 0.01
 
     def __post_init__(self):
         if self.kind not in ("l1", "power"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if not (0.0 <= self.s < 1.5):
             raise ValueError(f"regularity index s must lie in [0, 1.5), got {self.s}")
-        if self.kind == "power" and not self.margin > 0:
-            raise ValueError("power profile needs a positive margin")
         # finiteness of int |k|^(-2s) a^2 dk near the origin
         if 2.0 - 2.0 * self.s + 2.0 * self.beta <= -1.0:
             raise ValueError("profile is not in the requested negative-order space")
 
     @property
     def beta(self) -> float:
-        return 0.0 if self.kind == "l1" else self.s - 1.5 + self.margin
+        return 0.0 if self.kind == "l1" else self.s - 1.5 + PROFILE_MARGIN
 
     def amplitude(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
@@ -205,7 +205,7 @@ def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
 _LEVELS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def _adaptive_radial(g, powers, t: float, rate: float, rtol: float = QUADRATURE_RTOL) -> list[float]:
+def _adaptive_radial(g, powers, t: float, rate: float) -> list[float]:
     """Adaptive quadratures of ``r^p g(r)`` over ``[0, 1]``, one per ``p > -1`` in ``powers``.
 
     The origin panel uses Gauss-Jacobi quadrature matched to each ``r^p``
@@ -213,7 +213,7 @@ def _adaptive_radial(g, powers, t: float, rate: float, rtol: float = QUADRATURE_
     Gauss-Legendre on a ladder graded around the diffusive scale
     ``1/sqrt(rate*t)``, which depends on no power. Refinement shrinks the
     origin panel and doubles the subdivision; each power stops at the first
-    level whose value agrees with its previous level's to ``rtol``. At each
+    level whose value agrees with its previous level's to ``QUADRATURE_RTOL``. At each
     level ``g`` is evaluated once per block of ladder nodes for every power
     still refining, and each power sums its blocks in ladder order, so every
     value is the one a quadrature of that power alone returns.
@@ -258,7 +258,7 @@ def _adaptive_radial(g, powers, t: float, rate: float, rtol: float = QUADRATURE_
             if level:
                 residuals[i] = abs(curr - values[i])
             values[i] = curr
-            if not residuals[i] <= rtol * max(abs(curr), 1e-300):
+            if not residuals[i] <= QUADRATURE_RTOL * max(abs(curr), 1e-300):
                 refining.append(i)
         active = refining
         if not active:

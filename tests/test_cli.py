@@ -165,6 +165,34 @@ class TestSimulate:
         assert read_snapshot(str(tmp_path / "run.nsac")).t == summary["t_final"]
         assert read_csv(f"{tmp_path}/run.csv")["t"][-1] == summary["t_final"]
 
+    def test_decay_fits_over_a_window_of_samples(self, tmp_path, monkeypatch):
+        from nsac import cli
+        from nsac.oracle import fit_exponent
+
+        observers = []
+
+        class KeptSeriesObserver(SeriesObserver):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                observers.append(self)
+
+        monkeypatch.setattr(cli, "SeriesObserver", KeptSeriesObserver)
+        rc = main(
+            ["simulate", "ic.kind=random_perturbation", "ic.seed=2", "diag.fit_t_lo=0.1", "diag.fit_t_hi=0.5"]
+            + base_overrides(tmp_path)
+        )
+        assert rc == 0
+        summary = json.loads((tmp_path / "run.json").read_text())
+        (series,) = observers
+        fits = summary["decay_fits"]
+        assert [(f["l"], f["s"]) for f in fits] == [(l, s) for l in (0, 1, 2) for s in (0.5, 1.0)]
+        for f in fits:
+            assert "error" not in f and "passed" not in f
+            assert isinstance(f["pass"], bool)
+            assert f["target"] == -(f["l"] + f["s"])
+            assert f["n_samples"] >= 10  # the samples at t = 0.1, 0.12, ..., 0.5
+            assert f["exponent"] == fit_exponent(series.t, series.level[f["l"]], (0.1, 0.5)).exponent
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -449,10 +477,11 @@ class TestLinearDecay:
 
 class TestFit:
     def _write_series(self, tmp_path, exponent):
-        from nsac.io import CsvWriter, CSV_BASE_COLUMNS
+        from nsac.diagnostics import CSV_BASE_COLUMNS
+        from nsac.io import CsvWriter
 
         path = tmp_path / "series.csv"
-        with CsvWriter(str(path)) as w:
+        with CsvWriter(str(path), CSV_BASE_COLUMNS) as w:
             for t in np.geomspace(1, 1e3, 40):
                 row = [t] + [0.0] * (len(CSV_BASE_COLUMNS) - 1)
                 row[3] = (1 + t) ** exponent  # E_total column

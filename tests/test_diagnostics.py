@@ -3,7 +3,8 @@ import pytest
 
 from nsac import Grid, PhysParams, State
 from nsac.diagnostics import decay_suite, energy_ledger, level_energy, negative_functional
-from nsac.model import invariant_monitor
+from nsac.errors import InvariantViolation
+from nsac.model import check_state, invariant_monitor
 from nsac.oracle import DataProfile, decay_norms
 from nsac.spectral import SpectralField, negative_norm, sobolev_norm
 
@@ -163,15 +164,20 @@ class TestInvariantMonitor:
         state = State.from_physical(grid16, 0.0, np.zeros(grid16.shape), np.zeros((3,) + grid16.shape), phi)
         rep = invariant_monitor(state, params)
         assert not rep.clean
-        assert rep.phi_excess == pytest.approx(0.01, abs=1e-9)
-        assert rep.phi_excess_location is not None
+        with pytest.raises(InvariantViolation) as err:
+            check_state(state, params)
+        assert err.value.magnitude == pytest.approx(0.01, abs=1e-9)
+        assert err.value.location is not None
 
     def test_density_window_flagged(self, grid16, params):
         sigma = np.full(grid16.shape, -0.6)
         state = State.from_physical(grid16, 0.0, sigma, np.zeros((3,) + grid16.shape), np.ones(grid16.shape))
         rep = invariant_monitor(state, params)
-        assert rep.rho_window_violation == pytest.approx(0.1, abs=1e-9)
-        assert rep.rho_violation_location is not None
+        assert not rep.in_window
+        with pytest.raises(InvariantViolation) as err:
+            check_state(state, params)
+        assert rep.rho_window[0] - err.value.magnitude == pytest.approx(0.1, abs=1e-9)  # the lowest density
+        assert err.value.location is not None
 
     def test_nan_flagged(self, grid16, params):
         sigma = np.zeros(grid16.shape)

@@ -17,10 +17,9 @@ from nsac.config import (
 from nsac.errors import ConfigError, InfeasibleInitialCondition
 from nsac.initial import make_initial
 from nsac.integrate import StepConfig
+from nsac.diagnostics import CSV_BASE_COLUMNS, SeriesObserver
 from nsac.io import (
-    CSV_BASE_COLUMNS,
     CsvWriter,
-    csv_header,
     format_float,
     read_csv,
     read_snapshot,
@@ -245,7 +244,7 @@ class TestMakeInitial:
             make_initial(self._cfg(kind="random_perturbation", delta=100.0, max_mode=2, seed=1))
 
     def test_infeasible_manufactured_names_its_amplitude(self):
-        with pytest.raises(InfeasibleInitialCondition, match=r"^ic\.amplitude = -1 pushes the density"):
+        with pytest.raises(InfeasibleInitialCondition, match=r"^ic\.amplitude = -1 gives an inadmissible initial state: rho: density"):
             make_initial(self._cfg(kind="manufactured", amplitude=-1.0))
 
     def test_max_mode_must_fit_dealiased_band(self):
@@ -277,8 +276,9 @@ def sobolev_sq(state, order):
 
 class TestCsv:
     def test_header_schema(self):
-        assert csv_header() == "t,mass,phi_max,E_total,E_kin,E_G,E_grad,E_dw,D_visc,D_div,D_mu,H3_sigma_u,H2_gradphi,L2_phisq"
-        assert csv_header([0.5, 1.0]).endswith("L2_phisq,Eneg_s0.5,Eneg_s1")
+        assert ",".join(CSV_BASE_COLUMNS) == "t,mass,phi_max,E_total,E_kin,E_G,E_grad,E_dw,D_visc,D_div,D_mu,H3_sigma_u,H2_gradphi,L2_phisq"
+        columns = SeriesObserver(build_run_config({"diag.s_list": "0.5,1.0"})).columns
+        assert ",".join(columns).endswith("L2_phisq,Eneg_s0.5,Eneg_s1")
 
     def test_shortest_round_trip_floats(self):
         assert format_float(0.1) == "0.1"
@@ -287,7 +287,7 @@ class TestCsv:
 
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "series.csv"
-        with CsvWriter(str(path), s_list=(0.5,)) as w:
+        with CsvWriter(str(path), CSV_BASE_COLUMNS + ("Eneg_s0.5",)) as w:
             w.write([0.1 * i for i in range(len(CSV_BASE_COLUMNS) + 1)])
             w.write([0.2 * i for i in range(len(CSV_BASE_COLUMNS) + 1)])
         data = read_csv(str(path))
@@ -295,7 +295,7 @@ class TestCsv:
         assert data["Eneg_s0.5"][1] == 0.2 * len(CSV_BASE_COLUMNS)
 
     def test_column_count_enforced(self, tmp_path):
-        with CsvWriter(str(tmp_path / "x.csv")) as w:
+        with CsvWriter(str(tmp_path / "x.csv"), CSV_BASE_COLUMNS) as w:
             with pytest.raises(ValueError, match="columns"):
                 w.write([1.0, 2.0])
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ class TestGPotential:
             fd = (g_potential(rho + 1e-6, p) - g_potential(rho - 1e-6, p)) / 2e-6
             prime = (g_potential(rho, p) + pressure(rho, p) - pressure(p.rho_bar, p)) / rho
             assert prime == pytest.approx(fd, rel=1e-8)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    def test_relative_error_of_small_perturbations(self, gamma):
+        # at a = rho_bar = 1, G = ((1+x)^g - 1 - g x)/(g-1) = sum_{k>=2} c_k x^k with
+        # c_2 = g/2 and c_{k+1} = c_k (g - k)/(k + 1), summed in exact rational arithmetic;
+        # the closed form's error is about eps |x|, so eps/|x| relative to G's O(x^2)
+        p = PhysParams(pressure_gamma=gamma)
+        for x in np.concatenate([np.geomspace(1e-8, 1e-4, 13), -np.geomspace(1e-8, 1e-4, 13)]):
+            rho = 1.0 + x
+            xr = Fraction(rho) - 1  # the x that g_potential sees at rho_bar = 1
+            coeff, series = Fraction(gamma) / 2, Fraction(0)
+            for k in range(2, 10):
+                series += coeff * xr**k
+                coeff *= (Fraction(gamma) - k) / (k + 1)
+            exact = float(series)
+            assert abs(g_potential(rho, p) - exact) <= 1e-15 / abs(x) * exact
 
     def test_vacuum_rejected(self):
         with pytest.raises(VacuumError):

@@ -136,8 +136,6 @@ class TestDataProfile:
         DataProfile(s=0.0, kind="l1")
         with pytest.raises(ValueError, match="kind"):
             DataProfile(s=0.5, kind="gaussian")
-        with pytest.raises(ValueError, match="margin"):
-            DataProfile(s=0.5, margin=0.0)
         with pytest.raises(ValueError, match=r"\[0, 1.5\)"):
             DataProfile(s=1.5)
 
