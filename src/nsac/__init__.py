@@ -32,25 +32,14 @@ from .model import (
     pressure_prime,
     rhs,
 )
-from .oracle import (
-    DataProfile,
-    DecayFit,
-    SymbolBlock,
-    build_symbol,
-    decay_norms,
-    evolve_mode,
-    fit_exponent,
-)
+from .oracle import DataProfile, DecayFit, decay_norms, fit_exponent
 from .spectral import (
     Grid,
     SpectralField,
     fractional_laplacian,
     gn_ratio,
-    hk_norm_sq,
     interpolation_check,
     lp_norm,
-    negative_norm,
-    sobolev_norm,
 )
 
 __version__ = "0.1.0"

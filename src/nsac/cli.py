@@ -50,16 +50,22 @@ def _build_config(args) -> RunConfig:
 
 def _check_outputs(*outputs: tuple[str, str]) -> None:
     """Raise ``OSError`` for the first ``(name, path)`` that cannot be created: its directory
-    does not exist or the path is a directory.
+    does not exist or the path is a directory. Raise ``ValueError`` if two of them resolve to
+    the same file, which the later write would overwrite.
 
     Called before any work, so a bad path costs no run and writes no file.
     """
+    seen: dict[str, str] = {}
     for name, path in outputs:
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise FileNotFoundError(errno.ENOENT, f"{name}: no such directory", directory)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, f"{name}: is a directory", path)
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]} and {name} name the same file {path!r}")
+        seen[real] = name
 
 
 # ---------------------------------------------------------------------------

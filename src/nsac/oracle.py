@@ -37,52 +37,6 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK_INTERVALS = 64
 
 
-@dataclass(frozen=True)
-class SymbolBlock:
-    """Linear evolution operator at one wavenumber.
-
-    ``acoustic`` is the (1+dim)x(1+dim) matrix acting on (sigma_hat, u_hat);
-    ``phase_factor`` is the scalar rate multiplying phi_hat.
-    """
-
-    k: np.ndarray
-    acoustic: np.ndarray
-    phase_factor: float
-
-
-def build_symbol(k, params: PhysParams) -> SymbolBlock:
-    """Assemble the per-mode linear operator; the zero mode is conserved."""
-    k = np.asarray(k, dtype=np.float64)
-    d = k.size
-    a, b = params.shear_diffusivity, params.longitudinal_diffusivity
-    A = np.zeros((1 + d, 1 + d), dtype=np.complex128)
-    k2 = float(k @ k)
-    if k2 > 0:
-        A[0, 1:] = -1j * params.rho_bar * k
-        A[1:, 0] = -1j * params.sound_coupling * k
-        A[1:, 1:] = -a * k2 * np.eye(d) - (b - a) * np.outer(k, k)
-    return SymbolBlock(k=k, acoustic=A, phase_factor=-params.phase_diffusivity * k2)
-
-
-def evolve_mode(block: SymbolBlock, init: np.ndarray, t: float) -> np.ndarray:
-    """Apply ``exp(t A)`` to ``(sigma_hat, u_hat)`` and the heat factor to ``phi_hat``.
-
-    ``init`` stacks the amplitudes as ``[sigma, u_1..u_d, phi]``.
-    """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    init = np.asarray(init, dtype=np.complex128)
-    n_acu = block.acoustic.shape[0]
-    if init.size != n_acu + 1:
-        raise ValueError(f"expected {n_acu + 1} amplitudes, got {init.size}")
-    from scipy.linalg import expm
-
-    out = np.empty_like(init)
-    out[:n_acu] = expm(t * block.acoustic) @ init[:n_acu]
-    out[n_acu] = np.exp(block.phase_factor * t) * init[n_acu]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Radial data profiles
 # ---------------------------------------------------------------------------
@@ -190,14 +144,27 @@ def _decay_envelope(t: float, component: str, params: PhysParams):
 
 
 _JACOBI_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+#: Nodes of the origin panel's Gauss-Jacobi rule.
+_JACOBI_NODES = 24
 
 
 def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes/weights for ``(1+x)^p`` on [-1, 1] (alpha = 0)."""
-    if p not in _JACOBI_CACHE:
-        from scipy.special import roots_jacobi
+    """Gauss-Jacobi nodes/weights for ``(1+x)^p`` on [-1, 1] (alpha = 0).
 
-        _JACOBI_CACHE[p] = roots_jacobi(24, 0.0, p)
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of the orthonormal three-term
+    recurrence, and each weight is ``int (1+x)^p dx = 2^(p+1)/(p+1)`` times
+    the squared first component of the node's unit eigenvector.
+    """
+    if p not in _JACOBI_CACHE:
+        # sqrt(b_(j+1)) q_(j+1) = (x - a_j) q_j - sqrt(b_j) q_(j-1) for the Jacobi
+        # polynomials (0, p): a_j on the diagonal, sqrt(b_j) beside it
+        k = np.arange(1.0, _JACOBI_NODES)
+        s = 2.0 * k + p
+        diag = np.concatenate(([p / (p + 2.0)], p * p / (s * (s + 2.0))))
+        off = 2.0 * k * (k + p) / (s * np.sqrt(s * s - 1.0))
+        x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        _JACOBI_CACHE[p] = x, 2.0 ** (p + 1.0) / (p + 1.0) * v[0] ** 2
     return _JACOBI_CACHE[p]
 
 

@@ -359,33 +359,6 @@ def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
     return SpectralField(grid, c * mult)
 
 
-def sobolev_norm(f: SpectralField, l: int) -> float:
-    """``||f||`` weighted by ``|k|^l`` (the homogeneous derivative seminorm)."""
-    if l < 0 or int(l) != l:
-        raise ValueError(f"derivative order must be a non-negative integer, got {l}")
-    grid, c = f.grid, f.coeffs
-    return float(np.sqrt(grid.mode_sum_sq(c, order=float(l))))
-
-
-def hk_norm_sq(f: SpectralField, k: int) -> float:
-    """Squared inhomogeneous Sobolev norm ``sum_{j<=k} ||D^j f||^2``."""
-    return f.grid.shell_window(f.grid.shell_spectrum(f.coeffs), 0, k)
-
-
-def negative_norm(f: SpectralField, s: float) -> float:
-    """``||f||`` weighted by ``|k|^(-s)``, defined for ``0 < s < 3/2``.
-
-    Low-frequency content controls algebraic decay rates, which is why the
-    harness tracks these norms; the upper limit 3/2 matches the regime in
-    which the nonlinear estimates close.
-    """
-    if not (0.0 < s < 1.5):
-        raise ValueError(f"negative-order index s must lie in (0, 1.5), got {s}")
-    grid, c = f.grid, f.coeffs
-    _require_zero_mean(grid, c, "negative_norm")
-    return float(np.sqrt(grid.mode_sum_sq(c, order=-s)))
-
-
 def interpolation_check(f: SpectralField, l: int, s: float) -> tuple[float, float]:
     """Both sides of ``||D^l f|| <= ||D^(l+1) f||^(1-th) * ||f||_{-s}^th``.
 

@@ -14,16 +14,12 @@ from nsac import Grid, PhysParams, State, StepConfig, run
 from nsac.config import ICSpec, RunConfig
 from nsac.diagnostics import decay_suite, energy_ledger, level_energy, negative_functional
 from nsac.initial import make_initial
-from nsac.oracle import DataProfile, build_symbol, decay_norms, evolve_mode
-from nsac.spectral import (
-    SpectralField,
-    fractional_laplacian,
-    hk_norm_sq,
-    interpolation_check,
-)
+from nsac.oracle import DataProfile, decay_norms
+from nsac.spectral import SpectralField, fractional_laplacian, interpolation_check
 from nsac.verify import GN_STABLE_CASES, GN_SUP_CAP, GN_SUP_CASE, gn_ensemble_max
 
 from conftest import random_zero_mean_field
+from reference import build_symbol, evolve_mode, hk_norm_sq
 from test_integrate import observed_order
 
 

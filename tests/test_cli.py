@@ -266,6 +266,12 @@ class TestInputErrors:
             ["linear-decay", "--out-json", "{tmp}/absent/x.json"],
             ["linear-decay", "--out-csv", "{tmp}/absent/x.csv"],
             ["simulate", "out.csv={tmp}/x.csv", "out.snapshot={tmp}/x.nsac", "out.summary={tmp}"],
+            ["simulate", "grid.n=16", "step.t_end=0.02",
+             "out.csv={tmp}/a.out", "out.snapshot={tmp}/a.out", "out.summary={tmp}/x.json"],
+            ["simulate", "grid.n=16", "step.t_end=0.02",
+             "out.csv={tmp}/x.csv", "out.snapshot={tmp}/x.nsac", "out.summary={tmp}/./x.csv"],
+            ["linear-decay", "--l", "0", "--s", "0.5", "--components", "phi", "--points", "10",
+             "--out-json", "{tmp}/lin.csv"],
         ],
         ids=[
             "fit_header_only_csv",
@@ -307,6 +313,9 @@ class TestInputErrors:
             "linear_decay_json_missing_dir",
             "linear_decay_csv_missing_dir",
             "simulate_summary_is_a_directory",
+            "simulate_csv_is_snapshot",
+            "simulate_summary_is_csv",
+            "linear_decay_json_is_csv",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a warning printed before the error line counts as a second line
@@ -375,12 +384,19 @@ class TestStartup:
         return proc.stdout.strip()
 
     def test_import_leaves_scipy_linalg_unloaded(self):
-        # only the dense expm reference of the oracle needs it, and imports it itself
+        # only the dense expm reference needs it, and that lives in the tests
         assert self._after_import("'scipy.linalg' in sys.modules") == "False"
 
     def test_import_loads_no_scipy_module(self):
-        # the transforms are numpy.fft; the oracle imports scipy.special and scipy.linalg when it runs
+        # the transforms are numpy.fft, and nothing in the library imports scipy
         assert self._after_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+
+    def test_linear_decay_sweep_loads_no_scipy_module(self, tmp_path):
+        # the oracle's Gauss-Jacobi rule is numpy too, so a sweep's first fit imports nothing more
+        outputs = [f"--out-csv={tmp_path / 'lin.csv'}", f"--out-json={tmp_path / 'lin.json'}"]
+        argv = ["linear-decay", "--points", "10", "--l", "0", "--s", "0.5", "--components", "phi"] + outputs
+        loaded = f"nsac.cli.main({argv!r}), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+        assert self._after_import(loaded).splitlines()[-1] == "0 []"
 
 
 class TestSampleCost:

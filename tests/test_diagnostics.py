@@ -6,9 +6,10 @@ from nsac.diagnostics import decay_suite, energy_ledger, level_energy, negative_
 from nsac.errors import InvariantViolation
 from nsac.model import check_state, invariant_monitor
 from nsac.oracle import DataProfile, decay_norms
-from nsac.spectral import SpectralField, negative_norm, sobolev_norm
+from nsac.spectral import SpectralField
 
 from conftest import random_admissible_state
+from reference import hk_norm_sq, negative_norm
 
 V = (2 * np.pi) ** 3
 
@@ -65,8 +66,6 @@ class TestLevelEnergy:
             assert a.phi_grad <= b.phi_grad
             assert a.phi_sq == b.phi_sq
         # l = 0 equals the sum of squared H^3/H^2/L^2 norms used for boundedness
-        from nsac.spectral import hk_norm_sq
-
         su = (
             hk_norm_sq(SpectralField(state.grid, state.sigma_hat), 3)
             + sum(hk_norm_sq(SpectralField(state.grid, c), 3) for c in state.u_hat)
@@ -275,6 +274,11 @@ class TestAdmissibleSetViews:
         assert views == dict.fromkeys(views, admissible)
         if kind == "phi":
             assert verdicts["max_principle"] is admissible
+        if kind == "nan":
+            # finiteness is judged before the density, which a NaN coefficient also breaks
+            with pytest.raises(InvariantViolation, match="non-finite coefficients") as raised:
+                check_state(state, params, phi_tol=phi_tol)
+            assert raised.value.field == "sigma"
 
 
 class TestDecaySuite:

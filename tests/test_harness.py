@@ -26,7 +26,9 @@ from nsac.io import (
     write_snapshot,
 )
 from nsac.model import State
-from nsac.spectral import SpectralField, hk_norm_sq
+from nsac.spectral import SpectralField
+
+from reference import hk_norm_sq, sobolev_norm
 
 
 class TestConfigParsing:
@@ -269,8 +271,6 @@ class TestMakeInitial:
 
 
 def sobolev_sq(state, order):
-    from nsac.spectral import sobolev_norm
-
     return sobolev_norm(SpectralField(state.grid, state.phi_hat), order) ** 2
 
 

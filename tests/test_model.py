@@ -17,11 +17,11 @@ from nsac.model import (
     pressure_prime,
     rhs,
 )
-from nsac.oracle import build_symbol
 from nsac.spectral import SpectralField
 from nsac.verify import direct_rhs_physical, random_state
 
 from conftest import random_admissible_state, random_zero_mean_field
+from reference import build_symbol
 
 V = (2 * np.pi) ** 3
 
@@ -374,25 +374,56 @@ class TestRhs:
         self.assert_split_matches_direct_form(grid16, PhysParams(pressure_gamma=gamma))
 
     @staticmethod
-    def _swap_axes_0_1(stack):
+    def _swap_axes_0_1(grid, stack):
         # a transpose of the first two rfft axes; u_0 and u_1 trade rows
         return np.swapaxes(stack, 1, 2)[[0, 2, 1, 3, 4]]
 
     @staticmethod
-    def _reflect_axis_0(stack):
+    def _reflect_axis_0(grid, stack):
         # x_0 -> -x_0 maps index m_0 to (-m_0) mod n and flips the sign of u_0
-        n = stack.shape[1]
-        sign = np.array([1.0, -1.0, 1.0, 1.0, 1.0]).reshape(5, 1, 1, 1)
-        return sign * stack[:, (-np.arange(n)) % n]
+        sign = np.ones(len(stack))
+        sign[1] = -1.0
+        return sign.reshape((-1,) + (1,) * grid.dim) * stack[:, (-np.arange(grid.n)) % grid.n]
 
-    @pytest.mark.parametrize("symmetry", ["_swap_axes_0_1", "_reflect_axis_0"])
-    def test_commutes_with_the_box_symmetries(self, grid16, params, symmetry):
-        # metamorphic: rhs of the mapped state is the mapped rhs (defects 3.2e-16 and 1.1e-16 measured)
+    @staticmethod
+    def _translate_axis_0(grid, stack):
+        # x_0 -> x_0 + 3 dx: f(x - 3 dx) has the coefficients F_k exp(-i k_0 3 dx)
+        return stack * np.exp(-3.0 * grid.dx * grid.ik[0])
+
+    @pytest.mark.parametrize(
+        "dim, symmetry",
+        [
+            pytest.param(3, "_swap_axes_0_1", id="_swap_axes_0_1"),  # dim 2 has one full rfft axis only
+            pytest.param(3, "_reflect_axis_0", id="_reflect_axis_0"),
+            pytest.param(3, "_translate_axis_0", id="_translate_axis_0"),
+            pytest.param(2, "_reflect_axis_0", id="_reflect_axis_0-dim2"),
+            pytest.param(2, "_translate_axis_0", id="_translate_axis_0-dim2"),
+        ],
+    )
+    def test_commutes_with_the_box_symmetries(self, params, dim, symmetry):
+        # metamorphic: rhs of the mapped state is the mapped rhs; defects measured at dim 3 (2):
+        # swap 3.2e-16, reflection 1.1e-16 (4.5e-17), translation 9.2e-16 (2.6e-16)
+        grid = Grid(dim=dim, n=16, length=2 * np.pi)
         apply = getattr(self, symmetry)
-        state = random_state(np.random.default_rng(5), grid16, amplitude=0.1, max_mode=4)
-        mapped = apply(state.stacked())
+        state = random_state(np.random.default_rng(5), grid, amplitude=0.1, max_mode=4)
+        mapped = apply(grid, state.stacked())
         tend = rhs(state, params)
-        defect = rhs(State(grid16, state.t, mapped[0], mapped[1:-1], mapped[-1]), params) - apply(tend)
+        defect = rhs(State(grid, state.t, mapped[0], mapped[1:-1], mapped[-1]), params) - apply(grid, tend)
+        assert np.max(np.abs(defect)) <= 1e-13 * np.max(np.abs(tend))
+
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_galilean_boost(self, params, dim):
+        # a uniform velocity U along x_0 advects every field, so rhs(boosted) = rhs - U d_0 (stacked);
+        # the swap and the reflection both miss a kinetic term K = |u|^2/4, which this catches
+        # (defects 5.4e-17 at dim 3 and 4.9e-17 at dim 2 measured)
+        grid = Grid(dim=dim, n=16, length=2 * np.pi)
+        state = random_state(np.random.default_rng(5), grid, amplitude=0.1, max_mode=4)
+        U = 0.3
+        boosted = state.stacked()
+        boosted[1][(0,) * dim] += U
+        tend = rhs(state, params)
+        expected = tend - U * grid.ik[0] * state.stacked()
+        defect = rhs(State(grid, state.t, boosted[0], boosted[1:-1], boosted[-1]), params) - expected
         assert np.max(np.abs(defect)) <= 1e-13 * np.max(np.abs(tend))
 
     def test_mass_in_divergence_form(self, grid16, params):

@@ -1,19 +1,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, roots_jacobi
 
 from nsac import PhysParams, oracle
 from nsac.errors import QuadratureError
-from nsac.oracle import (
-    DataProfile,
-    SymbolBlock,
-    _longitudinal_gains,
-    build_symbol,
-    decay_norms,
-    evolve_mode,
-    fit_exponent,
-)
+from nsac.oracle import DataProfile, _longitudinal_gains, decay_norms, fit_exponent
+
+from reference import build_symbol, evolve_mode
 
 
 UNIT = PhysParams(nu=1.0, lam=0.0, rho_bar=1.0, pressure_a=1.0, pressure_gamma=1.0)  # p'(1) = 1
@@ -240,6 +234,30 @@ class TestDecayNorm:
             decay_norms([(4, prof)], 1.0, "phi", params)
         with pytest.raises(ValueError, match="component"):
             decay_norms([(0, prof)], 1.0, "pressure", params)
+
+
+class TestJacobiRule:
+    """The origin panel's numpy Gauss-Jacobi rule against scipy's."""
+
+    #: Every radial power of the CLI's default s list under both profiles, l 0-3.
+    POWERS = sorted({
+        2.0 * l + 2.0 + 2.0 * DataProfile(s=s, kind=kind).beta
+        for l in range(4) for s in (0.5, 1.0, 1.49) for kind in ("power", "l1")
+    })
+    NODE_ATOL = 1e-15
+    #: an eigenvector's first components are good to ulps of the largest, so the weights
+    #: near x = -1, which shrink like (1+x)^p, are good to a few 1e-12 relative
+    WEIGHT_RTOL = 1e-10
+    #: a sum of 24 rounded weights
+    SUM_RTOL = 1e-14
+
+    def test_matches_scipy_roots_jacobi(self):
+        for p in self.POWERS:
+            x, w = oracle._jacobi_rule(p)
+            x_ref, w_ref = roots_jacobi(24, 0.0, p)
+            assert np.max(np.abs(x - x_ref)) <= self.NODE_ATOL
+            assert np.max(np.abs(w / w_ref - 1.0)) <= self.WEIGHT_RTOL
+            assert w.sum() == pytest.approx(2.0 ** (p + 1.0) / (p + 1.0), rel=self.SUM_RTOL, abs=0)
 
 
 class TestQuadratureCost:

@@ -12,15 +12,13 @@ from nsac.spectral import (
     SpectralField,
     fractional_laplacian,
     gn_ratio,
-    hk_norm_sq,
     interpolation_check,
     lp_norm,
-    negative_norm,
-    sobolev_norm,
 )
 from nsac.verify import disable_dealiasing
 
 from conftest import random_zero_mean_field, two_thirds_band
+from reference import hk_norm_sq, negative_norm, sobolev_norm
 
 V = (2 * np.pi) ** 3  # box volume for the standard test grid
 SIN_L2_SQ = V / 2.0  # ||sin(k.x)||^2 on the box, any integer mode
