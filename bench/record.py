@@ -4,7 +4,8 @@
 Run from the repository root, with the parent commit checked out elsewhere:
 
     python3 bench/record.py --parent ../nsac-parent --change . --pr 6 \\
-        --plan decay64=1,2,3,4,5,6,7,8,9,7919 --plan dense32=1,2 --plan oracle-sweep=1
+        --plan decay64=1,2,3,4,5,6,7,8,9,7919 --plan dense32=1,2,3,4,5,6 \\
+        --plan oracle-sweep=1,2,3,4,5,6,7,8,9,7919
 
 Each seed of a plan is one pair: ``perfbench/run.py --trace 0`` runs once in
 each checkout with the same seed, and the side that runs first alternates

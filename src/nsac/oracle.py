@@ -32,8 +32,9 @@ MIN_FIT_SAMPLES = 10
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: Sub-intervals per envelope call in the composite Gauss-Legendre part. The
 #: finest level splits each ladder panel into 64, so blocks of 64 x 16 nodes
-#: keep the largest temporary at one panel's size while one call serves many
-#: panels at coarse levels.
+#: keep the largest temporary near one panel's size (the first block of a level
+#: also carries 24 origin nodes per power) while one call serves many panels
+#: at coarse levels.
 _BLOCK_INTERVALS = 64
 
 
@@ -182,27 +183,30 @@ def _adaptive_radial(g, powers, t: float, rate: float) -> list[float]:
     origin panel and doubles the subdivision; each power stops at the first
     level whose value agrees with its previous level's to ``QUADRATURE_RTOL``. At each
     level ``g`` is evaluated once per block of ladder nodes for every power
-    still refining, and each power sums its blocks in ladder order, so every
-    value is the one a quadrature of that power alone returns.
+    still refining, the first block's call also taking each such power's
+    origin nodes; every power's integrand of a block is one stacked array,
+    summed row by row. Each power adds its origin panel and then its blocks in
+    ladder order, so every value is the one a quadrature of that power alone
+    returns, bit for bit.
     """
     powers = [float(p) for p in powers]
     for p in powers:
         if p <= -1.0:
             raise ValueError(f"radial weight exponent must exceed -1, got {p}")
+    if not powers:
+        return []
     r_eff = min(1.0, 1.0 / np.sqrt(max(rate * t, 1.0)))
-    rules = [_jacobi_rule(p) for p in powers]
+    # each power's origin rule as a row
+    rule_nodes = np.stack([_jacobi_rule(p)[0] for p in powers])
+    rule_weights = np.stack([_jacobi_rule(p)[1] for p in powers])
     values: list[float] = [0.0] * len(powers)
     residuals = [np.inf] * len(powers)
     active = list(range(len(powers)))
 
     for level, n_sub in enumerate(_LEVELS):
         first = r_eff / (4.0 * n_sub)
-        totals = {}
-        for i in active:
-            # origin panel [0, first]: int r^p g = (first/2)^(p+1) * sum wj g(nodes)
-            xj, wj = rules[i]
-            nodes0 = first * 0.5 * (1.0 + xj)
-            totals[i] = (first / 2.0) ** (powers[i] + 1.0) * float(np.sum(wj * g(nodes0)))
+        # origin panel [0, first]: int r^p g = (first/2)^(p+1) * sum wj g(nodes)
+        origin = first * 0.5 * (1.0 + rule_nodes[active])
         edges = [first]
         scale = first
         while edges[-1] < 1.0:
@@ -216,12 +220,24 @@ def _adaptive_radial(g, powers, t: float, rate: float) -> list[float]:
         for start in range(0, len(mid), _BLOCK_INTERVALS):
             block = slice(start, start + _BLOCK_INTERVALS)
             nodes = mid[block] + half[block] * _GAUSS_NODES
-            envelope = g(nodes.ravel()).reshape(nodes.shape)
-            for i in active:
-                totals[i] += float(np.sum(half[block] * (nodes ** powers[i] * envelope) * _GAUSS_WEIGHTS))
+            if start:
+                envelope = g(nodes.ravel())
+            else:  # the first block's call also carries every origin panel
+                envelope = g(np.concatenate((origin.ravel(), nodes.ravel())))
+                at_origin = (rule_weights[active] * envelope[: origin.size].reshape(origin.shape)).sum(axis=1)
+                totals = [(first / 2.0) ** (powers[i] + 1.0) * float(s) for i, s in zip(active, at_origin)]
+                envelope = envelope[origin.size :]
+            # one scalar exponent per power: an exponent array loses numpy's
+            # fast paths for the integer powers and moves values by an ulp;
+            # the products of half * (r^p g) * W run in place, in that order
+            terms = np.stack([nodes ** powers[i] for i in active])
+            terms *= envelope.reshape(nodes.shape)
+            terms *= half[block]
+            terms *= _GAUSS_WEIGHTS
+            for j, block_sum in enumerate(terms.reshape(len(active), -1).sum(axis=1)):
+                totals[j] += float(block_sum)
         refining = []
-        for i in active:
-            curr = totals[i]
+        for i, curr in zip(active, totals):
             if level:
                 residuals[i] = abs(curr - values[i])
             values[i] = curr
@@ -250,8 +266,8 @@ def decay_norms(pairs, t: float, component: str, params: PhysParams) -> list[flo
     for l, _ in pairs:
         if not (0 <= l <= 3):
             raise ValueError(f"derivative order l must lie in [0, 3], got {l}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < np.inf:  # also false for a NaN, which no quadrature converges on
+        raise ValueError("t must be finite and nonnegative")
     g = _decay_envelope(t, component, params)
     powers = [2.0 * l + 2.0 + 2.0 * profile.beta for l, profile in pairs]
     if component == "phi":

@@ -4,6 +4,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import gammainc, gammaln, roots_jacobi
 
 from nsac import PhysParams, oracle
+from nsac.cli import main
 from nsac.errors import QuadratureError
 from nsac.oracle import DataProfile, _longitudinal_gains, decay_norms, fit_exponent
 
@@ -228,12 +229,17 @@ class TestDecayNorm:
         fit = fit_exponent(ts, vals, (ts[0], ts[-1]))
         assert abs(fit.exponent - (-1.5)) <= 0.05
 
-    def test_validation(self, params):
+    def test_validation(self, params, monkeypatch):
         prof = DataProfile(s=0.5)
         with pytest.raises(ValueError, match="l must lie"):
             decay_norms([(4, prof)], 1.0, "phi", params)
         with pytest.raises(ValueError, match="component"):
             decay_norms([(0, prof)], 1.0, "pressure", params)
+        monkeypatch.setattr(oracle, "_adaptive_radial", None)  # no quadrature starts
+        # an infinite t puts the origin panel at 0, so the ladder never reaches 1
+        for t in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                decay_norms([(0, prof)], t, "phi", params)
 
 
 class TestJacobiRule:
@@ -272,10 +278,10 @@ class TestQuadratureCost:
 
         monkeypatch.setattr(oracle, "_longitudinal_gains", counted)
         decay_norms([(1, DataProfile(s=1.0))], 1e4, "u", params)
-        # 5 refinement levels, each one origin-panel call plus the ladder's
-        # 12, 26, 60, 128 and 288 sub-intervals in blocks of 64
-        assert len(sizes) == 5 + (1 + 1 + 1 + 2 + 5)
-        assert max(sizes) == 64 * 16  # full blocks, never larger
+        # 5 refinement levels, the ladder's 12, 26, 60, 128 and 288
+        # sub-intervals in blocks of 64; each level's first block carries the origin panel
+        assert len(sizes) == 1 + 1 + 1 + 2 + 5
+        assert max(sizes) == 64 * 16 + 24  # a full block and the origin panel, never larger
 
     @pytest.mark.parametrize("component,l,s,t", [("phi", 0, 0.5, 100.0), ("sigma", 2, 1.49, 1e4), ("u", 1, 1.0, 1e4)])
     def test_blocked_sum_matches_per_panel_loop(self, params, component, l, s, t):
@@ -324,6 +330,7 @@ class TestSharedQuadrature:
         for t in (0.0, 100.0, 1e3, 1e4):
             alone = [decay_norms([(l, prof)], t, component, params)[0] for l, prof in DEFAULT_PAIRS]
             assert decay_norms(DEFAULT_PAIRS, t, component, params) == alone
+        assert decay_norms([], 1.0, component, params) == []
 
     def test_envelope_calls_of_one_shared_evaluation(self, params, monkeypatch):
         levels = []
@@ -337,11 +344,31 @@ class TestSharedQuadrature:
             decay_norms([(l, prof)], 1e4, "sigma", params)
         alone, levels[:] = len(levels), []
         decay_norms(DEFAULT_PAIRS, 1e4, "sigma", params)
-        # seven pairs stop after 5 levels and two after 6: 47 origin panels,
-        # each level's ladder blocks once (10 blocks for 5 levels, 10 more for
-        # the sixth); one pair at a time evaluates the ladder per pair
-        assert (len(levels), alone) == (47 + 20, 157)
-        assert max(levels) == 64 * 16
+        # seven pairs stop after 5 levels and two after 6: each level's ladder
+        # blocks once (10 blocks for 5 levels, 10 more for the sixth), the first
+        # block of a level carrying the origin panels of the pairs still refining;
+        # one pair at a time evaluates the ladder per pair
+        assert (len(levels), alone) == (20, 110)
+        assert max(levels) == 64 * 16 + 9 * 24
+
+    def test_envelope_calls_of_the_default_sweep(self, monkeypatch, tmp_path):
+        sizes = []
+        envelope = oracle._decay_envelope
+
+        def counted(t, component, params_):
+            g = envelope(t, component, params_)
+
+            def g_counted(r):
+                sizes.append(np.size(r))
+                return g(r)
+
+            return g_counted
+
+        monkeypatch.setattr(oracle, "_decay_envelope", counted)
+        assert main(["linear-decay", "--out-csv", str(tmp_path / "d.csv"), "--out-json", str(tmp_path / "d.json")]) == 0
+        # 3 components x 40 times, one call per ladder block and level
+        assert (len(sizes), sum(sizes)) == (558, 421_672)
+        assert max(sizes) == 64 * 16 + 9 * 24
 
     def test_one_nonconvergent_integrand_raises_with_its_residual(self):
         rng = np.random.default_rng(2)
