@@ -26,7 +26,7 @@ from .errors import ConfigError, InfeasibleInitialCondition, QuadratureError
 from .initial import make_initial
 from .integrate import run
 from .io import CsvWriter, format_float, read_csv, write_snapshot, write_summary
-from .oracle import MIN_FIT_SAMPLES, DataProfile, decay_norms, fit_exponent
+from .oracle import MIN_FIT_SAMPLES, DataProfile, check_component, decay_norms, fit_exponent
 from .verify import MIN_SUITE_N, run_property_suite
 
 
@@ -141,6 +141,8 @@ def cmd_linear_decay(args) -> int:
     ls = _parse_list("--l", args.l, int)
     ss = _parse_list("--s", args.s, float)
     components = _parse_list("--components", args.components, str)
+    for comp in components:
+        check_component(comp)
     if args.points < MIN_FIT_SAMPLES:
         raise ValueError(f"--points {args.points} is below {MIN_FIT_SAMPLES}, the fewest samples fit_exponent fits")
     if not 0 < args.t_lo < args.t_hi < np.inf:  # also false for a NaN

@@ -122,6 +122,12 @@ def _longitudinal_gains(k2: np.ndarray, t: float, params: PhysParams):
     return sigma, u
 
 
+def check_component(component: str) -> None:
+    """Raise ``ValueError`` unless ``component`` is a field the oracle evolves."""
+    if component not in ("phi", "sigma", "u"):
+        raise ValueError(f"unknown component {component!r}; use sigma, u or phi")
+
+
 def _decay_envelope(t: float, component: str, params: PhysParams):
     """Smooth part of the integrand: squared amplification factor at radius r.
 
@@ -129,8 +135,7 @@ def _decay_envelope(t: float, component: str, params: PhysParams):
     quadrature can treat its singularity at the origin exactly, and so one
     envelope serves every ``(l, profile)`` of a component at one ``t``.
     """
-    if component not in ("phi", "sigma", "u"):
-        raise ValueError(f"unknown component {component!r}; use sigma, u or phi")
+    check_component(component)
 
     def g(r: np.ndarray) -> np.ndarray:
         k2 = r**2

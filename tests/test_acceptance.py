@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from nsac import Grid, PhysParams, State, StepConfig, run
-from nsac.config import ICSpec, RunConfig
-from nsac.diagnostics import decay_suite, energy_ledger, level_energy, negative_functional
+from nsac.config import DiagSpec, ICSpec, RunConfig
+from nsac.diagnostics import SeriesObserver, decay_suite
 from nsac.initial import make_initial
 from nsac.oracle import DataProfile, decay_norms
 from nsac.spectral import SpectralField, fractional_laplacian, interpolation_check
@@ -83,47 +83,38 @@ def decay_run(params):
     # Two-segment time-step schedule: the dissipation integral is dominated by
     # the first fraction of a time unit, where the stiffest excited modes need
     # dt * rate < 1/2 for the sampled dissipation to integrate faithfully; the
-    # long tail then runs at the configured cap of 0.05.
+    # long tail then runs at the configured cap of 0.05. One SeriesObserver,
+    # the sampler of `nsac simulate`, samples every step of both segments.
     grid = Grid(dim=3, n=64, length=2 * np.pi)
     cfg = RunConfig(
         grid=grid,
         phys=params,
         step=StepConfig(dt=0.05, t_end=50.0, scheme_order=2),
         ic=ICSpec(kind="random_perturbation", delta=1e-2, max_mode=4, seed=2024),
+        diag=DiagSpec(l_list=(0,)),
     )
-    state = make_initial(cfg)
-    rows = {k: [] for k in ("t", "E", "D", "mass", "phimax", "comb", "neg05", "neg1")}
+    series = SeriesObserver(cfg)
+    rows = []
 
-    def obs(_i, s):
-        if rows["t"] and s.t == rows["t"][-1]:
-            return
-        rep = energy_ledger(s, params)
-        rows["t"].append(s.t)
-        rows["E"].append(rep.total)
-        rows["D"].append(rep.diss_visc + rep.diss_div + rep.diss_mu)
-        rows["mass"].append(s.mass(params))
-        rows["phimax"].append(float(np.max(np.abs(s.phi()))))
-        rows["comb"].append(level_energy(s, 0).combined)
-        rows["neg05"].append(negative_functional(s, 0.5).total)
-        rows["neg1"].append(negative_functional(s, 1.0).total)
-
-    holder = {}
-
-    def keep(_i, s):
-        holder["state"] = s
+    def sample(i, s):
+        # the tail's step 0 is the early segment's last state: sample it once
+        if i or not rows:
+            rows.append(series(i, s))
 
     early = StepConfig(dt=5e-3, t_end=1.0, scheme_order=2)
-    summary = run(state, early, params, observers=(obs, keep))
+    summary = run(make_initial(cfg), early, params, observers=(sample,))
     assert summary.termination == "t_end"
-    summary = run(holder["state"], cfg.step, params, observers=(obs,))
+    summary = run(series.last_state, cfg.step, params, observers=(sample,))
     assert summary.termination == "t_end"
-    return {k: np.asarray(v) for k, v in rows.items()}
+    columns = dict(zip(series.columns, np.asarray(rows).T))
+    return {"series": series, "columns": columns}
 
 
 class TestNonlinearRun:
     def test_criterion_3_invariants(self, decay_run):
-        t, E, D = decay_run["t"], decay_run["E"], decay_run["D"]
-        mass, phimax = decay_run["mass"], decay_run["phimax"]
+        col = decay_run["columns"]
+        t, mass, phimax, E = col["t"], col["mass"], col["phi_max"], col["E_total"]
+        D = col["D_visc"] + col["D_div"] + col["D_mu"]
 
         drift = np.max(np.abs(mass - mass[0])) / abs(mass[0])
         bound = phimax.max()
@@ -134,17 +125,26 @@ class TestNonlinearRun:
         b = bound <= 1.0 + 1e-6
         c = max_rise <= 1e-10 * E[0]
         d = cum_diss <= 1.1 * E[0]
+        # the run's own verdicts, as `nsac simulate` reports them, agree with the criterion
+        verdicts = decay_run["series"].verdicts()
+        keys = ("mass_conserved", "max_principle", "energy_monotone", "dissipation_within_budget")
+        assert tuple(verdicts[k] for k in keys) == (a, b, c, d)
+        # a running sum and np.sum round differently
+        assert verdicts["dissipation_cumulative"] == pytest.approx(cum_diss, rel=1e-12, abs=0.0)
         report(
             "criterion 3 (torus invariants, 64^3, t_end = 50)",
             a and b and c and d,
             f"(a) mass drift {drift:.2e} <= 1e-12: {a}; "
             f"(b) max|phi| {bound:.9f} <= 1+1e-6: {b}; "
             f"(c) max energy rise {max_rise / E[0]:.2e} x E(0) <= 1e-10: {c}; "
-            f"(d) cumulative dissipation {cum_diss / E[0]:.4f} x E(0) <= 1.1: {d}",
+            f"(d) cumulative dissipation {cum_diss / E[0]:.4f} x E(0) <= 1.1: {d}; "
+            f"{t.size} samples, {np.count_nonzero(t <= 1.0)} on [0, 1]",
         )
 
     def test_criterion_4_boundedness(self, decay_run):
-        comb = decay_run["comb"]
+        col = decay_run["columns"]
+        # LevelEnergy.combined at l = 0, summed in its order
+        comb = col["H3_sigma_u"] + col["H2_gradphi"] + col["L2_phisq"]
         ratio = comb.max() / comb[0]
         report(
             "criterion 4 (combined-norm boundedness)",
@@ -153,11 +153,12 @@ class TestNonlinearRun:
         )
 
     def test_criterion_5_negative_norm_boundedness(self, decay_run):
-        t = decay_run["t"]
+        col = decay_run["columns"]
+        t = col["t"]
         ok = True
         details = []
-        for key, s in (("neg05", 0.5), ("neg1", 1.0)):
-            series = decay_run[key]
+        for s in (0.5, 1.0):
+            series = col[f"Eneg_s{s:g}"]
             early_max = series[t <= 1.0].max()
             ratio = series.max() / early_max
             ok = ok and ratio <= 2.0

@@ -352,6 +352,16 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "--points 9" in err and "10" in err and "fit_exponent" in err
 
+    def test_unknown_component_is_rejected_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        # the phi and sigma sweeps come first in the list and must not run
+        monkeypatch.setattr(nsac.oracle, "_adaptive_radial", None)  # no quadrature starts
+        outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
+        assert main(["linear-decay", "--components", "phi,sigma,bogus"] + outputs) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown component 'bogus'; use sigma, u or phi\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, option",
         [

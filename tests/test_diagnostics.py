@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from nsac import Grid, PhysParams, State
-from nsac.diagnostics import decay_suite, energy_ledger, level_energy, negative_functional
+from nsac import Grid, PhysParams, State, StepConfig
+from nsac.config import RunConfig
+from nsac.diagnostics import SeriesObserver, decay_suite, energy_ledger, level_energy, negative_functional
 from nsac.errors import InvariantViolation
 from nsac.model import check_state, invariant_monitor
 from nsac.oracle import DataProfile, decay_norms
 from nsac.spectral import SpectralField
 
+import test_model as model_tests
 from conftest import random_admissible_state
 from reference import hk_norm_sq, negative_norm
 
@@ -309,3 +311,28 @@ class TestDecaySuite:
         t = np.geomspace(1, 1e4, 50)
         fit = decay_suite(t, (1 + t) ** (-2.5), l=1, s=0.5, tol=0.1)
         assert not fit.passed
+
+
+class TestSampleSymmetries:
+    """A sample row of ``SeriesObserver`` is invariant under the box maps of ``TestRhs``."""
+
+    @pytest.mark.parametrize(
+        "dim, symmetry",
+        [
+            pytest.param(3, "_swap_axes_0_1", id="_swap_axes_0_1"),  # dim 2 has one full rfft axis only
+            pytest.param(3, "_reflect_axis_0", id="_reflect_axis_0"),
+            pytest.param(3, "_translate_axis_0", id="_translate_axis_0"),
+            pytest.param(2, "_reflect_axis_0", id="_reflect_axis_0-dim2"),
+            pytest.param(2, "_translate_axis_0", id="_translate_axis_0-dim2"),
+        ],
+    )
+    def test_row_is_invariant_under_the_box_symmetries(self, params, dim, symmetry):
+        # every column but t; worst defects measured at dim 3 (2): swap 5.3e-16,
+        # reflection 2.1e-16 (1.5e-16), translation 1.2e-15 (2.3e-16)
+        grid = Grid(dim=dim, n=16, length=2 * np.pi)
+        state = random_admissible_state(np.random.default_rng(5), grid, amplitude=0.1, max_mode=4)
+        mapped = getattr(model_tests.TestRhs, symmetry)(grid, state.stacked())
+        cfg = RunConfig(grid=grid, phys=params, step=StepConfig(dt=0.05, t_end=1.0))
+        row = np.array(SeriesObserver(cfg)(0, state)[1:])
+        mapped_row = np.array(SeriesObserver(cfg)(0, State(grid, state.t, mapped[0], mapped[1:-1], mapped[-1]))[1:])
+        assert np.all(np.abs(mapped_row - row) <= 1e-13 * np.abs(row))
