@@ -20,7 +20,7 @@ from .errors import (
     VacuumError,
 )
 from .initial import make_initial
-from .integrate import RunSummary, StepConfig, Stepper, adaptive_dt, run, step
+from .integrate import RunSummary, StepConfig, Stepper, adaptive_dt, run
 from .model import (
     InvariantReport,
     PhysParams,

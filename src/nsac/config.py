@@ -141,13 +141,6 @@ def _parse(key: str, value: str, kind):
             raise ConfigError(f"{key} {value!r} holds no entry")
         return entries
     try:
-        if kind is bool:
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(value)
         if kind is int:
             return int(value)
         if kind is float:
@@ -194,8 +187,6 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, str):
         return value
     if isinstance(value, tuple):

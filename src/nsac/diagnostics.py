@@ -327,7 +327,7 @@ class SeriesObserver:
                     fit = decay_suite(t, series, l, s, tol=diag.fit_tol, window=window)
                     entry.update(fit.as_dict())
                     entry["pass"] = entry.pop("passed")
-                except (ValueError, ZeroDivisionError) as err:
+                except ValueError as err:
                     entry.update({"pass": False, "error": str(err)})
                 fits.append(entry)
         return fits

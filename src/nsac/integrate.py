@@ -1,8 +1,8 @@
 """Implicit-explicit time integration.
 
 The constant-coefficient linear operator (acoustic coupling between sigma and
-u, viscous Laplacian / grad-div, phase diffusion and optionally the linearized
-phase reaction) is solved exactly per Fourier mode in closed form
+u, viscous Laplacian / grad-div, phase diffusion and the linearized phase
+reaction) is solved exactly per Fourier mode in closed form
 (``model.LinearSymbol.solve``): an explicit 2x2 inverse for the longitudinal
 pair (sigma_hat, div u_hat), then scalar divisions for the velocity and
 phi_hat. Everything nonlinear or variable-coefficient is explicit.
@@ -11,10 +11,9 @@ Treating the acoustic coupling implicitly keeps the scheme stable without an
 acoustic CFL restriction and makes the implicit update a contraction in the
 energy norm, so discrete energy decay mirrors the continuous identity.
 
-Schemes: order 1 is IMEX Euler. Order 2 uses Crank-Nicolson for the linear
-part; `run` combines it with a two-level Adams-Bashforth extrapolation of the
-nonlinear terms (one nonlinear evaluation per step), while the standalone
-`step` uses a self-contained two-stage IMEX Runge-Kutta.
+Schemes: order 1 is IMEX Euler. Order 2 is CNAB2: Crank-Nicolson for the
+linear part with a two-level Adams-Bashforth extrapolation of the nonlinear
+terms (one nonlinear evaluation per step), bootstrapped by an Euler step.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvariantViolation, VacuumError
+from .errors import InvariantViolation
 from .model import (
     PHI_TOL,
     LinearSymbol,
@@ -35,17 +34,12 @@ from .model import (
 )
 from .spectral import Grid
 
-_ARS_GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
-_ARS_DELTA = 1.0 - 1.0 / (2.0 * _ARS_GAMMA)
-
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Time-stepping controls.
+    """Time-stepping controls of `run`.
 
-    ``reaction_shift`` moves the constant linearization of the phase reaction
-    (rate ``2/(eps rho_bar)``) into the implicit diagonal; the pure phases
-    ``phi = +-1`` remain exact fixed points of the discrete update either way.
+    ``scheme_order`` 1 is IMEX Euler and 2 is CNAB2.
     """
 
     dt: float
@@ -53,7 +47,6 @@ class StepConfig:
     cfl: float = 0.4
     max_steps: int = 1_000_000
     scheme_order: int = 2
-    reaction_shift: bool = True
     phi_tol: float = PHI_TOL
 
     def __post_init__(self):
@@ -108,13 +101,14 @@ def adaptive_dt(state: State, cfg: StepConfig, params: PhysParams) -> float:
 
 
 class Stepper:
-    """IMEX stepper for a fixed grid/params/config.
+    """IMEX stepper for a fixed grid and params.
 
     The state travels as ``y = (sigma_hat, u_hat, phi_hat)`` stacked on axis
     0. The implicit part is the closed-form per-mode solve of ``linear``, the
-    `LinearSymbol` with the phase row shifted by the reaction rate when
-    ``cfg.reaction_shift`` is set: nothing is factorized or cached, so a new
-    time step size costs the same as a repeated one.
+    `LinearSymbol` with the phase row shifted by the linearized reaction rate
+    ``2/(eps rho_bar)`` (the pure phases ``phi = +-1`` stay exact fixed
+    points): nothing is factorized or cached, so a new time step size costs
+    the same as a repeated one.
 
     The tendency workspace is allocated once, here. An Euler or CNAB2 step
     works slab by slab (`Grid.slabs`): of what it allocates, only the new
@@ -124,12 +118,10 @@ class Stepper:
     next `step_cnab2` consumes it as ``prev``.
     """
 
-    def __init__(self, grid: Grid, params: PhysParams, cfg: StepConfig):
+    def __init__(self, grid: Grid, params: PhysParams):
         self.grid = grid
         self.params = params
-        self.cfg = cfg
-        shift = 2.0 / (params.epsilon * params.rho_bar) if cfg.reaction_shift else 0.0
-        self.linear = LinearSymbol(grid, params, shift)
+        self.linear = LinearSymbol(grid, params, 2.0 / (params.epsilon * params.rho_bar))
         self.work = TendencyWorkspace(grid)
 
     def _advance(
@@ -191,31 +183,6 @@ class Stepper:
             return self.step_euler(state, dt)
         return self._advance(state, dt, 0.5 * dt, prev, -0.5 * dt / dt_prev)
 
-    def step_ars222(self, state: State, dt: float) -> State:
-        """Self-contained two-stage second-order IMEX Runge-Kutta step.
-
-        Its first stage is an Euler step of ``gamma dt``.
-        """
-        g, dl, B = _ARS_GAMMA, _ARS_DELTA, self.linear
-        y0 = state.stacked()
-        mid, n0 = self.step_euler(state, g * dt)
-        n1 = nonlinear_terms(mid, self.params, self.work)
-        n1[-1] += B.shift * mid.phi_hat
-        incr = dt * (B.apply(y0) + n0 + (1 - dl) * (n1 - n0)) + (1 - g) * dt * B.apply(mid.stacked() - y0)
-        new = self.grid.cut_to_band(y0 + B.solve(g * dt, incr))
-        return State(self.grid, state.t + dt, new[0], new[1:-1], new[-1])
-
-
-def step(state: State, cfg: StepConfig, params: PhysParams) -> State:
-    """Advance one step of size ``cfg.dt`` and enforce post-step invariants."""
-    stepper = Stepper(state.grid, params, cfg)
-    if cfg.scheme_order == 1:
-        new_state, _ = stepper.step_euler(state, cfg.dt)
-    else:
-        new_state = stepper.step_ars222(state, cfg.dt)
-    check_state(new_state, params, phi_tol=cfg.phi_tol)
-    return new_state
-
 
 def run(
     state: State,
@@ -236,7 +203,7 @@ def run(
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
     check_state(state, params, step=0, phi_tol=cfg.phi_tol)
-    stepper = Stepper(state.grid, params, cfg)
+    stepper = Stepper(state.grid, params)
     for obs in observers:
         obs(0, state)
 
@@ -265,9 +232,7 @@ def run(
             if final:
                 new = replace(new, t=t_end)
             check_state(new, params, step=steps + 1, phi_tol=cfg.phi_tol)
-        except (InvariantViolation, VacuumError) as err:
-            if isinstance(err, VacuumError):
-                err = InvariantViolation("rho", str(err), step=steps + 1)
+        except InvariantViolation as err:
             summary.termination, summary.violation = "invariant_violation", err.as_dict()
             break
         # adopt the candidate only once it is admissible, so t_final matches steps

@@ -88,9 +88,7 @@ class Grid:
 
         # Hermitian weights: interior half-axis modes stand for a conjugate pair
         wlast = np.ones(n // 2 + 1)
-        wlast[1:] = 2.0
-        if n % 2 == 0:
-            wlast[-1] = 1.0
+        wlast[1:-1] = 2.0  # n is even, so the Nyquist plane is its own conjugate
         weight = np.broadcast_to(wlast.reshape((1,) * (dim - 1) + (-1,)), rshape).copy()
 
         for arr in (*ik, k2, weight, shell, shell_k2):

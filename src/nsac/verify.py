@@ -276,7 +276,15 @@ MIN_SUITE_N = 16
 
 def run_property_suite(n: int = 16, seed: int = 0, inject_fault: str | None = None):
     """Run every check on an ``n^3`` grid (a power of two >= ``MIN_SUITE_N``);
-    ``inject_fault='no_dealias'`` demonstrates detection."""
+    ``inject_fault='no_dealias'`` demonstrates detection.
+
+    Raises ``ValueError`` before any check for an ``n`` or ``seed`` the suite
+    cannot run with.
+    """
+    if n < MIN_SUITE_N or n & (n - 1):
+        raise ValueError(f"n = {n}: the property suite needs a power of two >= {MIN_SUITE_N}")
+    if seed < 0:
+        raise ValueError(f"seed = {seed}: the suite's random states need a seed >= 0")
     grid = Grid(dim=3, n=n, length=2 * np.pi)
     params = PhysParams()
     checks = [

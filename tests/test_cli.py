@@ -457,6 +457,19 @@ class TestVerify:
         assert rc == 1
         assert "FAIL quadratic_product_alias_free" in out
 
+    @pytest.mark.parametrize("n,seed", [(8, 0), (12, 0), (16, -1)])
+    def test_library_suite_rejects_bad_input_before_any_check(self, monkeypatch, n, seed):
+        import nsac.verify
+
+        def ran(*args):
+            raise AssertionError("a check ran")
+
+        for name in dir(nsac.verify):
+            if name.startswith("check_"):
+                monkeypatch.setattr(nsac.verify, name, ran)
+        with pytest.raises(ValueError, match="power of two" if seed >= 0 else "seed"):
+            nsac.verify.run_property_suite(n=n, seed=seed)
+
     def test_invalid_config_rejected(self, tmp_path):
         # verify reads no configuration: --config is an unknown option
         cfgfile = tmp_path / "bad.cfg"

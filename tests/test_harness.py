@@ -1,6 +1,7 @@
 """Configuration parsing, initial conditions, and file formats."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ class TestConfigParsing:
         assert cfg.step.dt == 0.01
         assert cfg.ic.kind == "random_perturbation"
         assert cfg.diag.s_list == (0.5, 1.0)
+
+    def test_readme_example_loads(self):
+        # the README's example configuration is the first fenced block that sets grid.dim
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        example = next(block for block in readme.split("```")[1::2] if "grid.dim =" in block)
+        cfg = build_run_config(parse_config_text(example))
+        assert (cfg.grid.n, cfg.step.t_end, cfg.ic.seed) == (64, 50.0, 2024)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -131,7 +139,6 @@ class TestConfigParsing:
         "step.cfl": "0.3",
         "step.max_steps": "77",
         "step.scheme_order": "1",
-        "step.reaction_shift": "off",
         "step.phi_tol": "1e-4",
         "ic.kind": "manufactured",
         "ic.delta": "0.02",

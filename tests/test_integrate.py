@@ -6,7 +6,7 @@ import pytest
 import nsac.integrate
 import nsac.model
 import nsac.spectral
-from nsac import Grid, PhysParams, State, StepConfig, adaptive_dt, run, step
+from nsac import Grid, PhysParams, State, StepConfig, adaptive_dt, run
 from nsac.config import ICSpec, RunConfig
 from nsac.diagnostics import energy_ledger
 from nsac.initial import make_initial
@@ -36,18 +36,25 @@ class TestStepConfig:
 
 
 class TestStep:
+    @staticmethod
+    def _last_state(state, cfg, params):
+        """The last state a `run` of ``state`` under ``cfg`` accepts, with its summary."""
+        held = {}
+        summary = run(state, cfg, params, observers=(lambda i, s: held.update(state=s),))
+        return held["state"], summary
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_equilibrium_fixed_point(self, grid16, params, order):
-        cfg = StepConfig(dt=0.05, t_end=1.0, scheme_order=order)
+        cfg = StepConfig(dt=0.05, t_end=0.05, scheme_order=order)
         state = State.equilibrium(grid16)
-        new = step(state, cfg, params)
+        new, summary = self._last_state(state, cfg, params)
+        assert summary.steps == 1
         assert new.t == pytest.approx(0.05)
         assert np.array_equal(new.sigma_hat, state.sigma_hat)
         assert np.array_equal(new.u_hat, state.u_hat)
         assert np.array_equal(new.phi_hat, state.phi_hat)
 
-    @pytest.mark.parametrize("shift", [True, False])
-    def test_phase_relaxation_rate(self, params, shift):
+    def test_phase_relaxation_rate(self, params):
         # sigma = u = 0, phi = 1 + delta sin(x): mode amplitude decays like
         # exp(-(eps/rho_bar^2 + 2/(eps rho_bar)) t) up to O(dt^2) + O(delta)
         grid = Grid(dim=3, n=8, length=2 * np.pi)
@@ -61,27 +68,27 @@ class TestStep:
         T = 0.2
         errors = []
         for dt in (0.01, 0.005):
-            cfg = StepConfig(dt=dt, t_end=T, scheme_order=2, reaction_shift=shift)
-            state = state0
-            for _ in range(round(T / dt)):
-                state = step(state, cfg, params)
+            state, summary = self._last_state(state0, StepConfig(dt=dt, t_end=T, scheme_order=2), params)
+            assert summary.steps == round(T / dt)
             amp = 2.0 * abs(state.phi_hat[(1, 0, 0)])
             exact = delta * np.exp(-rate * T)
             errors.append(abs(amp - exact) / (delta * np.exp(-rate * T)))
         # second order: halving dt cuts the defect by about 4 (allow slack for
-        # the O(delta) nonlinear floor); the explicit-reaction variant carries
-        # a larger constant since dt times the reaction rate is not small
-        assert errors[0] <= (1e-2 if shift else 5e-2)
+        # the O(delta) nonlinear floor)
+        assert errors[0] <= 1e-2
         assert errors[1] <= errors[0] / 2.5 + 1e-5
 
     def test_post_step_phase_bound_enforced(self, grid16, params):
+        # run applies the post-step check_state to its initial state too; its
+        # rejection of a stepped state is test_invariant_violation_summary_is_written
         cfg = StepConfig(dt=0.01, t_end=1.0, phi_tol=1e-12)
         phi = np.full(grid16.shape, 1.01)
         state = State.from_physical(grid16, 0.0, np.zeros(grid16.shape), np.zeros((3,) + grid16.shape), phi)
         from nsac.errors import InvariantViolation
 
-        with pytest.raises(InvariantViolation, match="phi"):
-            step(state, cfg, params)
+        with pytest.raises(InvariantViolation, match="phi") as err:
+            run(state, cfg, params)
+        assert err.value.step == 0
 
 
 class TestAdaptiveDt:
@@ -387,7 +394,6 @@ class TestWholeStep:
     @staticmethod
     def _check_against_the_loop(grid, params):
         cfg = _five_step_run(grid, params)
-        assert cfg.step.reaction_shift
         state = make_initial(cfg)
         held = {}
         summary = run(state, cfg.step, params, observers=(lambda i, s: held.update(state=s),))
@@ -544,24 +550,32 @@ class TestTemporalConvergence:
 class TestSpatialRefinement:
     """Criterion 8's twin in space: one smooth IC on finer and finer grids."""
 
-    #: Largest coarse-mode coefficient difference from the 32^3 run, per grid;
-    #: measured 1.05e-5 at 8^3 and 9.7e-12 at 16^3.
-    BOUNDS = {8: 1e-4, 16: 1e-10}
+    #: Largest coarse-mode coefficient difference from the 32^dim run, per dim
+    #: and grid; measured 1.05e-5 at 8^3, 9.7e-12 at 16^3, 5.16e-5 at 8^2 and
+    #: 1.37e-10 at 16^2.
+    BOUNDS = {3: {8: 1e-4, 16: 1e-10}, 2: {8: 5e-4, 16: 1.5e-9}}
 
     def test_coarse_modes_converge_spectrally(self, params):
-        # modes |m| <= 2, inside every grid's 2/3 band, zero-padded from 8^3
-        coarse = Grid(dim=3, n=8, length=2 * np.pi)
+        self._check_refinement(3, params)
+
+    def test_coarse_modes_converge_spectrally_in_2d(self, params):
+        self._check_refinement(2, params)
+
+    def _check_refinement(self, dim, params):
+        # modes |m| <= 2, inside every grid's 2/3 band, zero-padded from 8^dim
+        coarse = Grid(dim=dim, n=8, length=2 * np.pi)
         ic = random_admissible_state(np.random.default_rng(3), coarse, amplitude=0.05, max_mode=2).stacked()
-        grids = {n: Grid(dim=3, n=n, length=2 * np.pi) for n in (8, 16, 32)}
+        grids = {n: Grid(dim=dim, n=n, length=2 * np.pi) for n in (8, 16, 32)}
 
         def embed(grid):
             out = np.zeros((len(ic),) + grid.rshape, dtype=np.complex128)
             out[(slice(None),) + _coarse_modes(coarse, grid)] = ic
             return out
 
-        # phi <= 1 on the 8^3 points overshoots between them (max|phi| 1.0016); the 32^3
-        # points hold the 8^3 and 16^3 ones, so their maximum bounds phi on every grid
-        ic[-1][(0, 0, 0)] -= grids[32].inverse(embed(grids[32])[-1]).max() - 1.0
+        # phi <= 1 on the 8^dim points overshoots between them (max|phi| 1.0016 at dim 3,
+        # 1.0009 at dim 2); the 32^dim points hold the coarser ones, so their maximum
+        # bounds phi on every grid
+        ic[-1][(0,) * dim] -= grids[32].inverse(embed(grids[32])[-1]).max() - 1.0
 
         def coarse_modes_at_half(grid):
             y, holder = embed(grid), {}
@@ -572,5 +586,5 @@ class TestSpatialRefinement:
             return holder["s"].stacked()[(slice(None),) + _coarse_modes(coarse, grid)]
 
         ref = coarse_modes_at_half(grids[32])
-        for n, bound in self.BOUNDS.items():
+        for n, bound in self.BOUNDS[dim].items():
             assert np.max(np.abs(coarse_modes_at_half(grids[n]) - ref)) <= bound, n
