@@ -16,7 +16,11 @@ resolved: the change wins at least nine pairs in ten and its median beats the
 parent's by more than the parent's interquartile range. After each run the
 files the workload wrote for that seed under ``perfbench/_work/`` are hashed,
 and each pair records whether both sides wrote the same bytes
-(``outputs_identical``; null for a workload that writes no files). Once a
+(``outputs_identical``). decay64 writes no files, so after each of its runs
+one more process in that checkout runs ``bench_workloads.Decay64`` through
+``setup()`` and one ``unit()`` and prints the unit's fingerprint, a sha256 of
+the final state; that side's outputs are ``{"fingerprint": ...}``. This
+costs about one decay64 unit per side and pair. Once a
 change moves a value by an ulp the bytes differ, so for a workload that writes
 decay fits each pair also records the largest relative difference in any
 fit's exponent, prefactor or r2 (``fits_max_rel_diff``). The
@@ -42,7 +46,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 #: Files a workload writes per seed, by suffix. dense32's -summary.json embeds
-#: checkout paths, so it is left out; decay64 writes no files.
+#: checkout paths, so it is left out; decay64 writes no files (see `unit_fingerprint`).
 OUTPUT_SUFFIXES = {"dense32": (".csv", ".nsac"), "oracle-sweep": (".csv", ".json")}
 #: The fields of each fit in a fits JSON (``{"fits": [...]}``) that pairs compare.
 FIT_KEYS = ("exponent", "prefactor", "r2")
@@ -170,6 +174,25 @@ def parse_output(stdout: str, workload: str) -> dict:
     }
 
 
+#: Runs decay64's set-up and one unit in a checkout and prints the unit's fingerprint.
+FINGERPRINT_SCRIPT = """
+import sys
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import bench_workloads
+workload = bench_workloads.Decay64(int(sys.argv[1]), Path("perfbench", "_work"))
+workload.setup()
+print(workload.unit().fingerprint)
+"""
+
+
+def unit_fingerprint(checkout: Path, seed: int) -> dict:
+    """``{"fingerprint": ...}`` of one decay64 unit for ``seed``, run in ``checkout``."""
+    cmd = [sys.executable, "-c", FINGERPRINT_SCRIPT, str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return {"fingerprint": proc.stdout.strip().splitlines()[-1]}
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     paths = output_paths(checkout, workload, seed)
     for path in paths or ():
@@ -177,13 +200,13 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return {
-        **parse_output(proc.stdout, workload),
-        "outputs": None if paths is None else {
+    if workload == "decay64":
+        outputs = unit_fingerprint(checkout, seed)
+    else:
+        outputs = None if paths is None else {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None for p in paths
-        },
-        "fits": read_fits(paths),
-    }
+        }
+    return {**parse_output(proc.stdout, workload), "outputs": outputs, "fits": read_fits(paths)}
 
 
 def revision(checkout: Path) -> dict:

@@ -35,7 +35,6 @@ from .model import (
 from .oracle import DataProfile, DecayFit, decay_norms, fit_exponent
 from .spectral import (
     Grid,
-    SpectralField,
     fractional_laplacian,
     gn_ratio,
     interpolation_check,

@@ -309,7 +309,9 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run the operator/invariant property suite")
     p_ver.add_argument(
-        "--n", type=int, default=16, help=f"grid points per axis for the suite, a power of two >= {MIN_SUITE_N}"
+        "--n", type=int, default=16,
+        help=f"grid points per axis for the suite, a power of two >= {MIN_SUITE_N}; "
+        "the Gagliardo-Nirenberg ensemble check always builds its own 32^3 grid",
     )
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument(

@@ -59,7 +59,7 @@ def energy_ledger(state: State, params: PhysParams) -> EnergyReport:
     double_well = V / (4.0 * params.epsilon) * float(np.mean(rho * (phi**2 - 1.0) ** 2))
 
     grad_u_sq = g.shell_sum(state.spectrum("u"), order=1.0)
-    div_u_sq = g.mode_sum_sq(g.divergence(state.u_hat), order=0.0)
+    div_u_sq = g.mode_sum_sq(g.divergence(state.u_hat))
     mu = chemical_potential(state, params)
     mu_sq = V * float(np.mean(mu * mu))
 

@@ -25,9 +25,9 @@ def _band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> 
         raise InfeasibleInitialCondition(
             f"ic.max_mode = {max_mode} exceeds the de-aliased band n/3 = {grid.band_cut()}"
         )
-    f = band_limited_noise(rng, grid, max_mode)
-    scale = float(np.sqrt(np.mean(f.to_physical() ** 2)))
-    return f.coeffs / scale if scale > 0 else f.coeffs
+    c = band_limited_noise(rng, grid, max_mode)
+    scale = float(np.sqrt(np.mean(grid.inverse(c) ** 2)))
+    return c / scale if scale > 0 else c
 
 
 def _smallness(grid: Grid, sigma_hat, u_hat, psi_hat):

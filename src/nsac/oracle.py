@@ -322,11 +322,13 @@ class DecayFit:
 def fit_exponent(t, values, window: tuple[float, float]) -> DecayFit:
     """Fit ``log(values)`` against ``log(1+t)`` over the window.
 
-    Requires finite sample times and at least ``MIN_FIT_SAMPLES`` finite,
-    strictly positive samples inside the window.
+    Requires one value per sample time, finite sample times and at least
+    ``MIN_FIT_SAMPLES`` finite, strictly positive samples inside the window.
     """
     t = np.asarray(t, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
+    if t.shape != values.shape:
+        raise ValueError(f"t and values must have the same shape, got {t.shape} and {values.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("sample times t must be finite")
     lo, hi = window

@@ -274,52 +274,18 @@ class Grid:
         """``sum_{j=lo..hi} ||D^j f||^2`` from the shell spectrum of ``f``."""
         return sum(self.shell_sum(spectrum, j) for j in range(lo, hi + 1))
 
-    def mode_sum_sq(self, coeffs: np.ndarray, order: float = 0.0) -> float:
-        """``V * sum_k |k|^(2*order) |F_k|^2``; order 0 is Parseval's sum and needs no shells."""
-        if order == 0:
-            return self.volume * float(np.sum(self.weight * (coeffs.real**2 + coeffs.imag**2)))
-        return self.shell_sum(self.shell_spectrum(coeffs), order)
+    def mode_sum_sq(self, coeffs: np.ndarray) -> float:
+        """Parseval's sum ``V * sum_k |F_k|^2``, which needs no shells."""
+        return self.volume * float(np.sum(self.weight * (coeffs.real**2 + coeffs.imag**2)))
 
     def mean_value(self, coeffs: np.ndarray) -> float:
         return float(coeffs[(0,) * self.dim].real)
 
 
-# ---------------------------------------------------------------------------
-# Spectral fields
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Immutable complex coefficient array of a real field on a :class:`Grid`.
-
-    The rfft layout keeps the redundant Hermitian half implicit.
-    """
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != self.grid.rshape:
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} != rfft layout {self.grid.rshape}"
-            )
-        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
-        return cls(grid, grid.forward(np.asarray(values, dtype=np.float64)))
-
-    def to_physical(self) -> np.ndarray:
-        return self.grid.inverse(self.coeffs)
-
-
-def band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> SpectralField:
+def band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> np.ndarray:
     """One ``rng.standard_normal`` draw kept on the integer modes ``0 < |m| <= max_mode``."""
     c = grid.forward(rng.standard_normal(grid.shape))
-    return SpectralField(grid, np.where((grid.shell > 0) & (grid.shell <= max_mode**2), c, 0.0))
+    return np.where((grid.shell > 0) & (grid.shell <= max_mode**2), c, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,36 +306,43 @@ def _require_zero_mean(grid: Grid, coeffs: np.ndarray, what: str) -> None:
         )
 
 
-def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
-    """Apply ``|k|^s`` mode-by-mode (``s=2`` is ``-Laplacian``).
+def _require_layout(grid: Grid, coeffs: np.ndarray) -> None:
+    if np.shape(coeffs) != grid.rshape:
+        raise ValueError(f"coefficient shape {np.shape(coeffs)} != rfft layout {grid.rshape}")
 
-    For ``s < 0`` the input must be zero-mean; the zero mode is mapped to zero
-    for every ``s != 0``.
+
+def fractional_laplacian(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """Apply ``|k|^s`` mode-by-mode (``s=2`` is ``-Laplacian``); a new array.
+
+    ``s`` must be finite. For ``s < 0`` the input must be zero-mean; the zero
+    mode is mapped to zero for every ``s != 0``.
     """
-    grid, c = f.grid, f.coeffs
+    _require_layout(grid, coeffs)
+    if not -np.inf < s < np.inf:  # also false for a NaN
+        raise ValueError(f"power s must be finite, got {s}")
     if s == 0:
-        return f
+        return coeffs.copy()
     if s < 0:
-        _require_zero_mean(grid, c, "fractional_laplacian with s < 0")
+        _require_zero_mean(grid, coeffs, "fractional_laplacian with s < 0")
     with np.errstate(divide="ignore"):
         mult = np.sqrt(np.where(grid.k2 > 0, grid.k2, 1.0)) ** s
     mult = np.where(grid.k2 > 0, mult, 0.0)
-    return SpectralField(grid, c * mult)
+    return coeffs * mult
 
 
-def interpolation_check(f: SpectralField, l: int, s: float) -> tuple[float, float]:
+def interpolation_check(grid: Grid, coeffs: np.ndarray, l: int, s: float) -> tuple[float, float]:
     """Both sides of ``||D^l f|| <= ||D^(l+1) f||^(1-th) * ||f||_{-s}^th``.
 
     ``th = 1/(l+s+1)``. The two sides are equal for a single Fourier mode and
     the inequality holds with constant one for every zero-mean field.
     """
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    _require_layout(grid, coeffs)
+    if not 0 <= l < np.inf:  # also false for a NaN
+        raise ValueError(f"l must be finite and >= 0, got {l}")
     if not (0.0 <= s < 1.5):
         raise ValueError(f"s must lie in [0, 1.5), got {s}")
-    grid, c = f.grid, f.coeffs
-    _require_zero_mean(grid, c, "interpolation_check")
-    spectrum = grid.shell_spectrum(c)
+    _require_zero_mean(grid, coeffs, "interpolation_check")
+    spectrum = grid.shell_spectrum(coeffs)
     lo = grid.shell_sum(spectrum, order=float(l))
     if lo == 0.0:
         raise ValueError("zero field: interpolation ratio undefined")
@@ -381,18 +354,20 @@ def interpolation_check(f: SpectralField, l: int, s: float) -> tuple[float, floa
     return float(lhs), float(rhs)
 
 
-def lp_norm(f: SpectralField, p: float) -> float:
-    """Grid-level Lebesgue norm (collocation values, no super-resolution)."""
-    vals = f.to_physical()
+def lp_norm(grid: Grid, coeffs: np.ndarray, p: float) -> float:
+    """Grid-level Lebesgue norm (collocation values, no super-resolution); ``p = inf`` is the sup norm."""
+    _require_layout(grid, coeffs)
+    if not p >= 1:  # also true for a NaN
+        raise ValueError(f"Lebesgue exponent must be >= 1, got {p}")
+    vals = grid.inverse(coeffs)
     if p == np.inf:
         return float(np.max(np.abs(vals)))
-    if p < 1:
-        raise ValueError(f"Lebesgue exponent must be >= 1, got {p}")
-    return float((f.grid.volume * np.mean(np.abs(vals) ** p)) ** (1.0 / p))
+    return float((grid.volume * np.mean(np.abs(vals) ** p)) ** (1.0 / p))
 
 
 def gn_ratio(
-    f: SpectralField,
+    grid: Grid,
+    coeffs: np.ndarray,
     l: int,
     p: float,
     s: int,
@@ -410,7 +385,6 @@ def gn_ratio(
     flavor are measured through the ``|k|^m`` multiplier applied before the
     grid norm.
     """
-    grid = f.grid
     d = float(grid.dim)
     if not (0 <= l < k and 0 <= s < k):
         raise ValueError(f"need 0 <= l, s < k, got l={l}, s={s}, k={k}")
@@ -418,13 +392,13 @@ def gn_ratio(
         raise ValueError(f"theta must lie in [l/k, 1] = [{l / k}, 1], got {theta}")
     inv = lambda e: 0.0 if e == np.inf else 1.0 / e
     residual = (l / d - inv(p)) - (1.0 - theta) * (s / d - inv(r)) - theta * (k / d - inv(q))
-    if abs(residual) > 1e-12:
+    if not abs(residual) <= 1e-12:  # also true for a NaN exponent
         raise ValueError(
             f"exponent relation violated: dimensional balance residual {residual:.3e}"
         )
-    num = lp_norm(fractional_laplacian(f, float(l)), p)
-    den_s = lp_norm(fractional_laplacian(f, float(s)), r)
-    den_k = lp_norm(fractional_laplacian(f, float(k)), q)
+    num = lp_norm(grid, fractional_laplacian(grid, coeffs, float(l)), p)
+    den_s = lp_norm(grid, fractional_laplacian(grid, coeffs, float(s)), r)
+    den_k = lp_norm(grid, fractional_laplacian(grid, coeffs, float(k)), q)
     den = den_s ** (1.0 - theta) * den_k**theta
     if den == 0.0:
         raise ValueError("zero field: ratio undefined")

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from nsac.model import PhysParams
-from nsac.spectral import SpectralField, _require_zero_mean
+from nsac.spectral import Grid, _require_zero_mean
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,19 @@ def evolve_mode(block: SymbolBlock, init: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def sobolev_norm(f: SpectralField, l: int) -> float:
+def sobolev_norm(grid: Grid, coeffs: np.ndarray, l: int) -> float:
     """``||f||`` weighted by ``|k|^l`` (the homogeneous derivative seminorm)."""
     if l < 0 or int(l) != l:
         raise ValueError(f"derivative order must be a non-negative integer, got {l}")
-    grid, c = f.grid, f.coeffs
-    return float(np.sqrt(grid.mode_sum_sq(c, order=float(l))))
+    return float(np.sqrt(grid.shell_sum(grid.shell_spectrum(coeffs), float(l))))
 
 
-def hk_norm_sq(f: SpectralField, k: int) -> float:
+def hk_norm_sq(grid: Grid, coeffs: np.ndarray, k: int) -> float:
     """Squared inhomogeneous Sobolev norm ``sum_{j<=k} ||D^j f||^2``."""
-    return f.grid.shell_window(f.grid.shell_spectrum(f.coeffs), 0, k)
+    return grid.shell_window(grid.shell_spectrum(coeffs), 0, k)
 
 
-def negative_norm(f: SpectralField, s: float) -> float:
+def negative_norm(grid: Grid, coeffs: np.ndarray, s: float) -> float:
     """``||f||`` weighted by ``|k|^(-s)``, defined for ``0 < s < 3/2``.
 
     Low-frequency content controls algebraic decay rates, which is why the
@@ -83,6 +82,5 @@ def negative_norm(f: SpectralField, s: float) -> float:
     """
     if not (0.0 < s < 1.5):
         raise ValueError(f"negative-order index s must lie in (0, 1.5), got {s}")
-    grid, c = f.grid, f.coeffs
-    _require_zero_mean(grid, c, "negative_norm")
-    return float(np.sqrt(grid.mode_sum_sq(c, order=-s)))
+    _require_zero_mean(grid, coeffs, "negative_norm")
+    return float(np.sqrt(grid.shell_sum(grid.shell_spectrum(coeffs), -s)))

@@ -166,3 +166,25 @@ def test_revision_records_a_dirty_tree_and_a_hash_of_its_difference(tmp_path, mo
     assert untracked["dirty"] and untracked["diff_sha256"] not in (None, edited["diff_sha256"])
     (tmp_path / ".gitignore").write_text("new.py\n.gitignore\n")
     assert record.revision(tmp_path) == clean  # ignored files do not
+
+
+def test_decay64_outputs_are_the_unit_fingerprint(monkeypatch):
+    result = '{"correct": true, "attempted": 82, "failed": 0, "metrics": {"cpu_s": {"value": 5.6, "unit": "s"}}}'
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append((cmd, cwd))
+        stdout = "abc123\n" if cmd[1] == "-c" else result + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
+    out = record.run_side(Path("checkout"), "decay64", 7919, 10.0)
+    assert out["outputs"] == {"fingerprint": "abc123"} and out["fits"] is None
+    (bench, bench_cwd), (probe, probe_cwd) = calls
+    assert bench[1] == "perfbench/run.py" and bench_cwd == probe_cwd == Path("checkout")
+    assert probe[2] == record.FINGERPRINT_SCRIPT and probe[3] == "7919"
+    # the summary compares the fingerprints like any other outputs
+    runs = canned([(12.0, 8.0), (12.0, 8.0)])
+    for run, fingerprint in zip(runs, ["abc123", "abc123", "abc123", "def456"]):
+        run["outputs"] = {"fingerprint": fingerprint}
+    assert record.summarise(runs, BETTER)["outputs_identical"] == [True, False]

@@ -7,7 +7,6 @@ from nsac.diagnostics import SeriesObserver, decay_suite, energy_ledger, level_e
 from nsac.errors import InvariantViolation
 from nsac.model import check_state, invariant_monitor
 from nsac.oracle import DataProfile, decay_norms
-from nsac.spectral import SpectralField
 
 import test_model as model_tests
 from conftest import random_admissible_state
@@ -71,8 +70,8 @@ class TestLevelEnergy:
             assert a.phi_sq == b.phi_sq
         # l = 0 equals the sum of squared H^3/H^2/L^2 norms used for boundedness
         su = (
-            hk_norm_sq(SpectralField(state.grid, state.sigma_hat), 3)
-            + sum(hk_norm_sq(SpectralField(state.grid, c), 3) for c in state.u_hat)
+            hk_norm_sq(state.grid, state.sigma_hat, 3)
+            + sum(hk_norm_sq(state.grid, c, 3) for c in state.u_hat)
         )
         assert lv[0].sigma_hk + lv[0].u_hk == pytest.approx(su, rel=1e-12)
 
@@ -126,7 +125,7 @@ class TestNegativeFunctional:
         def neg_sq(coeffs):
             c = coeffs.copy()
             c[(0, 0, 0)] = 0.0
-            return negative_norm(SpectralField(g, c), s) ** 2
+            return negative_norm(g, c, s) ** 2
 
         assert nf.sigma_neg == pytest.approx(neg_sq(state.sigma_hat), rel=1e-12)
         assert nf.u_neg == pytest.approx(
@@ -318,16 +317,7 @@ class TestDecaySuite:
 class TestSampleSymmetries:
     """A sample row of ``SeriesObserver`` is invariant under the box maps of ``TestRhs``."""
 
-    @pytest.mark.parametrize(
-        "dim, symmetry",
-        [
-            pytest.param(3, "_swap_axes_0_1", id="_swap_axes_0_1"),  # dim 2 has one full rfft axis only
-            pytest.param(3, "_reflect_axis_0", id="_reflect_axis_0"),
-            pytest.param(3, "_translate_axis_0", id="_translate_axis_0"),
-            pytest.param(2, "_reflect_axis_0", id="_reflect_axis_0-dim2"),
-            pytest.param(2, "_translate_axis_0", id="_translate_axis_0-dim2"),
-        ],
-    )
+    @pytest.mark.parametrize("dim, symmetry", model_tests.BOX_MAPS)
     def test_row_is_invariant_under_the_box_symmetries(self, params, dim, symmetry):
         # every column but t; worst defects measured at dim 3 (2): swap 5.3e-16,
         # reflection 2.1e-16 (1.5e-16), translation 1.2e-15 (2.3e-16)

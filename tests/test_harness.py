@@ -27,7 +27,6 @@ from nsac.io import (
     write_snapshot,
 )
 from nsac.model import State
-from nsac.spectral import SpectralField
 
 from reference import hk_norm_sq, sobolev_norm
 
@@ -219,8 +218,8 @@ class TestMakeInitial:
         state = make_initial(cfg)
         grid = cfg.grid
         su = np.sqrt(
-            hk_norm_sq(SpectralField(state.grid, state.sigma_hat), 3)
-            + sum(hk_norm_sq(SpectralField(state.grid, c), 3) for c in state.u_hat)
+            hk_norm_sq(state.grid, state.sigma_hat, 3)
+            + sum(hk_norm_sq(state.grid, c, 3) for c in state.u_hat)
         )
         gp = np.sqrt(sum(sobolev_sq(state, j) for j in (1, 2, 3)))
         phisq = state.phi() ** 2 - 1.0
@@ -278,7 +277,7 @@ class TestMakeInitial:
 
 
 def sobolev_sq(state, order):
-    return sobolev_norm(SpectralField(state.grid, state.phi_hat), order) ** 2
+    return sobolev_norm(state.grid, state.phi_hat, order) ** 2
 
 
 class TestCsv:

@@ -13,6 +13,7 @@ from nsac.initial import make_initial
 from nsac.model import LinearSymbol, TendencyWorkspace, nonlinear_terms, pressure_prime
 from nsac.verify import _coarse_modes, disable_dealiasing
 
+import test_model as model_tests
 from conftest import random_admissible_state, two_thirds_band
 
 
@@ -588,3 +589,34 @@ class TestSpatialRefinement:
         ref = coarse_modes_at_half(grids[32])
         for n, bound in self.BOUNDS[dim].items():
             assert np.max(np.abs(coarse_modes_at_half(grids[n]) - ref)) <= bound, n
+
+
+class TestRunSymmetries:
+    """`run` commutes with the box maps of ``TestRhs`` (ROADMAP item 10(b)).
+
+    Five capped steps, an Euler bootstrap and four CNAB2 steps, go through the
+    slabs, ``cut_to_band(slab=True)`` and the history buffer; the reflection
+    maps the band's first block of axis-0 planes onto the second.
+    """
+
+    #: Defect relative to the run's increment ``max|final - initial|``; measured
+    #: at dim 3 (2): swap 3.2e-16, reflection 6.2e-17 (4.6e-17), translation 9.2e-17 (4.8e-17).
+    BOUND = 1e-13
+
+    @pytest.mark.parametrize("dim, symmetry", model_tests.BOX_MAPS)
+    def test_final_state_commutes_with_the_box_symmetries(self, params, dim, symmetry):
+        grid = Grid(dim=dim, n=16, length=2 * np.pi)
+        apply = getattr(model_tests.TestRhs, symmetry)
+        state = random_admissible_state(np.random.default_rng(5), grid, amplitude=0.1, max_mode=4)
+        mapped = apply(grid, state.stacked())
+
+        def final(y):
+            holder = {}
+            summary = run(State(grid, 0.0, y[0], y[1:-1], y[-1]), StepConfig(dt=0.01, t_end=0.05), params,
+                          observers=(lambda i, s: holder.update(s=s),), cadence=10**9)
+            assert summary.termination == "t_end" and summary.dt_limits == {"cap": 5, "cfl": 0, "t_end": 0}
+            return holder["s"].stacked()
+
+        end = final(state.stacked())
+        defect = final(mapped) - apply(grid, end)
+        assert np.max(np.abs(defect)) <= self.BOUND * np.max(np.abs(end - state.stacked()))

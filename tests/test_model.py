@@ -17,7 +17,6 @@ from nsac.model import (
     pressure_prime,
     rhs,
 )
-from nsac.spectral import SpectralField
 from nsac.verify import direct_rhs_physical, random_state
 
 from conftest import random_admissible_state, random_zero_mean_field
@@ -174,7 +173,7 @@ class TestEnthalpy:
         # terms, O(x^2) of the u-row scale, which x = 1e-6 keeps at about 2e-14
         p = PhysParams(pressure_gamma=gamma, rho_bar=1.3)
         g = grid16
-        sigma = random_zero_mean_field(np.random.default_rng(7), g, g.n // 3).to_physical()
+        sigma = g.inverse(random_zero_mean_field(np.random.default_rng(7), g, g.n // 3))
         sigma *= 1e-6 * p.rho_bar / np.max(np.abs(sigma))
         sigma_hat = g.forward(sigma)
         rho = p.rho_bar + sigma
@@ -270,11 +269,10 @@ class TestCapillary:
         x, y, _ = grid16.meshgrid()
         phi = np.sin(x) * np.sin(y)
         production = self.force(grid16, phi)
-        f = SpectralField.from_physical(grid16, phi)
-
         g = grid16
         d = g.dim
-        gphi = np.stack([g.inverse(g.ik[i] * f.coeffs) for i in range(d)])
+        phi_hat = g.forward(phi)
+        gphi = np.stack([g.inverse(g.ik[i] * phi_hat) for i in range(d)])
         tensor_div = np.zeros((d,) + g.shape)
         for i in range(d):
             for j in range(d):
@@ -314,7 +312,7 @@ class TestAdvection:
         # O(1) random velocity on the 2/3 band, against -P(sum_j u_j d_j u_i)
         grid = Grid(dim=dim, n=16, length=2 * np.pi)
         rng = np.random.default_rng(20 + dim)
-        u = np.stack([random_zero_mean_field(rng, grid, grid.n // 3).to_physical() for _ in range(dim)])
+        u = np.stack([grid.inverse(random_zero_mean_field(rng, grid, grid.n // 3)) for _ in range(dim)])
         u /= np.max(np.abs(u))
         u_hat = np.stack([grid.forward(ui) for ui in u])
         reference = np.stack(
@@ -326,6 +324,16 @@ class TestAdvection:
         scale = np.max(np.abs(reference))
         assert scale > 1e-2
         assert np.max(np.abs(self.rows(grid, u) - reference)) <= 1e-13 * scale
+
+
+#: The (dim, map) cases of ``TestRhs``'s box maps, which the stepper and sampler tests reuse.
+BOX_MAPS = [
+    pytest.param(3, "_swap_axes_0_1", id="_swap_axes_0_1"),  # dim 2 has one full rfft axis only
+    pytest.param(3, "_reflect_axis_0", id="_reflect_axis_0"),
+    pytest.param(3, "_translate_axis_0", id="_translate_axis_0"),
+    pytest.param(2, "_reflect_axis_0", id="_reflect_axis_0-dim2"),
+    pytest.param(2, "_translate_axis_0", id="_translate_axis_0-dim2"),
+]
 
 
 class TestRhs:
@@ -390,16 +398,7 @@ class TestRhs:
         # x_0 -> x_0 + 3 dx: f(x - 3 dx) has the coefficients F_k exp(-i k_0 3 dx)
         return stack * np.exp(-3.0 * grid.dx * grid.ik[0])
 
-    @pytest.mark.parametrize(
-        "dim, symmetry",
-        [
-            pytest.param(3, "_swap_axes_0_1", id="_swap_axes_0_1"),  # dim 2 has one full rfft axis only
-            pytest.param(3, "_reflect_axis_0", id="_reflect_axis_0"),
-            pytest.param(3, "_translate_axis_0", id="_translate_axis_0"),
-            pytest.param(2, "_reflect_axis_0", id="_reflect_axis_0-dim2"),
-            pytest.param(2, "_translate_axis_0", id="_translate_axis_0-dim2"),
-        ],
-    )
+    @pytest.mark.parametrize("dim, symmetry", BOX_MAPS)
     def test_commutes_with_the_box_symmetries(self, params, dim, symmetry):
         # metamorphic: rhs of the mapped state is the mapped rhs; defects measured at dim 3 (2):
         # swap 3.2e-16, reflection 1.1e-16 (4.5e-17), translation 9.2e-16 (2.6e-16)

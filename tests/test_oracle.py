@@ -419,6 +419,12 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="t must be finite"):
             fit_exponent(t, vals, (1.0, np.inf))
 
+    @pytest.mark.parametrize("n_values", [10, 21])
+    def test_rejects_values_of_another_length(self, n_values):
+        # a shorter series used to reach the window mask and raise IndexError
+        with pytest.raises(ValueError, match="same shape"):
+            fit_exponent(np.linspace(1, 10, 20), np.ones(n_values), (1, 10))
+
 
 class TestQuadratureFailure:
     def test_bad_weight_exponent_rejected(self):

@@ -8,13 +8,7 @@ from scipy import fft as sp_fft
 
 import nsac.spectral
 from nsac import Grid
-from nsac.spectral import (
-    SpectralField,
-    fractional_laplacian,
-    gn_ratio,
-    interpolation_check,
-    lp_norm,
-)
+from nsac.spectral import fractional_laplacian, gn_ratio, interpolation_check, lp_norm
 from nsac.verify import disable_dealiasing
 
 from conftest import random_zero_mean_field, two_thirds_band
@@ -64,7 +58,7 @@ class TestGrid:
         x, y, _ = grid16.meshgrid()
         f = np.sin(x) + 0.5 * np.cos(2 * y)
         quad = grid16.volume * np.mean(f**2)
-        mode = grid16.mode_sum_sq(grid16.forward(f), order=0.0)
+        mode = grid16.mode_sum_sq(grid16.forward(f))
         assert abs(quad - mode) <= 1e-10 * mode
 
     def test_equality_hash_and_repr_read_the_defining_fields(self):
@@ -204,138 +198,167 @@ class TestBatchedTransforms:
         assert lines == [2 * 6 * 6, 2 * 5 * 6, 2 * 16 * 6]
 
 
-class TestSpectralField:
+class TestCoefficientLayout:
     def test_shape_validation(self, grid16):
-        with pytest.raises(ValueError, match="layout"):
-            SpectralField(grid16, np.zeros((4, 4, 4), dtype=complex))
-
-    def test_immutability(self, grid16):
-        f = SpectralField.from_physical(grid16, np.zeros(grid16.shape))
-        with pytest.raises(ValueError):
-            f.coeffs[0, 0, 0] = 1.0
+        # one layout check guards every analysis function
+        bad = np.zeros((4, 4, 4), dtype=complex)
+        calls = [
+            lambda: fractional_laplacian(grid16, bad, 1.0),
+            lambda: interpolation_check(grid16, bad, 0, 0.5),
+            lambda: lp_norm(grid16, bad, 2.0),
+            lambda: gn_ratio(grid16, bad, 1, 2.0, 0, 2.0, 2, 2.0, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="rfft layout"):
+                call()
 
     def test_real_symmetry_defect_small(self, grid16):
         rng = np.random.default_rng(2)
-        f = SpectralField.from_physical(grid16, rng.standard_normal(grid16.shape))
+        f = grid16.forward(rng.standard_normal(grid16.shape))
         # relative defect of the round trip through the grid values
-        back = grid16.forward(f.to_physical())
-        assert np.linalg.norm(back - f.coeffs) <= 1e-12 * np.linalg.norm(f.coeffs)
+        back = grid16.forward(grid16.inverse(f))
+        assert np.linalg.norm(back - f) <= 1e-12 * np.linalg.norm(f)
+
+
+class TestNonFiniteExponents:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda g, c: gn_ratio(g, c, 0, np.nan, 0, 2.0, 1, 2.0, 1.0), id="gn_ratio-p-nan"),
+            pytest.param(lambda g, c: gn_ratio(g, c, 0, 6.0, 0, 2.0, 1, np.nan, 1.0), id="gn_ratio-q-nan"),
+            pytest.param(lambda g, c: gn_ratio(g, c, 0, 6.0, 0, np.nan, 1, 2.0, 1.0), id="gn_ratio-r-nan-theta-1"),
+            pytest.param(lambda g, c: lp_norm(g, c, np.nan), id="lp_norm-nan"),
+            pytest.param(lambda g, c: fractional_laplacian(g, c, np.nan), id="fractional_laplacian-nan"),
+            pytest.param(lambda g, c: fractional_laplacian(g, c, np.inf), id="fractional_laplacian-inf"),
+            pytest.param(lambda g, c: fractional_laplacian(g, c, -np.inf), id="fractional_laplacian-minus-inf"),
+            pytest.param(lambda g, c: interpolation_check(g, c, np.nan, 0.5), id="interpolation_check-l-nan"),
+            pytest.param(lambda g, c: interpolation_check(g, c, np.inf, 0.5), id="interpolation_check-l-inf"),
+        ],
+    )
+    def test_rejected(self, grid16, call):
+        # each returned NaN or a finite number before: NaN compares false with every bound
+        c = random_zero_mean_field(np.random.default_rng(10), grid16, 4)
+        with pytest.raises(ValueError):
+            call(grid16, c)
 
 
 class TestFractionalLaplacian:
     def test_unit_wavenumber_s2_identity(self, grid16):
         x = grid16.meshgrid()[0]
-        f = SpectralField.from_physical(grid16, np.sin(x))
-        out = fractional_laplacian(f, 2.0)
-        assert np.max(np.abs(out.coeffs - f.coeffs)) <= 1e-14
+        f = grid16.forward(np.sin(x))
+        out = fractional_laplacian(grid16, f, 2.0)
+        assert np.max(np.abs(out - f)) <= 1e-14
 
     def test_s_zero_identity(self, grid16):
         rng = np.random.default_rng(3)
-        f = SpectralField.from_physical(grid16, rng.standard_normal(grid16.shape))
-        out = fractional_laplacian(f, 0.0)
-        assert np.max(np.abs(out.coeffs - f.coeffs)) <= 1e-14 * np.max(np.abs(f.coeffs))
+        f = grid16.forward(rng.standard_normal(grid16.shape))
+        out = fractional_laplacian(grid16, f, 0.0)
+        assert np.max(np.abs(out - f)) <= 1e-14 * np.max(np.abs(f))
 
     def test_half_power_mode_scaling(self, grid16):
         x, y, _ = grid16.meshgrid()
-        f = SpectralField.from_physical(grid16, np.sin(2 * x) + np.sin(y))
-        out = fractional_laplacian(f, 0.5)
+        f = grid16.forward(np.sin(2 * x) + np.sin(y))
+        out = fractional_laplacian(grid16, f, 0.5)
         # per-mode scaling: sqrt(2) on |k| = 2, 1 on |k| = 1
-        assert abs(out.coeffs[(2, 0, 0)] / f.coeffs[(2, 0, 0)] - np.sqrt(2)) <= 1e-13
-        assert abs(out.coeffs[(0, 1, 0)] / f.coeffs[(0, 1, 0)] - 1.0) <= 1e-13
+        assert abs(out[(2, 0, 0)] / f[(2, 0, 0)] - np.sqrt(2)) <= 1e-13
+        assert abs(out[(0, 1, 0)] / f[(0, 1, 0)] - 1.0) <= 1e-13
         # brute-force mode summation oracle for the squared half-derivative norm:
         # modes +-2e1 and +-e2 with amplitude 1/2 each
         expected = V * (2 * 0.25 * 2.0 + 2 * 0.25 * 1.0)
-        assert abs(sobolev_norm(out, 0) ** 2 - expected) <= 1e-10 * expected
+        assert abs(sobolev_norm(grid16, out, 0) ** 2 - expected) <= 1e-10 * expected
 
     def test_negative_power_requires_zero_mean(self, grid16):
-        f = SpectralField.from_physical(grid16, 1.0 + np.sin(grid16.meshgrid()[0]))
+        f = grid16.forward(1.0 + np.sin(grid16.meshgrid()[0]))
         with pytest.raises(ValueError, match="zero-mean"):
-            fractional_laplacian(f, -0.5)
+            fractional_laplacian(grid16, f, -0.5)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_inverse_round_trip(self, grid16, s):
         rng = np.random.default_rng(4)
         f = random_zero_mean_field(rng, grid16, 5)
-        back = fractional_laplacian(fractional_laplacian(f, s), -s)
-        assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12 * np.max(np.abs(f.coeffs))
+        back = fractional_laplacian(grid16, fractional_laplacian(grid16, f, s), -s)
+        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
 
 class TestSobolevNorm:
     def test_unit_mode_first_derivative(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(grid16.meshgrid()[0]))
-        assert abs(sobolev_norm(f, 1) - sobolev_norm(f, 0)) <= 1e-12 * sobolev_norm(f, 0)
-        assert abs(sobolev_norm(f, 0) - np.sqrt(SIN_L2_SQ)) <= 1e-12 * np.sqrt(SIN_L2_SQ)
+        f = grid16.forward(np.sin(grid16.meshgrid()[0]))
+        l2 = sobolev_norm(grid16, f, 0)
+        assert abs(sobolev_norm(grid16, f, 1) - l2) <= 1e-12 * l2
+        assert abs(l2 - np.sqrt(SIN_L2_SQ)) <= 1e-12 * np.sqrt(SIN_L2_SQ)
 
     def test_zero_field(self, grid16):
-        f = SpectralField.from_physical(grid16, np.zeros(grid16.shape))
-        assert sobolev_norm(f, 0) == 0.0
+        f = grid16.forward(np.zeros(grid16.shape))
+        assert sobolev_norm(grid16, f, 0) == 0.0
 
     def test_single_mode_hand_value(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(3 * grid16.meshgrid()[0]))
-        assert abs(sobolev_norm(f, 2) - 9 * sobolev_norm(f, 0)) <= 1e-12 * sobolev_norm(f, 2)
+        f = grid16.forward(np.sin(3 * grid16.meshgrid()[0]))
+        d2 = sobolev_norm(grid16, f, 2)
+        assert abs(d2 - 9 * sobolev_norm(grid16, f, 0)) <= 1e-12 * d2
 
     def test_agrees_with_physical_quadrature(self, grid16):
         # |grad f|^2 assembled from closed-form derivatives on the grid
         x, y, _ = grid16.meshgrid()
-        f = SpectralField.from_physical(grid16, np.sin(x) + 0.5 * np.cos(2 * y))
+        f = grid16.forward(np.sin(x) + 0.5 * np.cos(2 * y))
         grad_sq = np.cos(x) ** 2 + np.sin(2 * y) ** 2
         quad = grid16.volume * np.mean(grad_sq)
-        assert abs(sobolev_norm(f, 1) ** 2 - quad) <= 1e-10 * quad
+        assert abs(sobolev_norm(grid16, f, 1) ** 2 - quad) <= 1e-10 * quad
 
     def test_rejects_negative_order(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(grid16.meshgrid()[0]))
+        f = grid16.forward(np.sin(grid16.meshgrid()[0]))
         with pytest.raises(ValueError, match="non-negative"):
-            sobolev_norm(f, -1)
+            sobolev_norm(grid16, f, -1)
 
     def test_hk_norm_accumulates(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(2 * grid16.meshgrid()[0]))
-        expected = sum(sobolev_norm(f, j) ** 2 for j in range(4))
-        assert abs(hk_norm_sq(f, 3) - expected) <= 1e-12 * expected
+        f = grid16.forward(np.sin(2 * grid16.meshgrid()[0]))
+        expected = sum(sobolev_norm(grid16, f, j) ** 2 for j in range(4))
+        assert abs(hk_norm_sq(grid16, f, 3) - expected) <= 1e-12 * expected
 
 
 class TestNegativeNorm:
     def test_single_mode_half_scaling(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(2 * grid16.meshgrid()[0]))
-        assert abs(negative_norm(f, 1.0) - 0.5 * sobolev_norm(f, 0)) <= 1e-12
+        f = grid16.forward(np.sin(2 * grid16.meshgrid()[0]))
+        assert abs(negative_norm(grid16, f, 1.0) - 0.5 * sobolev_norm(grid16, f, 0)) <= 1e-12
 
     def test_unit_mode_any_s(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(grid16.meshgrid()[0]))
+        f = grid16.forward(np.sin(grid16.meshgrid()[0]))
+        l2 = sobolev_norm(grid16, f, 0)
         for s in (0.3, 0.7, 1.2):
-            assert abs(negative_norm(f, s) - sobolev_norm(f, 0)) <= 1e-12 * sobolev_norm(f, 0)
+            assert abs(negative_norm(grid16, f, s) - l2) <= 1e-12 * l2
 
     def test_composition_oracle(self, grid16):
         x, y, _ = grid16.meshgrid()
-        f = SpectralField.from_physical(grid16, np.sin(x) + np.sin(4 * y))
-        via_composition = sobolev_norm(fractional_laplacian(f, -0.5), 0)
-        assert abs(negative_norm(f, 0.5) - via_composition) <= 1e-12 * via_composition
+        f = grid16.forward(np.sin(x) + np.sin(4 * y))
+        via_composition = sobolev_norm(grid16, fractional_laplacian(grid16, f, -0.5), 0)
+        assert abs(negative_norm(grid16, f, 0.5) - via_composition) <= 1e-12 * via_composition
 
     def test_rejects_nonzero_mean(self, grid16):
-        f = SpectralField.from_physical(grid16, 1.0 + np.sin(grid16.meshgrid()[0]))
+        f = grid16.forward(1.0 + np.sin(grid16.meshgrid()[0]))
         with pytest.raises(ValueError, match="zero-mean"):
-            negative_norm(f, 0.5)
+            negative_norm(grid16, f, 0.5)
 
     @pytest.mark.parametrize("s", [-0.1, 0.0, 1.5, 2.0])
     def test_rejects_s_out_of_range(self, grid16, s):
-        f = SpectralField.from_physical(grid16, np.sin(grid16.meshgrid()[0]))
+        f = grid16.forward(np.sin(grid16.meshgrid()[0]))
         with pytest.raises(ValueError, match=r"\(0, 1.5\)"):
-            negative_norm(f, s)
+            negative_norm(grid16, f, s)
 
 
 class TestInterpolationCheck:
     def test_single_mode_equality(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(2 * grid16.meshgrid()[0]))
-        lhs, rhs = interpolation_check(f, 1, 1.0)  # theta = 1/3
+        f = grid16.forward(np.sin(2 * grid16.meshgrid()[0]))
+        lhs, rhs = interpolation_check(grid16, f, 1, 1.0)  # theta = 1/3
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
     def test_unit_mode_equality(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(grid16.meshgrid()[0]))
-        lhs, rhs = interpolation_check(f, 0, 0.5)
+        f = grid16.forward(np.sin(grid16.meshgrid()[0]))
+        lhs, rhs = interpolation_check(grid16, f, 0, 0.5)
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
     def test_two_mode_strict_inequality_with_oracle(self, grid16):
         x, y, _ = grid16.meshgrid()
-        f = SpectralField.from_physical(grid16, np.sin(x) + 0.5 * np.sin(4 * y))
-        lhs, rhs = interpolation_check(f, 0, 0.5)
+        f = grid16.forward(np.sin(x) + 0.5 * np.sin(4 * y))
+        lhs, rhs = interpolation_check(grid16, f, 0, 0.5)
         # direct mode summation over the two shells: |F| = 1/2 at |k|=1, 1/4 at |k|=4
         sq = lambda order: V * 2 * (0.25 * 1.0**(2 * order) + 0.0625 * 4.0**(2 * order))
         theta = 1.0 / (0 + 0.5 + 1.0)
@@ -350,42 +373,43 @@ class TestInterpolationCheck:
         for _ in range(25):
             f = random_zero_mean_field(rng, grid16, 5)
             for (l, s) in ((0, 0.5), (1, 1.0), (2, 1.4), (0, 0.0)):
-                lhs, rhs = interpolation_check(f, l, s)
+                lhs, rhs = interpolation_check(grid16, f, l, s)
                 assert lhs <= rhs * (1 + 1e-12)
 
     def test_zero_field_rejected(self, grid16):
-        f = SpectralField.from_physical(grid16, np.zeros(grid16.shape))
+        f = grid16.forward(np.zeros(grid16.shape))
         with pytest.raises(ValueError, match="zero field"):
-            interpolation_check(f, 0, 0.5)
+            interpolation_check(grid16, f, 0, 0.5)
 
 
 class TestGnRatio:
     def test_amplitude_invariance(self, grid16):
         rng = np.random.default_rng(6)
         f = random_zero_mean_field(rng, grid16, 4)
-        f2 = SpectralField(grid16, 2.0 * f.coeffs)
         args = (1, 2.0, 0, 2.0, 2, 2.0, 0.5)
-        assert abs(gn_ratio(f, *args) - gn_ratio(f2, *args)) <= 1e-12 * gn_ratio(f, *args)
+        ratio = gn_ratio(grid16, f, *args)
+        assert abs(ratio - gn_ratio(grid16, 2.0 * f, *args)) <= 1e-12 * ratio
 
     def test_single_mode_ratio_one(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(grid16.meshgrid()[0]))
-        ratio = gn_ratio(f, 1, 2.0, 0, 2.0, 2, 2.0, 0.5)
+        f = grid16.forward(np.sin(grid16.meshgrid()[0]))
+        ratio = gn_ratio(grid16, f, 1, 2.0, 0, 2.0, 2, 2.0, 0.5)
         assert abs(ratio - 1.0) <= 1e-12
 
     def test_exponent_relation_enforced(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(grid16.meshgrid()[0]))
+        f = grid16.forward(np.sin(grid16.meshgrid()[0]))
         with pytest.raises(ValueError, match="residual"):
-            gn_ratio(f, 1, 2.0, 0, 2.0, 2, 2.0, 0.6)
+            gn_ratio(grid16, f, 1, 2.0, 0, 2.0, 2, 2.0, 0.6)
 
     def test_theta_range_enforced(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(grid16.meshgrid()[0]))
+        f = grid16.forward(np.sin(grid16.meshgrid()[0]))
         with pytest.raises(ValueError, match="theta"):
-            gn_ratio(f, 1, 2.0, 0, 2.0, 2, 2.0, 0.25)
+            gn_ratio(grid16, f, 1, 2.0, 0, 2.0, 2, 2.0, 0.25)
 
     def test_sobolev_embedding_case_bounded(self, grid32):
         # ||f||_L6 <= C ||grad f||_L2 across an ensemble; ratios finite and stable
         rng = np.random.default_rng(7)
-        ratios = [gn_ratio(random_zero_mean_field(rng, grid32, 8), 0, 6.0, 0, 2.0, 1, 2.0, 1.0) for _ in range(30)]
+        fields = [random_zero_mean_field(rng, grid32, 8) for _ in range(30)]
+        ratios = [gn_ratio(grid32, f, 0, 6.0, 0, 2.0, 1, 2.0, 1.0) for f in fields]
         assert np.all(np.isfinite(ratios))
         assert max(ratios) < 1.0  # well below the sharp constant on this box
 
@@ -396,25 +420,25 @@ class TestCompositionBound:
         # the gradient of the composition is bounded by max |h'| times ||grad sigma||
         rng = np.random.default_rng(8)
         rho_bar = 1.0
-        sigma_f = random_zero_mean_field(rng, grid16, 3)
-        sigma = sigma_f.to_physical()
+        sigma = grid16.inverse(random_zero_mean_field(rng, grid16, 3))
         sigma *= 0.5 * rho_bar / (2 * np.max(np.abs(sigma)))
         h = 1.0 / (sigma + rho_bar) ** 2 - 1.0 / rho_bar**2
         c_h = np.max(2.0 / (sigma + rho_bar) ** 3)
-        lhs = sobolev_norm(SpectralField.from_physical(grid16, h), 1)
-        rhs = c_h * sobolev_norm(SpectralField.from_physical(grid16, sigma), 1)
+        lhs = sobolev_norm(grid16, grid16.forward(h), 1)
+        rhs = c_h * sobolev_norm(grid16, grid16.forward(sigma), 1)
         assert lhs <= rhs * (1 + 1e-6)
 
 
 class TestLpNorm:
     def test_sup_norm_is_grid_max(self, grid16):
-        f = SpectralField.from_physical(grid16, np.sin(grid16.meshgrid()[0]))
-        assert abs(lp_norm(f, np.inf) - 1.0) <= 1e-12
+        f = grid16.forward(np.sin(grid16.meshgrid()[0]))
+        assert abs(lp_norm(grid16, f, np.inf) - 1.0) <= 1e-12
 
     def test_l2_matches_mode_sum(self, grid16):
         rng = np.random.default_rng(9)
         f = random_zero_mean_field(rng, grid16, 5)
-        assert abs(lp_norm(f, 2.0) - sobolev_norm(f, 0)) <= 1e-10 * sobolev_norm(f, 0)
+        l2 = sobolev_norm(grid16, f, 0)
+        assert abs(lp_norm(grid16, f, 2.0) - l2) <= 1e-10 * l2
 
 
 def _reference_mode_sum(grid, coeffs, order):
@@ -459,16 +483,19 @@ class TestShellSums:
 
     @pytest.mark.parametrize("order", [-1.2, -0.5, 0.0, 1.0, 3.0])
     def test_mode_sum_sq(self, dim, n, order):
+        # order 0 is Parseval's sum, the others are read off the shell spectrum
         state = self._state(dim, n)
+        g = state.grid
         for coeffs in (state.sigma_hat, state.phi_hat):
-            ref = _reference_mode_sum(state.grid, coeffs, order)
-            assert state.grid.mode_sum_sq(coeffs, order) == pytest.approx(ref, rel=1e-13)
+            ref = _reference_mode_sum(g, coeffs, order)
+            got = g.mode_sum_sq(coeffs) if order == 0 else g.shell_sum(g.shell_spectrum(coeffs), order)
+            assert got == pytest.approx(ref, rel=1e-13)
 
     def test_hk_norm_sq(self, dim, n):
         state = self._state(dim, n)
         for k in (0, 1, 3):
             ref = _reference_window(state.grid, state.sigma_hat, 0, k)
-            assert hk_norm_sq(SpectralField(state.grid, state.sigma_hat), k) == pytest.approx(ref, rel=1e-13)
+            assert hk_norm_sq(state.grid, state.sigma_hat, k) == pytest.approx(ref, rel=1e-13)
 
     def test_level_energy(self, dim, n):
         from nsac.diagnostics import level_energy, phi_sq_minus_one_hat
