@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Where one decay64 unit holds its memory, layer by layer.
+
+Run from the repository root:
+
+    python3 bench/memory.py --n 64 --seed 1
+
+One unit of the benchmark's ``decay64`` workload (``perfbench/bench_workloads.py``:
+a CNAB2 ``run`` from the random-perturbation IC with its step-0 and ``t_end``
+samples), at ``--n``^3, under ``tracemalloc``. Each layer is a public name
+wrapped for the unit's duration: ``run`` itself, ``check_state``,
+``adaptive_dt`` and ``nonlinear_terms`` as ``nsac.integrate`` calls them,
+``Stepper.step_euler`` / ``step_cnab2``, and the observers ``run`` is given.
+Per layer the table gives the calls, the largest traced peak of one call
+(nested calls count toward every layer they run in) and the memory traced at
+the entry of that call, in MiB. numpy reports its arrays to ``tracemalloc``,
+so the numbers are the arrays a layer holds and allocates. Tracing starts
+before the IC is built. The last line is the process's ``ru_maxrss``, tracing
+included.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import functools
+import resource
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest.mock import patch
+
+ROOT = Path(__file__).resolve().parents[1]
+MIB = 1024.0 * 1024.0
+#: The table's rows, outermost first.
+LAYERS = (
+    "run", "check_state", "adaptive_dt", "nonlinear_terms", "Stepper.step_euler", "Stepper.step_cnab2", "observers"
+)
+
+
+class LayerTracer:
+    """Per-layer traced peaks of nested calls, from one ``tracemalloc`` peak counter.
+
+    On every entry and exit the peak so far is folded into each open call and
+    the counter is reset, so each call sees the peak of its own span.
+    """
+
+    def __init__(self):
+        self.open: list[list] = []  # [entry, peak] per call in progress
+        self.layers: dict[str, dict] = {}
+
+    def _fold(self) -> None:
+        _, peak = tracemalloc.get_traced_memory()
+        for call in self.open:
+            call[1] = max(call[1], peak)
+        tracemalloc.reset_peak()
+
+    def wrap(self, name: str, fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            self._fold()
+            live, _ = tracemalloc.get_traced_memory()
+            call = [live, live]
+            self.open.append(call)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._fold()
+                self.open.pop()
+                layer = self.layers.setdefault(name, {"calls": 0, "peak": 0, "entry": 0})
+                layer["calls"] += 1
+                if call[1] > layer["peak"]:
+                    layer["entry"], layer["peak"] = call
+
+        return traced
+
+
+def measure(n: int, seed: int) -> dict:
+    """``{layer: {"calls", "peak", "entry"}}`` in bytes for one decay64 unit at ``n``^3."""
+    sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "perfbench")) if path not in sys.path]
+    import bench_workloads
+    import nsac
+    import nsac.integrate as integrate
+
+    tracer = LayerTracer()
+    run = tracer.wrap("run", nsac.run)
+
+    def run_with_traced_observers(state, cfg, params, observers=(), cadence=1):
+        observers = tuple(tracer.wrap("observers", obs) for obs in observers)
+        return run(state, cfg, params, observers=observers, cadence=cadence)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(patch.object(nsac, "run", run_with_traced_observers))
+        for name in ("check_state", "adaptive_dt", "nonlinear_terms"):
+            stack.enter_context(patch.object(integrate, name, tracer.wrap(name, getattr(integrate, name))))
+        for name in ("step_euler", "step_cnab2"):
+            method = getattr(integrate.Stepper, name)
+            stack.enter_context(patch.object(integrate.Stepper, name, tracer.wrap(f"Stepper.{name}", method)))
+        workload = bench_workloads.Decay64(seed, Path(tempfile.gettempdir()))
+        workload.n = n
+        tracemalloc.start()
+        try:
+            workload.setup()
+            result = workload.unit()
+        finally:
+            tracemalloc.stop()
+    if result.failures:
+        raise RuntimeError(f"the unit failed: {result.failures}")
+    return tracer.layers
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--n", type=int, default=64, help="grid points per axis (default 64)")
+    parser.add_argument("--seed", type=int, default=1, help="IC seed (default 1)")
+    args = parser.parse_args(argv)
+    layers = measure(args.n, args.seed)
+    print(f"decay64 unit at {args.n}^3, seed {args.seed}: traced memory in MiB")
+    print(f"{'layer':<22}{'calls':>7}{'peak':>10}{'at entry':>10}{'above':>10}")
+    for name in LAYERS:
+        layer = layers[name]
+        peak, entry = layer["peak"] / MIB, layer["entry"] / MIB
+        print(f"{name:<22}{layer['calls']:>7}{peak:>10.1f}{entry:>10.1f}{peak - entry:>10.1f}")
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"ru_maxrss {maxrss:.1f} MB (tracing included)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,7 +36,7 @@ from .oracle import DataProfile, DecayFit, decay_norms, fit_exponent
 from .spectral import (
     Grid,
     fractional_laplacian,
-    gn_ratio,
+    gn_ratios,
     interpolation_check,
     lp_norm,
 )

@@ -114,8 +114,10 @@ class Stepper:
     works slab by slab (`Grid.slabs`): of what it allocates, only the new
     State's arrays outlive it (a State owns its arrays and views), and the
     rest is a few slab-sized temporaries. The tendency a step returns is a
-    view into the workspace's other transform buffer; it holds until the
-    next `step_cnab2` consumes it as ``prev``.
+    view into the workspace's transform window of that step; it holds until
+    the next `step_cnab2` consumes it as ``prev``. A step reads nothing of
+    the State it started from once it returns, so the caller may release
+    that State while it checks the new one.
     """
 
     def __init__(self, grid: Grid, params: PhysParams):
@@ -137,7 +139,7 @@ class Stepper:
         added to it there. The planes between the slabs lie outside the 2/3
         band, so the new state is zero there (and ``N`` lacks the shift,
         which nothing reads). The history difference is written into
-        ``prev``'s buffer, the workspace's other transform buffer, which the
+        ``prev``'s rows of the workspace's other transform window, which the
         next tendency overwrites anyway.
         """
         g, B = self.grid, self.linear
@@ -199,9 +201,17 @@ def run(
     piecewise constant: it shrinks only when the bound tightens or to land
     exactly on ``t_end``. On an invariant violation the summary records it
     and the partial trajectory seen by the observers stands.
+
+    The run holds only what its next step reads. It steps a State of its own,
+    which shares ``state``'s arrays and starts from a copy of its cache, so
+    nothing the run caches lands on the caller's object. Once a step's
+    candidate exists, the State it started from is released if the observers
+    have seen it; an unobserved one (``cadence > 1``) is kept for the closing
+    observer call. The current time is kept beside the State.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
+    state = replace(state, _cache=dict(state._cache))
     check_state(state, params, step=0, phi_tol=cfg.phi_tol)
     stepper = Stepper(state.grid, params)
     for obs in observers:
@@ -209,26 +219,29 @@ def run(
 
     t_end = cfg.t_end
     t_tol = 1e-14 * max(1.0, abs(t_end))
-    summary = RunSummary(0, state.t, "t_end")
+    t = state.t
+    summary = RunSummary(0, t, "t_end")
     steps = seen = 0
     dt_curr: float | None = None
     prev_nl = None
     dt_prev = None
-    while state.t < t_end - t_tol:
+    while t < t_end - t_tol:
         if steps >= cfg.max_steps:
             summary.termination = "max_steps"
             break
         bound = adaptive_dt(state, cfg, params)
         if dt_curr is None or bound < dt_curr:
             dt_curr = bound
-        dt = min(dt_curr, t_end - state.t)
+        dt = min(dt_curr, t_end - t)
         # land on t_end when roundoff would leave a sliver of at most 1e-9 dt
-        final = dt >= t_end - state.t - max(t_tol, 1e-9 * dt_curr)
+        final = dt >= t_end - t - max(t_tol, 1e-9 * dt_curr)
         try:
             if cfg.scheme_order == 1:
                 new, nl = stepper.step_euler(state, dt)
             else:
                 new, nl = stepper.step_cnab2(state, dt, prev_nl, dt_prev)
+            if seen == steps:
+                state = None  # observed: nothing reads it again
             if final:
                 new = replace(new, t=t_end)
             check_state(new, params, step=steps + 1, phi_tol=cfg.phi_tol)
@@ -236,7 +249,7 @@ def run(
             summary.termination, summary.violation = "invariant_violation", err.as_dict()
             break
         # adopt the candidate only once it is admissible, so t_final matches steps
-        state, prev_nl, dt_prev = new, nl, dt
+        state, t, prev_nl, dt_prev = new, new.t, nl, dt
         steps += 1
         summary.dt_limits["t_end" if dt < dt_curr else "cap" if dt_curr == cfg.dt else "cfl"] += 1
         if steps % cadence == 0:
@@ -246,5 +259,5 @@ def run(
     if seen != steps:
         for obs in observers:
             obs(steps, state)
-    summary.steps, summary.t_final = steps, state.t
+    summary.steps, summary.t_final = steps, t
     return summary

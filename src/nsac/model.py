@@ -301,8 +301,11 @@ def _nonfinite_fields(state: State) -> tuple[str, ...]:
 
 def _scan(state: State, rho_bar: float) -> tuple:
     """``(rho_min, rho_max, max |phi|, non-finite fields)``: the part of a report that needs no reference."""
-    rho = rho_bar + state.sigma()
-    return float(rho.min()), float(rho.max()), float(np.max(np.abs(state.phi()))), _nonfinite_fields(state)
+    sigma, phi = state.sigma(), state.phi()
+    # rounding is monotone, so rho_bar + min(sigma) is min(rho_bar + sigma): no
+    # State-sized temporary
+    rho_min, rho_max = rho_bar + sigma.min(), rho_bar + sigma.max()
+    return float(rho_min), float(rho_max), float(max(phi.max(), -phi.min())), _nonfinite_fields(state)
 
 
 def _location(arr: np.ndarray, index) -> tuple[int, ...]:
@@ -353,7 +356,9 @@ def invariant_monitor(
 
     Costs no transform beyond the cached ``state.sigma()`` and ``state.phi()``,
     and the scan of those views is cached on the State as well: `run`'s
-    `check_state` and a sampling observer judge the same State.
+    `check_state` and a sampling observer judge the same State. The scan
+    reads the extrema of sigma and phi themselves, so it allocates no
+    State-sized array.
     """
     mass = state.mass(params)
     drift = None
@@ -412,13 +417,28 @@ def check_state(state: State, params: PhysParams, step: int | None = None, phi_t
 
 
 def chemical_potential(state: State, params: PhysParams) -> np.ndarray:
-    """``mu = (phi^3 - phi)/eps - (eps/rho) Lap phi`` on the grid."""
+    """``mu = (phi^3 - phi)/eps - (eps/rho) Lap phi`` on the grid.
+
+    ``phi^3`` is taken as ``copysign(|phi|^3, phi)``: the same floats as
+    ``phi**3`` where ``phi >= 0``, exactly odd in ``phi``, and off numpy's
+    slow ``pow`` path for negative bases.
+    """
     phi = state.phi()
     rho = params.rho_bar + state.sigma()
     if np.any(rho <= 0):
         raise VacuumError("chemical_potential: vacuum state")
     eps = params.epsilon
-    return (phi**3 - phi) / eps - (eps / rho) * state.lap_phi()
+    # in place, in the formula's operand order: rho and mu are the only
+    # fields allocated
+    mu = np.abs(phi)
+    mu **= 3
+    np.copysign(mu, phi, out=mu)
+    mu -= phi
+    mu /= eps
+    weight = np.divide(eps, rho, out=rho)
+    weight *= state.lap_phi()
+    mu -= weight
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +532,19 @@ class TendencyWorkspace:
 
     The derivative stack is ``[w, Lap phi, grad phi, viscous]``: the
     ``d(d-1)/2`` vorticity components, Lap phi, grad phi (d) and B's viscous
-    row (d), 10 fields at 3-D. Each call sets it up in its transform buffer
+    row (d), 10 fields at 3-D. Each call sets it up in its transform window
     ``hats[turn]``, of ``max(stack, 2 dim + 3)`` rows, whose batched inverse
-    overwrites it and lands in ``phys``. Once the stack is spent, the buffer
+    overwrites it and lands in ``phys``. Once the stack is spent, the window
     takes the transforms of phi^2 (row ``2 dim + 1``) and of the ``2 dim +
     2`` explicit products, and row ``2 dim + 2`` is the scratch of the work
     after the forward. ``turn`` flips on every call, so the tendency one call
-    returns (a view of its ``hats``) stays intact through the next call:
-    CNAB2 extrapolates from the previous step's tendency.
+    returns (rows ``[dim - 1, 2 dim + 1)`` of its window) stays intact
+    through the next call: CNAB2 extrapolates from the previous step's
+    tendency.
+
+    The two windows are overlapping views of one buffer. The second starts
+    at row ``max(2 dim + 1, rows - dim + 1)``, so neither window reaches the
+    other's result rows: 18 complex fields at 3-D, 13 at 2-D and 10 at 1-D.
 
     ``phys`` holds ``[1/rho | derivative block | phi row, K - H]``, where
     ``K - H`` is the kinetic energy density minus the enthalpy remainder. The
@@ -528,18 +553,21 @@ class TendencyWorkspace:
     ``K - H`` is the forward's input in the product order (sigma u, u rows,
     phi row, ``K - H``). The pointwise and spectral work needs no further
     arrays: its scratch is rows not yet written or already spent. At 3-D the
-    workspace is 20 complex and 13 real fields.
+    workspace is 18 complex and 13 real fields.
     """
 
     def __init__(self, grid: Grid):
         d = grid.dim
         stack = 2 * d + d * (d - 1) // 2 + 1
-        self.hats = [np.empty((max(stack, 2 * d + 3),) + grid.rshape, dtype=np.complex128) for _ in range(2)]
+        rows = max(stack, 2 * d + 3)
+        second = max(2 * d + 1, rows - d + 1)
+        buffer = np.empty((second + rows,) + grid.rshape, dtype=np.complex128)
+        self.hats = [buffer[:rows], buffer[second:]]
         self.phys = np.empty((1 + stack + 2,) + grid.shape)
         self.turn = 0
 
     def next_hats(self) -> np.ndarray:
-        """The buffer this call transforms into; ``turn`` flips to the other one."""
+        """The window this call transforms into; ``turn`` flips to the other one."""
         hats = self.hats[self.turn]
         self.turn ^= 1
         return hats
@@ -555,7 +583,7 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     tendency allocates nothing beyond a few wavenumber-sized arrays and the
     result is a view into it, valid until the call after next on the same
     workspace; without one a fresh workspace is used. The derivative stack
-    lives in the call's transform buffer and each product in the physical
+    lives in the call's transform window and each product in the physical
     rows its operands leave (`TendencyWorkspace`), so every array is spent
     before it is overwritten.
 
@@ -594,7 +622,7 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
 
     # one batched inverse for every derivative this evaluation needs:
     # vorticity w_ij for i < j (d(d-1)/2), Lap phi (1), grad phi (d), B's
-    # viscous row (d). The stack is set up in this call's transform buffer:
+    # viscous row (d). The stack is set up in this call's transform window:
     # D = i k.u lives in the Lap phi row, which is written last, and the
     # set-up's scratch in the first grad phi row, which is written after the
     # viscous and vorticity rows. The inverse reads only the 2/3 band, where

@@ -357,49 +357,52 @@ def interpolation_check(grid: Grid, coeffs: np.ndarray, l: int, s: float) -> tup
 def lp_norm(grid: Grid, coeffs: np.ndarray, p: float) -> float:
     """Grid-level Lebesgue norm (collocation values, no super-resolution); ``p = inf`` is the sup norm."""
     _require_layout(grid, coeffs)
+    return _grid_norm(grid, grid.inverse(coeffs), p)
+
+
+def _grid_norm(grid: Grid, vals: np.ndarray, p: float) -> float:
     if not p >= 1:  # also true for a NaN
         raise ValueError(f"Lebesgue exponent must be >= 1, got {p}")
-    vals = grid.inverse(coeffs)
     if p == np.inf:
         return float(np.max(np.abs(vals)))
     return float((grid.volume * np.mean(np.abs(vals) ** p)) ** (1.0 / p))
 
 
-def gn_ratio(
-    grid: Grid,
-    coeffs: np.ndarray,
-    l: int,
-    p: float,
-    s: int,
-    r: float,
-    k: int,
-    q: float,
-    theta: float,
-) -> float:
-    """Ratio ``||D^l f||_p / (||D^s f||_r^(1-th) * ||D^k f||_q^th)``.
+def gn_ratios(grid: Grid, coeffs: np.ndarray, cases) -> list[float]:
+    """Ratio ``||D^l f||_p / (||D^s f||_r^(1-th) * ||D^k f||_q^th)`` of each case ``(l, p, s, r, k, q, th)``.
 
-    The exponents must satisfy the dimensional balance
+    Each case's exponents must satisfy the dimensional balance
     ``l/d - 1/p = (s/d - 1/r)(1-th) + (k/d - 1/q) th`` with ``l/k <= th <= 1``
     and ``0 <= l, s < k``; otherwise the ratio is meaningless and an error is
-    raised carrying the balance residual. Derivatives of non-integer Lebesgue
-    flavor are measured through the ``|k|^m`` multiplier applied before the
-    grid norm.
+    raised, before any transform, carrying the balance residual. Derivatives
+    of non-integer Lebesgue flavor are measured through the ``|k|^m``
+    multiplier applied before the grid norm. Each distinct power is
+    transformed once for all cases; a single case is a one-element list.
     """
     d = float(grid.dim)
-    if not (0 <= l < k and 0 <= s < k):
-        raise ValueError(f"need 0 <= l, s < k, got l={l}, s={s}, k={k}")
-    if not (l / k <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [l/k, 1] = [{l / k}, 1], got {theta}")
     inv = lambda e: 0.0 if e == np.inf else 1.0 / e
-    residual = (l / d - inv(p)) - (1.0 - theta) * (s / d - inv(r)) - theta * (k / d - inv(q))
-    if not abs(residual) <= 1e-12:  # also true for a NaN exponent
-        raise ValueError(
-            f"exponent relation violated: dimensional balance residual {residual:.3e}"
-        )
-    num = lp_norm(grid, fractional_laplacian(grid, coeffs, float(l)), p)
-    den_s = lp_norm(grid, fractional_laplacian(grid, coeffs, float(s)), r)
-    den_k = lp_norm(grid, fractional_laplacian(grid, coeffs, float(k)), q)
-    den = den_s ** (1.0 - theta) * den_k**theta
-    if den == 0.0:
-        raise ValueError("zero field: ratio undefined")
-    return float(num / den)
+    for l, p, s, r, k, q, theta in cases:
+        if not (0 <= l < k and 0 <= s < k):
+            raise ValueError(f"need 0 <= l, s < k, got l={l}, s={s}, k={k}")
+        if not (l / k <= theta <= 1.0):
+            raise ValueError(f"theta must lie in [l/k, 1] = [{l / k}, 1], got {theta}")
+        residual = (l / d - inv(p)) - (1.0 - theta) * (s / d - inv(r)) - theta * (k / d - inv(q))
+        if not abs(residual) <= 1e-12:  # also true for a NaN exponent
+            raise ValueError(
+                f"exponent relation violated: dimensional balance residual {residual:.3e}"
+            )
+    values = {}
+
+    def norm(power, p):
+        if power not in values:
+            values[power] = grid.inverse(fractional_laplacian(grid, coeffs, float(power)))
+        return _grid_norm(grid, values[power], p)
+
+    ratios = []
+    for l, p, s, r, k, q, theta in cases:
+        num = norm(l, p)
+        den = norm(s, r) ** (1.0 - theta) * norm(k, q) ** theta
+        if den == 0.0:
+            raise ValueError("zero field: ratio undefined")
+        ratios.append(float(num / den))
+    return ratios

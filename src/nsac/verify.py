@@ -20,7 +20,7 @@ from .diagnostics import SeriesObserver
 from .initial import make_initial
 from .integrate import StepConfig, run
 from .model import PhysParams, State, pressure_prime, rhs
-from .spectral import Grid, band_limited_noise, fractional_laplacian, gn_ratio, interpolation_check
+from .spectral import Grid, band_limited_noise, fractional_laplacian, gn_ratios, interpolation_check
 
 
 @dataclass
@@ -156,8 +156,8 @@ def gn_ensemble_max(grid: Grid, seed: int) -> dict:
     worst = {case: 0.0 for case in cases}
     for _ in range(100):
         c = band_limited_noise(rng, grid, 8)
-        for case in cases:
-            worst[case] = max(worst[case], gn_ratio(grid, c, *case))
+        for case, ratio in zip(cases, gn_ratios(grid, c, cases)):
+            worst[case] = max(worst[case], ratio)
     return worst
 
 

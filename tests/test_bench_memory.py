@@ -1,0 +1,61 @@
+"""The layer tracer of ``bench/memory.py``: nested peaks, and one decay64 unit at 16^3."""
+
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nsac
+import nsac.integrate
+
+_spec = importlib.util.spec_from_file_location("memory", Path(__file__).parents[1] / "bench" / "memory.py")
+memory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(memory)
+
+MIB = 1024 * 1024
+
+
+def test_nested_calls_count_toward_every_layer_they_run_in():
+    tracer = memory.LayerTracer()
+    inner = tracer.wrap("inner", lambda: np.ones(MIB // 8).nbytes)  # 1 MiB, freed on return
+
+    def outer_body():
+        held = np.ones(MIB // 16)  # 0.5 MiB, held through the inner call
+        inner()
+        return held
+
+    outer = tracer.wrap("outer", outer_body)
+    tracemalloc.start()
+    try:
+        outer()
+    finally:
+        tracemalloc.stop()
+    inner_rec, outer_rec = tracer.layers["inner"], tracer.layers["outer"]
+    assert inner_rec["calls"] == outer_rec["calls"] == 1
+    slack = 64 * 1024
+    assert inner_rec["peak"] - inner_rec["entry"] == pytest.approx(MIB, abs=slack)
+    assert inner_rec["entry"] - outer_rec["entry"] == pytest.approx(MIB // 2, abs=slack)
+    assert outer_rec["peak"] == inner_rec["peak"]
+
+
+def test_layers_of_one_small_unit():
+    integrate = nsac.integrate
+    originals = [nsac.run, integrate.check_state, integrate.adaptive_dt, integrate.nonlinear_terms,
+                 integrate.Stepper.step_euler, integrate.Stepper.step_cnab2]
+    layers = memory.measure(16, 1)
+    assert set(layers) == set(memory.LAYERS)
+    steps = layers["Stepper.step_cnab2"]["calls"]
+    assert steps > 1 and layers["run"]["calls"] == 1
+    assert layers["Stepper.step_euler"]["calls"] == 1  # CNAB2's bootstrap
+    assert layers["adaptive_dt"]["calls"] == layers["nonlinear_terms"]["calls"] == steps
+    # the step-0 check and sample, then one of each per step
+    assert layers["check_state"]["calls"] == layers["observers"]["calls"] == steps + 1
+    run = layers["run"]
+    for layer in layers.values():
+        assert run["entry"] <= layer["entry"] <= layer["peak"] <= run["peak"]
+    assert layers["Stepper.step_cnab2"]["peak"] >= layers["nonlinear_terms"]["peak"]
+    # every wrapped name is restored
+    assert originals == [nsac.run, integrate.check_state, integrate.adaptive_dt, integrate.nonlinear_terms,
+                         integrate.Stepper.step_euler, integrate.Stepper.step_cnab2]

@@ -38,6 +38,19 @@ class TestEnergyLedger:
         diss = rep0.diss_visc + rep0.diss_div + rep0.diss_mu
         assert fd == pytest.approx(-diss, rel=0.02)
 
+    def test_phase_flip_leaves_the_ledger_bit_for_bit(self, params):
+        # the free energy is even in phi and mu odd, so phi -> -phi changes no
+        # float of the ledger; phi^3 - phi cancels, so a mu that is odd only to
+        # roundoff shows in diss_mu
+        from dataclasses import replace
+
+        from nsac.config import build_run_config
+        from nsac.initial import make_initial
+
+        state = make_initial(build_run_config({"grid.n": "16", "ic.kind": "random_perturbation", "ic.seed": "1"}))
+        twin = replace(state, phi_hat=-state.phi_hat, _cache={})
+        assert energy_ledger(twin, params) == energy_ledger(state, params)
+
 
 class TestLevelEnergy:
     def test_equilibrium_zero(self, grid16):

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -314,12 +315,15 @@ class TestStepCost:
         # band (16.1)
         assert max(peaks[1:]) <= 25
 
-    @pytest.mark.parametrize("dim, complex_fields, real_fields", [(3, 20, 13), (2, 14, 9), (1, 10, 6)])
+    @pytest.mark.parametrize("dim, complex_fields, real_fields", [(3, 18, 13), (2, 13, 9), (1, 10, 6)])
     def test_workspace_fields(self, dim, complex_fields, real_fields):
         grid = Grid(dim=dim, n=16, length=2 * np.pi)
         work = TendencyWorkspace(grid)
         spectral, physical = 16 * np.prod(grid.rshape), 8 * np.prod(grid.shape)
-        assert sum(h.nbytes for h in work.hats) == complex_fields * spectral
+        # the two transform windows are views of one buffer
+        buffer = work.hats[0].base
+        assert all(h.base is buffer for h in work.hats)
+        assert buffer.nbytes == complex_fields * spectral
         assert work.phys.nbytes == real_fields * physical
 
 
@@ -370,6 +374,51 @@ class TestWorkspaceReuse:
         assert summary.termination == "t_end" and summary.steps == 5
         # the stepped states, not just the tendencies, carry modes beyond the cut
         assert all(np.any(s.stacked()[:, beyond]) for s in states[1:])
+
+
+class TestRunHolds:
+    """A run holds only what its next step reads."""
+
+    def test_one_state_alive_at_each_sample(self, grid16, params):
+        cfg = _five_step_run(grid16, params)
+        state = make_initial(cfg)  # the caller keeps its State, as `nsac simulate` does
+        refs, alive = [], []
+
+        def obs(_i, s):
+            refs.append(weakref.ref(s))
+            alive.append(sum(r() is not None for r in refs))
+
+        summary = run(state, cfg.step, params, observers=(obs,))
+        assert summary.steps == 5
+        # each State a step started from is gone once its successor is sampled,
+        # the step-0 one included: run steps a State of its own
+        assert alive == [1] * 6
+
+    def test_caller_state_gains_no_cache(self, grid16, params):
+        cfg = _five_step_run(grid16, params)
+        state = make_initial(cfg)
+        keys = list(state._cache)
+        summary = run(state, cfg.step, params)
+        assert summary.steps == 5
+        assert list(state._cache) == keys
+
+    def test_traced_peak_of_a_run(self, grid16, params):
+        cfg = _five_step_run(grid16, params)
+        state = make_initial(cfg)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            summary = run(state, cfg.step, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.steps == 5
+        # in spectral fields: the workspace (18 complex, 13 real), the State a
+        # step checks and its views, and a slab's temporaries read 52.7. A run
+        # that cached step 0 on the caller's State and kept the previous State
+        # through the check of its successor read 58.3
+        field = 16 * grid16.n**2 * (grid16.n // 2 + 1)
+        assert (peak - start) / field <= 54
 
 
 class TestWholeStep:

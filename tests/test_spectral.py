@@ -8,8 +8,8 @@ from scipy import fft as sp_fft
 
 import nsac.spectral
 from nsac import Grid
-from nsac.spectral import fractional_laplacian, gn_ratio, interpolation_check, lp_norm
-from nsac.verify import disable_dealiasing
+from nsac.spectral import fractional_laplacian, gn_ratios, interpolation_check, lp_norm
+from nsac.verify import GN_STABLE_CASES, GN_SUP_CASE, check_gn_ensemble, disable_dealiasing
 
 from conftest import random_zero_mean_field, two_thirds_band
 from reference import hk_norm_sq, negative_norm, sobolev_norm
@@ -206,7 +206,7 @@ class TestCoefficientLayout:
             lambda: fractional_laplacian(grid16, bad, 1.0),
             lambda: interpolation_check(grid16, bad, 0, 0.5),
             lambda: lp_norm(grid16, bad, 2.0),
-            lambda: gn_ratio(grid16, bad, 1, 2.0, 0, 2.0, 2, 2.0, 0.5),
+            lambda: gn_ratios(grid16, bad, [(1, 2.0, 0, 2.0, 2, 2.0, 0.5)])[0],
         ]
         for call in calls:
             with pytest.raises(ValueError, match="rfft layout"):
@@ -224,9 +224,11 @@ class TestNonFiniteExponents:
     @pytest.mark.parametrize(
         "call",
         [
-            pytest.param(lambda g, c: gn_ratio(g, c, 0, np.nan, 0, 2.0, 1, 2.0, 1.0), id="gn_ratio-p-nan"),
-            pytest.param(lambda g, c: gn_ratio(g, c, 0, 6.0, 0, 2.0, 1, np.nan, 1.0), id="gn_ratio-q-nan"),
-            pytest.param(lambda g, c: gn_ratio(g, c, 0, 6.0, 0, np.nan, 1, 2.0, 1.0), id="gn_ratio-r-nan-theta-1"),
+            pytest.param(lambda g, c: gn_ratios(g, c, [(0, np.nan, 0, 2.0, 1, 2.0, 1.0)])[0], id="gn_ratio-p-nan"),
+            pytest.param(lambda g, c: gn_ratios(g, c, [(0, 6.0, 0, 2.0, 1, np.nan, 1.0)])[0], id="gn_ratio-q-nan"),
+            pytest.param(
+                lambda g, c: gn_ratios(g, c, [(0, 6.0, 0, np.nan, 1, 2.0, 1.0)])[0], id="gn_ratio-r-nan-theta-1"
+            ),
             pytest.param(lambda g, c: lp_norm(g, c, np.nan), id="lp_norm-nan"),
             pytest.param(lambda g, c: fractional_laplacian(g, c, np.nan), id="fractional_laplacian-nan"),
             pytest.param(lambda g, c: fractional_laplacian(g, c, np.inf), id="fractional_laplacian-inf"),
@@ -387,29 +389,48 @@ class TestGnRatio:
         rng = np.random.default_rng(6)
         f = random_zero_mean_field(rng, grid16, 4)
         args = (1, 2.0, 0, 2.0, 2, 2.0, 0.5)
-        ratio = gn_ratio(grid16, f, *args)
-        assert abs(ratio - gn_ratio(grid16, 2.0 * f, *args)) <= 1e-12 * ratio
+        ratio = gn_ratios(grid16, f, [args])[0]
+        assert abs(ratio - gn_ratios(grid16, 2.0 * f, [args])[0]) <= 1e-12 * ratio
 
     def test_single_mode_ratio_one(self, grid16):
         f = grid16.forward(np.sin(grid16.meshgrid()[0]))
-        ratio = gn_ratio(grid16, f, 1, 2.0, 0, 2.0, 2, 2.0, 0.5)
+        ratio = gn_ratios(grid16, f, [(1, 2.0, 0, 2.0, 2, 2.0, 0.5)])[0]
         assert abs(ratio - 1.0) <= 1e-12
 
     def test_exponent_relation_enforced(self, grid16):
         f = grid16.forward(np.sin(grid16.meshgrid()[0]))
         with pytest.raises(ValueError, match="residual"):
-            gn_ratio(grid16, f, 1, 2.0, 0, 2.0, 2, 2.0, 0.6)
+            gn_ratios(grid16, f, [(1, 2.0, 0, 2.0, 2, 2.0, 0.6)])[0]
 
     def test_theta_range_enforced(self, grid16):
         f = grid16.forward(np.sin(grid16.meshgrid()[0]))
         with pytest.raises(ValueError, match="theta"):
-            gn_ratio(grid16, f, 1, 2.0, 0, 2.0, 2, 2.0, 0.25)
+            gn_ratios(grid16, f, [(1, 2.0, 0, 2.0, 2, 2.0, 0.25)])[0]
+
+    def test_cases_share_transforms_bit_for_bit(self, grid16):
+        rng = np.random.default_rng(8)
+        f = random_zero_mean_field(rng, grid16, 4)
+        cases = GN_STABLE_CASES + (GN_SUP_CASE,)
+        assert gn_ratios(grid16, f, cases) == [gn_ratios(grid16, f, [case])[0] for case in cases]
+
+    def test_ensemble_transforms_each_power_once(self, monkeypatch):
+        calls = [0]
+        original = Grid.inverse
+
+        def counted(self, coeffs):
+            calls[0] += 1
+            return original(self, coeffs)
+
+        monkeypatch.setattr(Grid, "inverse", counted)
+        assert check_gn_ensemble(4).passed
+        # 2 seeds x 100 fields x the powers 0, 1 and 2 of the four cases
+        assert calls[0] == 600
 
     def test_sobolev_embedding_case_bounded(self, grid32):
         # ||f||_L6 <= C ||grad f||_L2 across an ensemble; ratios finite and stable
         rng = np.random.default_rng(7)
         fields = [random_zero_mean_field(rng, grid32, 8) for _ in range(30)]
-        ratios = [gn_ratio(grid32, f, 0, 6.0, 0, 2.0, 1, 2.0, 1.0) for f in fields]
+        ratios = [gn_ratios(grid32, f, [(0, 6.0, 0, 2.0, 1, 2.0, 1.0)])[0] for f in fields]
         assert np.all(np.isfinite(ratios))
         assert max(ratios) < 1.0  # well below the sharp constant on this box
 
