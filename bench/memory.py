@@ -4,6 +4,7 @@
 Run from the repository root:
 
     python3 bench/memory.py --n 64 --seed 1
+    python3 bench/memory.py --n 64 --seed 1 --faults 4.0
 
 One unit of the benchmark's ``decay64`` workload (``perfbench/bench_workloads.py``:
 a CNAB2 ``run`` from the random-perturbation IC with its step-0 and ``t_end``
@@ -17,6 +18,14 @@ the entry of that call, in MiB. numpy reports its arrays to ``tracemalloc``,
 so the numbers are the arrays a layer holds and allocates. Tracing starts
 before the IC is built. The last line is the process's ``ru_maxrss``, tracing
 included.
+
+With ``--faults T_END`` the tool instead runs decay64's ``run`` once, untraced
+and without its samples, to ``T_END`` and prints the minor page faults
+(``ru_minflt``) of each step, read by an observer after every step, and how
+many steps after step 4 took more than 100 of them. A step that faults
+reuses no freed memory: the allocator grew or trimmed its heap. Run it as a
+process of its own, since the heap an earlier computation leaves behind
+changes the faults.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import resource
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -37,6 +47,9 @@ MIB = 1024.0 * 1024.0
 LAYERS = (
     "run", "check_state", "adaptive_dt", "nonlinear_terms", "Stepper.step_euler", "Stepper.step_cnab2", "observers"
 )
+#: ``--faults`` counts the steps after this one that take more than FAULT_LIMIT minor faults.
+WARM_STEPS = 4
+FAULT_LIMIT = 100
 
 
 class LayerTracer:
@@ -76,10 +89,19 @@ class LayerTracer:
         return traced
 
 
-def measure(n: int, seed: int) -> dict:
-    """``{layer: {"calls", "peak", "entry"}}`` in bytes for one decay64 unit at ``n``^3."""
+def _decay64(n: int, seed: int):
+    """The benchmark's decay64 workload at ``n``^3, not yet set up."""
     sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "perfbench")) if path not in sys.path]
     import bench_workloads
+
+    workload = bench_workloads.Decay64(seed, Path(tempfile.gettempdir()))
+    workload.n = n
+    return workload
+
+
+def measure(n: int, seed: int) -> dict:
+    """``{layer: {"calls", "peak", "entry"}}`` in bytes for one decay64 unit at ``n``^3."""
+    workload = _decay64(n, seed)
     import nsac
     import nsac.integrate as integrate
 
@@ -97,8 +119,6 @@ def measure(n: int, seed: int) -> dict:
         for name in ("step_euler", "step_cnab2"):
             method = getattr(integrate.Stepper, name)
             stack.enter_context(patch.object(integrate.Stepper, name, tracer.wrap(f"Stepper.{name}", method)))
-        workload = bench_workloads.Decay64(seed, Path(tempfile.gettempdir()))
-        workload.n = n
         tracemalloc.start()
         try:
             workload.setup()
@@ -110,11 +130,40 @@ def measure(n: int, seed: int) -> dict:
     return tracer.layers
 
 
+def faults(n: int, seed: int, t_end: float) -> list[int]:
+    """Minor page faults of each step of decay64's ``run`` at ``n``^3 to ``t_end``, untraced."""
+    workload = _decay64(n, seed)
+    workload.setup()
+    import nsac
+
+    cfg = workload.cfg
+    counts = []
+
+    def observe(_step, _state):
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    summary = nsac.run(workload.state, replace(cfg.step, t_end=t_end), cfg.phys, observers=(observe,))
+    if summary.termination != "t_end":
+        raise RuntimeError(f"the run ended on {summary.termination}: {summary.violation}")
+    return [b - a for a, b in zip(counts, counts[1:])]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--n", type=int, default=64, help="grid points per axis (default 64)")
     parser.add_argument("--seed", type=int, default=1, help="IC seed (default 1)")
+    parser.add_argument("--faults", type=float, metavar="T_END", help="print the minor faults of each step to T_END")
     args = parser.parse_args(argv)
+    if args.faults is not None:
+        per_step = faults(args.n, args.seed, args.faults)
+        print(f"decay64 run at {args.n}^3, seed {args.seed}, to t = {args.faults!r}: minor faults per step")
+        print(f"{'step':>6}{'faults':>9}")
+        for step, count in enumerate(per_step, start=1):
+            print(f"{step:>6}{count:>9}")
+        late = per_step[WARM_STEPS:]
+        above = sum(count > FAULT_LIMIT for count in late)
+        print(f"steps after step {WARM_STEPS} above {FAULT_LIMIT} faults: {above} of {len(late)}")
+        return 0
     layers = measure(args.n, args.seed)
     print(f"decay64 unit at {args.n}^3, seed {args.seed}: traced memory in MiB")
     print(f"{'layer':<22}{'calls':>7}{'peak':>10}{'at entry':>10}{'above':>10}")

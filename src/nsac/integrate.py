@@ -115,9 +115,12 @@ class Stepper:
     State's arrays outlive it (a State owns its arrays and views), and the
     rest is a few slab-sized temporaries. The tendency a step returns is a
     view into the workspace's transform window of that step; it holds until
-    the next `step_cnab2` consumes it as ``prev``. A step reads nothing of
-    the State it started from once it returns, so the caller may release
-    that State while it checks the new one.
+    the next `step_cnab2` consumes it as ``prev``. Once the tendency is
+    formed and the new State's storage allocated, a step empties the cache
+    of the State it started from: from then on that State holds only its
+    coefficient arrays, and a view read from it later is rebuilt, the same
+    floats. A step reads nothing of that State once it returns, so the
+    caller may release it while it checks the new one.
     """
 
     def __init__(self, grid: Grid, params: PhysParams):
@@ -145,6 +148,9 @@ class Stepper:
         g, B = self.grid, self.linear
         n = nonlinear_terms(state, self.params, self.work)
         new = np.empty_like(n)
+        # the rest reads only the coefficients; emptied after the allocation,
+        # since before it glibc trims and regrows its heap on every 64^3 step
+        state._cache.clear()
         done = 0
         for planes in g.slabs():
             new[:, done : planes.start] = 0
@@ -207,7 +213,9 @@ def run(
     nothing the run caches lands on the caller's object. Once a step's
     candidate exists, the State it started from is released if the observers
     have seen it; an unobserved one (``cadence > 1``) is kept for the closing
-    observer call. The current time is kept beside the State.
+    observer call. The current time is kept beside the State. The Stepper
+    empties the cache of every State it steps from, so an observer that
+    keeps a State keeps its coefficient arrays, not its views and spectra.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")

@@ -199,8 +199,9 @@ class State:
     The cache makes repeated evaluation (tendency, energy ledger, invariant
     monitor) share transforms, and every norm is read off cached shell
     spectra, taken once per field however many norms a sample reports; a
-    State is immutable, so the cache never invalidates and snapshots are
-    safe to share.
+    State is immutable, so a cache entry never goes stale and snapshots are
+    safe to share. `run` empties the cache of a State it has stepped from; a
+    later read rebuilds the same view.
     """
 
     grid: Grid
@@ -251,9 +252,15 @@ class State:
         return np.concatenate(fields, out=out)
 
     def _phys(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+        """The value under ``key``, built and cached if absent.
+
+        Returns the value it found or built, so a cache emptied meanwhile
+        costs the next read a rebuild, never a ``KeyError``.
+        """
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = builder()
+        return value
 
     def sigma(self) -> np.ndarray:
         return self._phys("sigma", lambda: self.grid.inverse(self.sigma_hat))

@@ -1,6 +1,8 @@
-"""The layer tracer of ``bench/memory.py``: nested peaks, and one decay64 unit at 16^3."""
+"""``bench/memory.py``: the layer tracer's nested peaks, one decay64 unit at 16^3, and the faults of a run."""
 
 import importlib.util
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -59,3 +61,19 @@ def test_layers_of_one_small_unit():
     # every wrapped name is restored
     assert originals == [nsac.run, integrate.check_state, integrate.adaptive_dt, integrate.nonlinear_terms,
                          integrate.Stepper.step_euler, integrate.Stepper.step_cnab2]
+
+
+def test_faults_of_each_step_of_a_small_run():
+    script = Path(memory.__file__)
+    proc = subprocess.run(
+        [sys.executable, str(script), "--n", "16", "--faults", "0.5"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "decay64 run at 16^3, seed 1, to t = 0.5: minor faults per step"
+    rows = [tuple(int(cell) for cell in line.split()) for line in lines[2:-1]]
+    # ten steps at the capped dt 0.05
+    assert [step for step, _ in rows] == list(range(1, 11))
+    assert all(count >= 0 for _, count in rows)
+    above = sum(count > memory.FAULT_LIMIT for _, count in rows[memory.WARM_STEPS:])
+    assert lines[-1] == f"steps after step 4 above 100 faults: {above} of 6"

@@ -346,6 +346,16 @@ class TestInputErrors:
         assert not (tmp_path / "lin.csv").exists() and not (tmp_path / "lin.json").exists()
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_output_name_the_summary_cannot_hold_is_one_config_error(self, tmp_path, capsys):
+        # summary.json embeds the config as text, where '#' starts a comment
+        argv = ["simulate", "grid.n=16", "step.t_end=0.02",
+                f"out.csv={tmp_path}/r#1.csv", f"out.snapshot={tmp_path}/x.nsac", f"out.summary={tmp_path}/x.json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: out.csv: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
     def test_points_below_the_fit_minimum_name_the_option(self, tmp_path, capsys):
         outputs = ["--out-csv", f"{tmp_path}/lin.csv", "--out-json", f"{tmp_path}/lin.json"]
         assert main(["linear-decay", "--points", "9"] + outputs) == 2

@@ -112,6 +112,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=msg):
             build_run_config({"grid.n": "16", **raw})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("out.csv", "r#1.csv"), ("out.snapshot", "a\nb.nsac"), ("out.summary", "s.json\r")],
+        ids=["hash", "newline", "trailing_return"],
+    )
+    def test_text_a_config_line_cannot_hold_is_a_config_error(self, key, value):
+        # parse_config_text stops a value at '#' and at a line break, so the
+        # serialized config would load back as another one
+        with pytest.raises(ConfigError, match=f"{key}: .* holds a '#' or a line break"):
+            build_run_config({"grid.n": "16", key: value})
+
     def test_unbounded_fit_window_allowed(self):
         assert build_run_config({"grid.n": "16", "diag.fit_t_hi": "inf"}).diag.fit_t_hi == np.inf
 

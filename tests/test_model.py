@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -349,6 +350,20 @@ class TestRhs:
         state = random_admissible_state(rng, grid16)
         rhs(state, params)
         assert set(state._cache) == {"sigma", "u", "phi", ("p_prime", params)}
+
+    def test_a_view_survives_its_cache_being_emptied(self, grid16):
+        # the run empties the cache of a State it has stepped from while an
+        # observer may still read it; here that lands right after the store
+        class Emptied(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.clear()
+
+        state = random_admissible_state(np.random.default_rng(10), grid16)
+        state = replace(state, _cache=Emptied())
+        phi = state.phi()
+        assert phi.tobytes() == grid16.inverse(state.phi_hat).tobytes()
+        assert not state._cache
 
     def test_phase_linearization(self, grid16, params):
         # sigma = u = 0, phi = 1 + delta sin(x): the mode-1 tendency is
