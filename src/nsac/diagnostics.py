@@ -204,8 +204,13 @@ def decay_suite(
 
     A fit with ``r2 < R2_MIN`` fails regardless of the slope: a low ``r2``
     over a decade is the signature of non-power behavior and must surface
-    rather than be averaged through.
+    rather than be averaged through. A target ``l + s`` that is not finite or
+    a ``tol`` outside ``(0, inf)`` raises ``ValueError`` before the fit.
     """
+    if not np.isfinite(l + s):
+        raise ValueError(f"the target exponent -(l + s) needs a finite l + s, got l={l}, s={s}")
+    if not 0 < tol < np.inf:  # also false for a NaN
+        raise ValueError(f"tol {tol} must be positive and finite")
     t = np.asarray(t, dtype=np.float64)
     if window is None:
         window = (float(t.min()), float(t.max()))

@@ -110,14 +110,14 @@ class Stepper:
     points): nothing is factorized or cached, so a new time step size costs
     the same as a repeated one.
 
-    The tendency workspace is allocated once, here. An Euler or CNAB2 step
-    works slab by slab (`Grid.slabs`): of what it allocates, only the new
-    State's arrays outlive it (a State owns its arrays and views), and the
-    rest is a few slab-sized temporaries. The tendency a step returns is a
-    view into the workspace's transform window of that step; it holds until
-    the next `step_cnab2` consumes it as ``prev``. Once the tendency is
-    formed and the new State's storage allocated, a step empties the cache
-    of the State it started from: from then on that State holds only its
+    The tendency workspace and the CNAB2 history (the previous tendency
+    ``prev``, ``dim + 2`` fields, and its step ``dt_prev``) are allocated
+    once, here; every step writes its tendency into ``prev``. An Euler or
+    CNAB2 step works slab by slab (`Grid.slabs`): of what it allocates, only
+    the new State's arrays outlive it (a State owns its arrays and views),
+    and the rest is a few slab-sized temporaries. Once the tendency is formed
+    and the new State's storage allocated, a step empties the cache of the
+    State it started from: from then on that State holds only its
     coefficient arrays, and a view read from it later is rebuilt, the same
     floats. A step reads nothing of that State once it returns, so the
     caller may release it while it checks the new one.
@@ -128,22 +128,21 @@ class Stepper:
         self.params = params
         self.linear = LinearSymbol(grid, params, 2.0 / (params.epsilon * params.rho_bar))
         self.work = TendencyWorkspace(grid)
+        self.prev = np.empty((grid.dim + 2,) + grid.rshape, dtype=np.complex128)
+        self.dt_prev: float | None = None
 
-    def _advance(
-        self, state: State, dt: float, alpha: float, prev: np.ndarray | None = None, b0: float = 0.0
-    ) -> tuple[State, np.ndarray]:
-        """The State at ``t + dt`` on ``y + (I - alpha B)^-1 dt((B y + N) + b0 (N_prev - N))``, and ``N``.
+    def _advance(self, state: State, dt: float, alpha: float, b0: float = 0.0) -> State:
+        """The State at ``t + dt`` on ``y + (I - alpha B)^-1 dt((B y + N) + b0 (N_prev - N))``.
 
-        ``N`` is the tendency at ``state`` plus the phase row's shift; without
-        ``prev`` the history term is left out. Every operation acts per mode,
-        so the update runs over one slab of axis-0 planes at a time
-        (`Grid.slabs`), whose operands stay in cache from one pass to the
-        next: ``y`` is stacked into the new state's storage and the solve is
-        added to it there. The planes between the slabs lie outside the 2/3
-        band, so the new state is zero there (and ``N`` lacks the shift,
-        which nothing reads). The history difference is written into
-        ``prev``'s rows of the workspace's other transform window, which the
-        next tendency overwrites anyway.
+        ``N`` is the tendency at ``state`` plus the phase row's shift, and
+        ``N_prev`` is ``prev``; ``b0 = 0`` leaves the history term out. Every
+        operation acts per mode, so the update runs over one slab of axis-0
+        planes at a time (`Grid.slabs`), whose operands stay in cache from
+        one pass to the next: ``y`` is stacked into the new state's storage
+        and the solve is added to it there. The history difference is formed
+        in ``prev``'s slab, and then ``N`` is copied into it. The planes
+        between the slabs lie outside the 2/3 band, so the new state is zero
+        there; ``prev`` is not written there, and nothing reads it.
         """
         g, B = self.grid, self.linear
         n = nonlinear_terms(state, self.params, self.work)
@@ -155,19 +154,21 @@ class Stepper:
         for planes in g.slabs():
             new[:, done : planes.start] = 0
             done = planes.stop
-            y, n_s = state.stacked(planes, out=new[:, planes]), n[:, planes]
+            y, n_s, prev = state.stacked(planes, out=new[:, planes]), n[:, planes], self.prev[:, planes]
             n_s[-1] += B.shift * state.phi_hat[planes]
             # dt * ((B y + N) + b0 (N_prev - N)), evaluated in that order
             incr = B.apply(y, planes)
             incr += n_s
-            if prev is not None:
-                hist = np.subtract(prev[:, planes], n_s, out=prev[:, planes])
+            if b0:
+                hist = np.subtract(prev, n_s, out=prev)
                 incr += np.multiply(b0, hist, out=hist)
+            prev[...] = n_s
             incr *= dt
             y += B.solve(alpha, incr, out=incr, planes=planes)
             g.cut_to_band(y, slab=True)
         new[:, done:] = 0
-        return State(g, state.t + dt, new[0], new[1:-1], new[-1]), n
+        self.dt_prev = dt
+        return State(g, state.t + dt, new[0], new[1:-1], new[-1])
 
     # -- schemes --------------------------------------------------------------
     #
@@ -176,20 +177,20 @@ class Stepper:
     # system, so exact steady states (equilibrium, pure phases) are preserved
     # bit for bit, not just to roundoff.
 
-    def step_euler(self, state: State, dt: float) -> tuple[State, np.ndarray]:
+    def step_euler(self, state: State, dt: float) -> State:
         """IMEX Euler: implicit linear solve around an explicit nonlinear shot."""
         return self._advance(state, dt, dt)
 
-    def step_cnab2(self, state: State, dt: float, prev: np.ndarray | None, dt_prev: float | None):
+    def step_cnab2(self, state: State, dt: float) -> State:
         """Crank-Nicolson linear part + variable-step Adams-Bashforth nonlinear part.
 
-        Bootstraps with an Euler step when no history is available. The
-        extrapolated nonlinear term is written ``N + b0 (N_prev - N)`` with
-        ``b0 = -dt / (2 dt_prev)``. The step consumes ``prev``.
+        Bootstraps with an Euler step while the Stepper has taken no step.
+        The extrapolated nonlinear term is written ``N + b0 (N_prev - N)``
+        with ``b0 = -dt / (2 dt_prev)``.
         """
-        if prev is None:
+        if self.dt_prev is None:
             return self.step_euler(state, dt)
-        return self._advance(state, dt, 0.5 * dt, prev, -0.5 * dt / dt_prev)
+        return self._advance(state, dt, 0.5 * dt, -0.5 * dt / self.dt_prev)
 
 
 def run(
@@ -222,6 +223,7 @@ def run(
     state = replace(state, _cache=dict(state._cache))
     check_state(state, params, step=0, phi_tol=cfg.phi_tol)
     stepper = Stepper(state.grid, params)
+    step = stepper.step_euler if cfg.scheme_order == 1 else stepper.step_cnab2
     for obs in observers:
         obs(0, state)
 
@@ -231,8 +233,6 @@ def run(
     summary = RunSummary(0, t, "t_end")
     steps = seen = 0
     dt_curr: float | None = None
-    prev_nl = None
-    dt_prev = None
     while t < t_end - t_tol:
         if steps >= cfg.max_steps:
             summary.termination = "max_steps"
@@ -244,10 +244,7 @@ def run(
         # land on t_end when roundoff would leave a sliver of at most 1e-9 dt
         final = dt >= t_end - t - max(t_tol, 1e-9 * dt_curr)
         try:
-            if cfg.scheme_order == 1:
-                new, nl = stepper.step_euler(state, dt)
-            else:
-                new, nl = stepper.step_cnab2(state, dt, prev_nl, dt_prev)
+            new = step(state, dt)
             if seen == steps:
                 state = None  # observed: nothing reads it again
             if final:
@@ -257,7 +254,7 @@ def run(
             summary.termination, summary.violation = "invariant_violation", err.as_dict()
             break
         # adopt the candidate only once it is admissible, so t_final matches steps
-        state, t, prev_nl, dt_prev = new, new.t, nl, dt
+        state, t = new, new.t
         steps += 1
         summary.dt_limits["t_end" if dt < dt_curr else "cap" if dt_curr == cfg.dt else "cfl"] += 1
         if steps % cadence == 0:

@@ -539,19 +539,14 @@ class TendencyWorkspace:
 
     The derivative stack is ``[w, Lap phi, grad phi, viscous]``: the
     ``d(d-1)/2`` vorticity components, Lap phi, grad phi (d) and B's viscous
-    row (d), 10 fields at 3-D. Each call sets it up in its transform window
-    ``hats[turn]``, of ``max(stack, 2 dim + 3)`` rows, whose batched inverse
-    overwrites it and lands in ``phys``. Once the stack is spent, the window
-    takes the transforms of phi^2 (row ``2 dim + 1``) and of the ``2 dim +
-    2`` explicit products, and row ``2 dim + 2`` is the scratch of the work
-    after the forward. ``turn`` flips on every call, so the tendency one call
-    returns (rows ``[dim - 1, 2 dim + 1)`` of its window) stays intact
-    through the next call: CNAB2 extrapolates from the previous step's
-    tendency.
-
-    The two windows are overlapping views of one buffer. The second starts
-    at row ``max(2 dim + 1, rows - dim + 1)``, so neither window reaches the
-    other's result rows: 18 complex fields at 3-D, 13 at 2-D and 10 at 1-D.
+    row (d), 10 fields at 3-D. Each call sets it up in the transform window
+    ``hats``, of ``max(stack, 2 dim + 3)`` rows (10 complex fields at 3-D, 7
+    at 2-D and 5 at 1-D), whose batched inverse overwrites it and lands in
+    ``phys``. Once the stack is spent, the window takes the transforms of
+    phi^2 (row ``2 dim + 1``) and of the ``2 dim + 2`` explicit products, and
+    row ``2 dim + 2`` is the scratch of the work after the forward. The
+    tendency a call returns is rows ``[dim - 1, 2 dim + 1)`` of the window,
+    which the next call overwrites.
 
     ``phys`` holds ``[1/rho | derivative block | phi row, K - H]``, where
     ``K - H`` is the kinetic energy density minus the enthalpy remainder. The
@@ -560,24 +555,14 @@ class TendencyWorkspace:
     ``K - H`` is the forward's input in the product order (sigma u, u rows,
     phi row, ``K - H``). The pointwise and spectral work needs no further
     arrays: its scratch is rows not yet written or already spent. At 3-D the
-    workspace is 18 complex and 13 real fields.
+    workspace is 10 complex and 13 real fields.
     """
 
     def __init__(self, grid: Grid):
         d = grid.dim
         stack = 2 * d + d * (d - 1) // 2 + 1
-        rows = max(stack, 2 * d + 3)
-        second = max(2 * d + 1, rows - d + 1)
-        buffer = np.empty((second + rows,) + grid.rshape, dtype=np.complex128)
-        self.hats = [buffer[:rows], buffer[second:]]
+        self.hats = np.empty((max(stack, 2 * d + 3),) + grid.rshape, dtype=np.complex128)
         self.phys = np.empty((1 + stack + 2,) + grid.shape)
-        self.turn = 0
-
-    def next_hats(self) -> np.ndarray:
-        """The window this call transforms into; ``turn`` flips to the other one."""
-        hats = self.hats[self.turn]
-        self.turn ^= 1
-        return hats
 
 
 def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | None = None) -> np.ndarray:
@@ -588,9 +573,9 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     acoustic coupling, viscosity, phase diffusion) is excluded so the time
     integrator can treat it exactly per mode. Given a ``work`` space the
     tendency allocates nothing beyond a few wavenumber-sized arrays and the
-    result is a view into it, valid until the call after next on the same
+    result is a view into it, valid until the next call on the same
     workspace; without one a fresh workspace is used. The derivative stack
-    lives in the call's transform window and each product in the physical
+    lives in the transform window and each product in the physical
     rows its operands leave (`TendencyWorkspace`), so every array is spent
     before it is overwritten.
 
@@ -625,11 +610,11 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     u = state.u()
     phi = state.phi()
     u_hat = state.u_hat
-    hats = work.next_hats()
+    hats = work.hats
 
     # one batched inverse for every derivative this evaluation needs:
     # vorticity w_ij for i < j (d(d-1)/2), Lap phi (1), grad phi (d), B's
-    # viscous row (d). The stack is set up in this call's transform window:
+    # viscous row (d). The stack is set up in the transform window:
     # D = i k.u lives in the Lap phi row, which is written last, and the
     # set-up's scratch in the first grad phi row, which is written after the
     # viscous and vorticity rows. The inverse reads only the 2/3 band, where

@@ -272,6 +272,10 @@ class TestInputErrors:
              "out.csv={tmp}/x.csv", "out.snapshot={tmp}/x.nsac", "out.summary={tmp}/./x.csv"],
             ["linear-decay", "--l", "0", "--s", "0.5", "--components", "phi", "--points", "10",
              "--out-json", "{tmp}/lin.csv"],
+            ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value", "--where", "component=a",
+             "--l", "0", "--s", "nan"],
+            ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value", "--where", "component=a",
+             "--l", "0", "--s", "inf"],
         ],
         ids=[
             "fit_header_only_csv",
@@ -316,6 +320,8 @@ class TestInputErrors:
             "simulate_csv_is_snapshot",
             "simulate_summary_is_csv",
             "linear_decay_json_is_csv",
+            "fit_s_nan",
+            "fit_s_inf",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a warning printed before the error line counts as a second line

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsac import Grid, PhysParams, State, StepConfig
+from nsac import Grid, PhysParams, State, StepConfig, diagnostics
 from nsac.config import RunConfig
 from nsac.diagnostics import SeriesObserver, decay_suite, energy_ledger, level_energy, negative_functional
 from nsac.errors import InvariantViolation
@@ -325,6 +325,18 @@ class TestDecaySuite:
         t = np.geomspace(1, 1e4, 50)
         fit = decay_suite(t, (1 + t) ** (-2.5), l=1, s=0.5, tol=0.1)
         assert not fit.passed
+
+    @pytest.mark.parametrize(
+        "l, s, tol, msg",
+        [(0, np.nan, 0.1, "l \\+ s"), (0, np.inf, 0.1, "l \\+ s"), (1, -np.inf, 0.1, "l \\+ s"),
+         (1, 0.5, 0.0, "tol"), (1, 0.5, np.inf, "tol"), (1, 0.5, np.nan, "tol")],
+    )
+    def test_target_and_tol_checked_before_the_fit(self, monkeypatch, l, s, tol, msg):
+        # a NaN or infinite target would print as non-JSON NaN or -Infinity
+        monkeypatch.setattr(diagnostics, "fit_exponent", lambda *a: pytest.fail("fitted"))
+        t = np.geomspace(1, 1e4, 50)
+        with pytest.raises(ValueError, match=msg):
+            decay_suite(t, (1 + t) ** (-1.5), l=l, s=s, tol=tol)
 
 
 class TestSampleSymmetries:

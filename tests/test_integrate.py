@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,22 +310,19 @@ class TestStepCost:
         # peak above the memory held when the step began, in spectral fields
         field = 16 * grid16.n**2 * (grid16.n // 2 + 1)
         peaks = [(peak - held) / field for (held, _), (_, peak) in zip(marks, marks[1:])]
-        # the Stepper's workspace holds the tendency's arrays, both transform
-        # buffers from the start; a step allocates the new State and its views,
-        # and the linear operator and solve's temporaries for one slab of the
-        # band (16.1)
+        # the Stepper's workspace and history are allocated from the start;
+        # a step allocates the new State and its views, and the linear
+        # operator and solve's temporaries for one slab of the band (10.8)
         assert max(peaks[1:]) <= 25
 
-    @pytest.mark.parametrize("dim, complex_fields, real_fields", [(3, 18, 13), (2, 13, 9), (1, 10, 6)])
-    def test_workspace_fields(self, dim, complex_fields, real_fields):
+    @pytest.mark.parametrize("dim, complex_fields, real_fields", [(3, 15, 13), (2, 11, 9), (1, 8, 6)])
+    def test_workspace_fields(self, params, dim, complex_fields, real_fields):
         grid = Grid(dim=dim, n=16, length=2 * np.pi)
-        work = TendencyWorkspace(grid)
+        stepper = nsac.integrate.Stepper(grid, params)
         spectral, physical = 16 * np.prod(grid.rshape), 8 * np.prod(grid.shape)
-        # the two transform windows are views of one buffer
-        buffer = work.hats[0].base
-        assert all(h.base is buffer for h in work.hats)
-        assert buffer.nbytes == complex_fields * spectral
-        assert work.phys.nbytes == real_fields * physical
+        # one transform window (10, 7, 5 rows) and the CNAB2 history (dim + 2)
+        assert stepper.work.hats.nbytes + stepper.prev.nbytes == complex_fields * spectral
+        assert stepper.work.phys.nbytes == real_fields * physical
 
 
 class TestWorkspaceReuse:
@@ -348,11 +346,9 @@ class TestWorkspaceReuse:
     def test_reused_workspace_matches_a_fresh_one(self, grid16, params):
         a, b = (random_admissible_state(np.random.default_rng(seed), grid16, max_mode=4) for seed in (11, 12))
         work = TendencyWorkspace(grid16)
-        n_a = nonlinear_terms(a, params, work)
-        kept = n_a.copy()
+        kept = nonlinear_terms(a, params, work).copy()
         nonlinear_terms(b, params, work)
-        assert n_a.tobytes() == kept.tobytes()  # intact through the next call
-        # the call after next reuses its buffers and gives the same tendency
+        # a call after another state's reuses the buffers and gives the same tendency
         assert nonlinear_terms(a, params, work).tobytes() == kept.tobytes()
         assert nonlinear_terms(a, params).tobytes() == kept.tobytes()
 
@@ -402,24 +398,6 @@ class TestRunHolds:
         assert summary.steps == 5
         assert list(state._cache) == keys
 
-    def test_traced_peak_of_a_run(self, grid16, params):
-        cfg = _five_step_run(grid16, params)
-        state = make_initial(cfg)
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            summary = run(state, cfg.step, params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert summary.steps == 5
-        # in spectral fields: the workspace (18 complex, 13 real), the State a
-        # step checks and its views, and a slab's temporaries read 52.7. A run
-        # that cached step 0 on the caller's State and kept the previous State
-        # through the check of its successor read 58.3
-        field = 16 * grid16.n**2 * (grid16.n // 2 + 1)
-        assert (peak - start) / field <= 54
-
     def test_a_state_stepped_from_keeps_no_cache(self, grid16, params):
         cfg = _five_step_run(grid16, params)
         kept = []
@@ -428,7 +406,7 @@ class TestRunHolds:
         # the last State keeps what its check cached: sigma, phi and the scan
         assert [len(s._cache) for s in kept] == [0] * 5 + [3]
 
-    @pytest.mark.parametrize("keep, fields", [(False, 49), (True, 66)], ids=["no_observer", "observer_keeps_all"])
+    @pytest.mark.parametrize("keep, fields", [(False, 46), (True, 61)], ids=["no_observer", "observer_keeps_all"])
     def test_traced_peak_with_and_without_kept_states(self, grid16, params, keep, fields):
         cfg = _five_step_run(grid16, params)
         state = make_initial(cfg)
@@ -442,51 +420,62 @@ class TestRunHolds:
         finally:
             tracemalloc.stop()
         assert summary.steps == 5
-        # in spectral fields: 47.4 and 62.3 here, and 52.7 and 87.3 while a
-        # State the run had stepped from kept its cache
+        # in spectral fields: 44.4 and 59.3 here; 47.4 and 62.3 with two
+        # alternating transform windows, and 52.7 and 87.3 while a State the
+        # run had stepped from kept its cache
         field = 16 * grid16.n**2 * (grid16.n // 2 + 1)
         assert (peak - start) / field <= fields
 
 
 class TestWholeStep:
-    def test_run_matches_a_written_out_euler_then_cnab2_loop(self, grid16, params, monkeypatch):
-        """`run`'s steps against their formulas, every tendency a fresh array.
+    """`run`'s steps against their formulas, every tendency a fresh array.
 
-        The Stepper keeps the previous tendency in the workspace's other
-        transform buffer and writes the history difference into it; this loop
-        keeps every array apart, so the two agree only if no buffer is
-        overwritten before it is read. The Stepper works slab by slab, the
-        loop on whole arrays: with one plane per slab every block of the band
-        splits, a 2-D grid has slabs of a different shape, and a 1-D grid's
-        slabs leave out the tail of its half axis.
-        """
+    The Stepper forms the history difference in its ``prev`` array and then
+    copies the tendency, a view of the workspace's one transform window, into
+    it; the loop keeps every array apart, so the two agree only if no buffer
+    is overwritten before it is read. The Stepper works slab by slab, the
+    loop on whole arrays: with one plane per slab every block of the band
+    splits, a 2-D grid has slabs of a different shape, and a 1-D grid's slabs
+    leave out the tail of its half axis.
+    """
+
+    def test_run_matches_a_written_out_euler_then_cnab2_loop(self, grid16, params, monkeypatch):
+        self._check_every_grid_and_slab(grid16, params, monkeypatch, scheme_order=2)
+
+    def test_euler_run_matches_the_written_out_loop(self, grid16, params, monkeypatch):
+        # every step is an Euler step, which writes the history nothing reads
+        self._check_every_grid_and_slab(grid16, params, monkeypatch, scheme_order=1)
+
+    @classmethod
+    def _check_every_grid_and_slab(cls, grid16, params, monkeypatch, scheme_order):
         for grid in (grid16, Grid(dim=2, n=32, length=2 * np.pi), Grid(dim=1, n=64, length=2 * np.pi)):
             for slab_bytes in (nsac.spectral.SLAB_BYTES, 1):
                 with monkeypatch.context() as patch:
                     patch.setattr(nsac.spectral, "SLAB_BYTES", slab_bytes)
                     if slab_bytes == 1:  # one per plane of the band
                         assert len(grid.slabs()) == (grid.n // 3 + 1 if grid.dim == 1 else 2 * (grid.n // 3) + 1)
-                    self._check_against_the_loop(grid, params)
+                    cls._check_against_the_loop(grid, params, scheme_order)
 
     @staticmethod
-    def _check_against_the_loop(grid, params):
+    def _check_against_the_loop(grid, params, scheme_order):
         cfg = _five_step_run(grid, params)
+        step_cfg = replace(cfg.step, scheme_order=scheme_order)
         state = make_initial(cfg)
         held = {}
-        summary = run(state, cfg.step, params, observers=(lambda i, s: held.update(state=s),))
+        summary = run(state, step_cfg, params, observers=(lambda i, s: held.update(state=s),))
         assert summary.termination == "t_end" and summary.steps == 5
 
         shift = 2.0 / (params.epsilon * params.rho_bar)
         B = LinearSymbol(grid, params, shift)
-        s, prev, dt_prev, dt_curr = state, None, None, cfg.step.dt
+        s, prev, dt_prev, dt_curr = state, None, None, step_cfg.dt
         for _ in range(summary.steps):
-            dt_curr = min(dt_curr, adaptive_dt(s, cfg.step, params))
-            dt = min(dt_curr, cfg.step.t_end - s.t)
+            dt_curr = min(dt_curr, adaptive_dt(s, step_cfg, params))
+            dt = min(dt_curr, step_cfg.t_end - s.t)
             n = nonlinear_terms(s, params)
             n[-1] += shift * s.phi_hat
             y = s.stacked()
             incr = B.apply(y) + n
-            if prev is None:  # the Euler bootstrap
+            if scheme_order == 1 or prev is None:  # Euler, or CNAB2's Euler bootstrap
                 alpha = dt
             else:
                 alpha = 0.5 * dt
