@@ -16,8 +16,11 @@ Per layer the table gives the calls, the largest traced peak of one call
 (nested calls count toward every layer they run in) and the memory traced at
 the entry of that call, in MiB. numpy reports its arrays to ``tracemalloc``,
 so the numbers are the arrays a layer holds and allocates. Tracing starts
-before the IC is built. The last line is the process's ``ru_maxrss``, tracing
-included.
+before the IC is built. After the table, one line gives the arrays a
+`Stepper` on the unit's grid allocates once and keeps, in MiB: the
+tendency's transform window ``hats``, its physical slab, the de-aliased
+``phi^2`` field and the CNAB2 history ``prev``. The last line is the
+process's ``ru_maxrss``, tracing included.
 
 With ``--faults T_END`` the tool instead runs decay64's ``run`` once, untraced
 and without its samples, to ``T_END`` and prints the minor page faults
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import resource
 import sys
 import tempfile
@@ -130,6 +134,17 @@ def measure(n: int, seed: int) -> dict:
     return tracer.layers
 
 
+def workspace(n: int) -> dict[str, int]:
+    """Bytes of each array a `Stepper` on decay64's grid at ``n``^3 keeps from its first step to its last."""
+    import nsac
+    import nsac.integrate as integrate
+
+    stepper = integrate.Stepper(nsac.Grid(dim=3, n=n, length=2.0 * math.pi), nsac.PhysParams())
+    work = stepper.work
+    return {"hats": work.hats.nbytes, "physical slab": work.phys.nbytes, "phi^2": work.phi2.nbytes,
+            "prev": stepper.prev.nbytes}
+
+
 def faults(n: int, seed: int, t_end: float) -> list[int]:
     """Minor page faults of each step of decay64's ``run`` at ``n``^3 to ``t_end``, untraced."""
     workload = _decay64(n, seed)
@@ -171,6 +186,9 @@ def main(argv=None) -> int:
         layer = layers[name]
         peak, entry = layer["peak"] / MIB, layer["entry"] / MIB
         print(f"{name:<22}{layer['calls']:>7}{peak:>10.1f}{entry:>10.1f}{peak - entry:>10.1f}")
+    arrays = workspace(args.n)
+    listed = ", ".join(f"{name} {size / MIB:.3f}" for name, size in arrays.items())
+    print(f"Stepper workspace in MiB: {listed}; total {sum(arrays.values()) / MIB:.3f}")
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"ru_maxrss {maxrss:.1f} MB (tracing included)")
     return 0

@@ -541,12 +541,14 @@ class TendencyWorkspace:
     ``d(d-1)/2`` vorticity components, Lap phi, grad phi (d) and B's viscous
     row (d), 10 fields at 3-D. Each call sets it up in the transform window
     ``hats``, of ``max(stack, 2 dim + 3)`` rows (10 complex fields at 3-D, 7
-    at 2-D and 5 at 1-D), whose batched inverse overwrites it and lands in
-    ``phys``. Once the stack is spent, the window takes the transforms of
-    phi^2 (row ``2 dim + 1``) and of the ``2 dim + 2`` explicit products, and
-    row ``2 dim + 2`` is the scratch of the work after the forward. The
-    tendency a call returns is rows ``[dim - 1, 2 dim + 1)`` of the window,
-    which the next call overwrites.
+    at 2-D and 5 at 1-D). Its inverse ends slab by slab (`planes`, from
+    `Grid.plane_slabs`) in ``phys``, which holds one slab of physical axis-0
+    planes; the slab's forward products land in the window's planes that its
+    inverse has spent, the first ``2 dim + 2`` rows. Row ``2 dim + 2`` is the
+    scratch of the spectral work after the forward. The tendency a call
+    returns is rows ``[dim - 1, 2 dim + 1)`` of the window, which the next
+    call overwrites. ``phi2`` is the one whole physical field, the
+    de-aliased phi^2, formed through the window before the stack is set up.
 
     ``phys`` holds ``[1/rho | derivative block | phi row, K - H]``, where
     ``K - H`` is the kinetic energy density minus the enthalpy remainder. The
@@ -555,14 +557,18 @@ class TendencyWorkspace:
     ``K - H`` is the forward's input in the product order (sigma u, u rows,
     phi row, ``K - H``). The pointwise and spectral work needs no further
     arrays: its scratch is rows not yet written or already spent. At 3-D the
-    workspace is 10 complex and 13 real fields.
+    workspace is 10 complex fields, 13 real rows of one slab and one real
+    field; at 64^3 a slab is 4 planes.
     """
 
     def __init__(self, grid: Grid):
         d = grid.dim
         stack = 2 * d + d * (d - 1) // 2 + 1
         self.hats = np.empty((max(stack, 2 * d + 3),) + grid.rshape, dtype=np.complex128)
-        self.phys = np.empty((1 + stack + 2,) + grid.shape)
+        self.planes = grid.plane_slabs()
+        size = max(s.stop - s.start for s in self.planes)
+        self.phys = np.empty((1 + stack + 2, size) + grid.shape[1:])
+        self.phi2 = np.empty(grid.shape)
 
 
 def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | None = None) -> np.ndarray:
@@ -577,7 +583,11 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     workspace; without one a fresh workspace is used. The derivative stack
     lives in the transform window and each product in the physical
     rows its operands leave (`TendencyWorkspace`), so every array is spent
-    before it is overwritten.
+    before it is overwritten. The pointwise work is blocked over slabs of
+    physical axis-0 planes (`Grid.plane_slabs`) between the leading passes
+    of the batched inverse and forward, so only de-aliased phi^2 is a whole
+    physical field; each point sees the operations of a whole-grid pass in
+    the same order, so the result does not depend on the slab size.
 
     Advection is taken in rotational form,
     ``(u.grad) u_i = d_i K - sum_j u_j w_ij`` with ``K = |u|^2/2`` and the
@@ -612,6 +622,11 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     u_hat = state.u_hat
     hats = work.hats
 
+    # de-aliased phi^2, through the window's first row before the stack is set up
+    phi2 = np.multiply(phi, phi, out=work.phi2)
+    g.forward_many(phi2[np.newaxis], out=hats[:1])
+    g.inverse_many(hats[:1], out=phi2[np.newaxis])
+
     # one batched inverse for every derivative this evaluation needs:
     # vorticity w_ij for i < j (d(d-1)/2), Lap phi (1), grad phi (d), B's
     # viscous row (d). The stack is set up in the transform window:
@@ -636,64 +651,67 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
         for i in range(d):
             np.multiply(ik[i], phi_s, out=b[o + 1 + i])
         np.multiply(-k2, phi_s, out=b[o])
-    phys = work.phys
-    inv_rho, derivs, row, spare = phys[0], phys[1 : 1 + stack], phys[1 + stack], phys[2 + stack]
-    g.inverse_many(hats[:stack], out=derivs)
-    vorticity = derivs[:o]
-    lap_phi = derivs[o]
-    grad_phi = derivs[o + 1 : o + 1 + d]
-    viscous = derivs[o + 1 + d :]
+    g.inverse_leading(hats[:stack])
 
-    # de-aliased phi^2 through the K - H row, which K - H overwrites last;
-    # until then that row is this call's scratch field
-    square, square_hat = phys[2 + stack :], hats[2 * d + 1 : 2 * d + 2]
-    np.multiply(phi, phi, out=spare)
-    g.forward_many(square, out=square_hat)
-    phi2 = g.inverse_many(square_hat, out=square)[0]
+    # the pointwise work, one slab of physical axis-0 planes at a time: the
+    # inverse ends in the slab, and the slab's products go forward into the
+    # window's planes that its inverse has spent
+    for planes in work.planes:
+        phys = work.phys[:, : planes.stop - planes.start]
+        inv_rho, derivs, row, spare = phys[0], phys[1 : 1 + stack], phys[1 + stack], phys[2 + stack]
+        g.inverse_last(hats[:stack, planes], out=derivs)
+        vorticity = derivs[:o]
+        lap_phi = derivs[o]
+        grad_phi = derivs[o + 1 : o + 1 + d]
+        viscous = derivs[o + 1 + d :]
+        sigma_s, u_s, phi_s = sigma[planes], u[:, planes], phi[planes]
 
-    np.add(sigma, params.rho_bar, out=inv_rho)
-    np.divide(1.0, inv_rho, out=inv_rho)
+        np.add(sigma_s, params.rho_bar, out=inv_rho)
+        np.divide(1.0, inv_rho, out=inv_rho)
 
-    # phi row: (1 - phi^2) phi / (eps rho) + (eps/rho^2 - eps/rho_bar^2) Lap phi - u.grad phi
-    np.subtract(1.0, phi2, out=row)
-    row *= phi
-    row *= inv_rho
-    row /= eps
-    coeff = np.multiply(inv_rho, inv_rho, out=spare)
-    coeff *= eps
-    coeff -= params.phase_diffusivity
-    coeff *= lap_phi
-    row += coeff
-    for j in range(d):
-        row -= np.multiply(u[j], grad_phi[j], out=spare)
+        # phi row: (1 - phi^2) phi / (eps rho) + (eps/rho^2 - eps/rho_bar^2) Lap phi - u.grad phi
+        np.subtract(1.0, phi2[planes], out=row)
+        row *= phi_s
+        row *= inv_rho
+        row /= eps
+        coeff = np.multiply(inv_rho, inv_rho, out=spare)
+        coeff *= eps
+        coeff -= params.phase_diffusivity
+        coeff *= lap_phi
+        row += coeff
+        for j in range(d):
+            row -= np.multiply(u_s[j], grad_phi[j], out=spare)
 
-    # u rows, in place in the viscous rows: -h2 (nu Lap u + (nu+lam) grad div u)
-    # = -(sigma/rho) times the viscous row, the capillary force
-    # -(eps/rho) Lap phi grad phi, + sum_j u_j w_ij
-    capillary = np.multiply(lap_phi, inv_rho, out=lap_phi)
-    capillary *= -eps
-    weight = np.multiply(sigma, inv_rho, out=inv_rho)
-    for i in range(d):
-        u_row = np.multiply(weight, viscous[i], out=viscous[i])
-        np.subtract(np.multiply(capillary, grad_phi[i], out=grad_phi[i]), u_row, out=u_row)
-    for m, (a, b) in enumerate(pairs):  # w_ba = -w_ab
-        viscous[a] += np.multiply(u[b], vorticity[m], out=spare)
-        viscous[b] -= np.multiply(u[a], vorticity[m], out=vorticity[m])
+        # u rows, in place in the viscous rows: -h2 (nu Lap u + (nu+lam) grad div u)
+        # = -(sigma/rho) times the viscous row, the capillary force
+        # -(eps/rho) Lap phi grad phi, + sum_j u_j w_ij
+        capillary = np.multiply(lap_phi, inv_rho, out=lap_phi)
+        capillary *= -eps
+        weight = np.multiply(sigma_s, inv_rho, out=inv_rho)
+        for i in range(d):
+            u_row = np.multiply(weight, viscous[i], out=viscous[i])
+            np.subtract(np.multiply(capillary, grad_phi[i], out=grad_phi[i]), u_row, out=u_row)
+        for m, (a, b) in enumerate(pairs):  # w_ba = -w_ab
+            viscous[a] += np.multiply(u_s[b], vorticity[m], out=spare)
+            viscous[b] -= np.multiply(u_s[a], vorticity[m], out=vorticity[m])
 
-    # sigma u in the spent grad phi rows, then K - H with K = |u|^2/2 in the
-    # last row; the Lap phi row is spent
-    for j in range(d):
-        np.multiply(sigma, u[j], out=grad_phi[j])
-    kinetic = np.multiply(u[0], u[0], out=spare)
-    for j in range(1, d):
-        kinetic += np.multiply(u[j], u[j], out=lap_phi)
-    kinetic *= 0.5
-    kinetic -= enthalpy_remainder(sigma, params, out=lap_phi)
+        # sigma u in the spent grad phi rows, then K - H with K = |u|^2/2 in the
+        # last row; the Lap phi row is spent
+        for j in range(d):
+            np.multiply(sigma_s, u_s[j], out=grad_phi[j])
+        kinetic = np.multiply(u_s[0], u_s[0], out=spare)
+        for j in range(1, d):
+            kinetic += np.multiply(u_s[j], u_s[j], out=lap_phi)
+        kinetic *= 0.5
+        kinetic -= enthalpy_remainder(sigma_s, params, out=lap_phi)
 
-    # batched forward of the block from grad phi to K - H: sigma u (d), u rows
-    # (d), phi row (1), K - H (1); the row after them is the spectral scratch.
-    # The planes between the slabs are zero, and stay zero
-    g.forward_many(phys[2 + o :], out=hats[: 2 * d + 2])
+        # the block from grad phi to K - H: sigma u (d), u rows (d), phi row
+        # (1), K - H (1)
+        g.forward_last(phys[2 + o :], out=hats[: 2 * d + 2, planes])
+
+    # the forward's leading passes; the row after the products is the
+    # spectral scratch. The planes between the slabs are zero, and stay zero
+    g.forward_leading(hats[: 2 * d + 2])
     for planes in g.slabs():
         ik, _ = g.symbols(planes)
         h, spare_hat = hats[:, planes], hats[2 * d + 2, planes]

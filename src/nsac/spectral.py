@@ -41,7 +41,8 @@ class Grid:
     Precomputes the derivative symbol ``ik`` (``1j * k`` per axis) and
     ``|k|^2``, and the Hermitian doubling weights and integer shell index used
     by every mode sum. The two-thirds band is `band_cut`, and `slabs` splits
-    its axis-0 planes into cache-sized runs.
+    its axis-0 planes into cache-sized runs; `plane_slabs` splits the
+    physical axis-0 planes the same way.
     """
 
     dim: int
@@ -180,50 +181,65 @@ class Grid:
         de-aliasing) the slabs cover every plane.
         """
         keep, blocks, _ = self._band()
-        per_slab = max(1, SLAB_BYTES // (16 * prod(self.rshape[1:])))
-        slabs = []
-        for block in [slice(0, keep)] if self.dim == 1 else blocks:
-            size = block.stop - block.start
-            count = -(-size // per_slab)
-            edges = [block.start + size * i // count for i in range(count + 1)]
-            slabs.extend(slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
-        return tuple(slabs)
+        per_slab = SLAB_BYTES // (16 * prod(self.rshape[1:]))
+        blocks = [slice(0, keep)] if self.dim == 1 else blocks
+        return tuple(run for block in blocks for run in _runs(block, per_slab))
+
+    def plane_slabs(self) -> tuple[slice, ...]:
+        """Every physical axis-0 plane, as ascending runs of about `SLAB_BYTES` per two real fields.
+
+        The tendency's pointwise work goes slab by slab between the leading
+        passes of its transforms (`inverse_leading`, `forward_leading`),
+        whose physical axis 0 is the first axis of a coefficient array. A 1-D
+        grid's axis 0 is its real-transform axis, so it has one slab,
+        ``0..n``, which also spans the whole half axis of a coefficient array.
+        """
+        if self.dim == 1:
+            return (slice(0, self.n),)
+        return _runs(slice(0, self.n), SLAB_BYTES // (16 * self.n ** (self.dim - 1)))
 
     def symbols(self, planes: slice = slice(None)) -> tuple[tuple, np.ndarray]:
         """``(ik, k2)`` on the axis-0 ``planes``, as views: the symbols a slab's elementwise work reads."""
         return (self.ik[0][planes], *self.ik[1:]), self.k2[planes]
 
+    def forward_last(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The real transform of the last axis of a stack, or of its axis-0 planes, written into ``out``."""
+        return np.fft.rfft(values, axis=-1, norm="forward", out=out)
+
+    def forward_leading(self, coeffs: np.ndarray) -> np.ndarray:
+        """The pruned complex passes of a stack's leading axes after `forward_last`, in place, then the cut.
+
+        Each leading spatial axis, in scipy's ``rfftn`` order, gets an
+        in-place complex transform of only the lines whose transformed
+        indices lie in the band (`band_cut`): at 64^3, 1408 and then 946
+        lines of 2112. Every mode beyond the cut is then set to exactly zero.
+        """
+        keep, blocks, _ = self._band()
+        for ax in range(1, self.dim):
+            for lead in product(blocks, repeat=ax - 1):
+                lines = coeffs[(slice(None), *lead, Ellipsis, slice(keep))]
+                np.fft.fft(lines, axis=ax, norm="forward", out=lines)
+        return self.cut_to_band(coeffs)
+
     def forward_many(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """De-aliased batched forward over a leading stack axis, written into ``out``.
 
-        Nothing is allocated. A real transform of the last axis fills ``out``.
-        Then each leading spatial axis, in scipy's ``rfftn`` order, gets an
-        in-place complex transform of only the lines whose transformed indices
-        lie in the band (`band_cut`): at 64^3, 1408 and then 946 lines of
-        2112. Every mode beyond the cut is then set to exactly zero. The lines
-        kept see the inputs of a full transform, and the scalings ``1/n`` are
-        exact (``n`` is a power of two), so each kept mode equals scipy's
-        ``rfftn`` bit for bit.
+        Nothing is allocated: `forward_last` fills ``out`` and
+        `forward_leading` finishes it there. The lines kept see the inputs of
+        a full transform, and the scalings ``1/n`` are exact (``n`` is a power
+        of two), so each kept mode equals scipy's ``rfftn`` bit for bit.
         """
-        keep, blocks, _ = self._band()
-        np.fft.rfft(values, axis=-1, norm="forward", out=out)
-        for ax in range(1, self.dim):
-            for lead in product(blocks, repeat=ax - 1):
-                lines = out[(slice(None), *lead, Ellipsis, slice(keep))]
-                np.fft.fft(lines, axis=ax, norm="forward", out=lines)
-        return self.cut_to_band(out)
+        return self.forward_leading(self.forward_last(values, out))
 
-    def inverse_many(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Band-limited batched inverse over a leading stack axis, written into ``out``.
+    def inverse_leading(self, coeffs: np.ndarray) -> np.ndarray:
+        """The pruned complex passes of a stack's leading axes, in place, before `inverse_last`.
 
         Every mode of ``coeffs`` beyond the cut (`band_cut`) counts as zero,
-        and ``coeffs`` is scratch (overwritten). Its gaps are zeroed; each
-        leading spatial axis, in scipy's ``irfftn`` order, gets an in-place
-        complex transform of only the lines whose untransformed indices lie
-        in the band (at 64^3, 946 and then 1408 lines of 2112); a real
-        transform of the last axis's kept modes writes ``out``. For input
-        that is zero beyond the cut the result equals scipy's ``irfftn`` bit
-        for bit.
+        and ``coeffs`` is scratch. Its gaps are zeroed; each leading spatial
+        axis, in scipy's ``irfftn`` order, gets an in-place complex transform
+        of only the lines whose untransformed indices lie in the band (at
+        64^3, 946 and then 1408 lines of 2112). The leading axes are then
+        physical and the last axis is still spectral.
         """
         keep, blocks, _ = self._band()
         self.cut_to_band(coeffs[..., :keep])  # the gaps: no pass reads the last axis beyond keep
@@ -231,7 +247,23 @@ class Grid:
             for trail in product(blocks, repeat=self.dim - 1 - ax):
                 lines = coeffs[(slice(None), Ellipsis, *trail, slice(keep))]
                 np.fft.ifft(lines, axis=ax, norm="forward", out=lines)
-        return np.fft.irfft(coeffs[..., :keep], n=self.n, axis=-1, norm="forward", out=out)
+        return coeffs
+
+    def inverse_last(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The real transform of the last axis's kept modes, after `inverse_leading`, written into ``out``.
+
+        ``coeffs`` may be the whole stack or its physical axis-0 planes.
+        """
+        return np.fft.irfft(coeffs[..., : self._band()[0]], n=self.n, axis=-1, norm="forward", out=out)
+
+    def inverse_many(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Band-limited batched inverse over a leading stack axis, written into ``out``.
+
+        `inverse_leading` on ``coeffs``, which is scratch (overwritten), then
+        `inverse_last` into ``out``. For input that is zero beyond the cut
+        the result equals scipy's ``irfftn`` bit for bit.
+        """
+        return self.inverse_last(self.inverse_leading(coeffs), out)
 
     def divergence(
         self,
@@ -280,6 +312,14 @@ class Grid:
 
     def mean_value(self, coeffs: np.ndarray) -> float:
         return float(coeffs[(0,) * self.dim].real)
+
+
+def _runs(planes: slice, per_run: int) -> tuple[slice, ...]:
+    """``planes`` split into ascending runs of near-equal length, at most ``per_run`` (at least one) planes each."""
+    size = planes.stop - planes.start
+    count = -(-size // max(1, per_run))
+    edges = [planes.start + size * i // count for i in range(count + 1)]
+    return tuple(slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
 
 
 def band_limited_noise(rng: np.random.Generator, grid: Grid, max_mode: int) -> np.ndarray:

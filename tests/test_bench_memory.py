@@ -1,4 +1,4 @@
-"""``bench/memory.py``: the layer tracer's nested peaks, one decay64 unit at 16^3, and the faults of a run."""
+"""``bench/memory.py``: nested layer peaks, a decay64 unit at 16^3, its workspace line and the faults of a run."""
 
 import importlib.util
 import subprocess
@@ -77,3 +77,17 @@ def test_faults_of_each_step_of_a_small_run():
     assert all(count >= 0 for _, count in rows)
     above = sum(count > memory.FAULT_LIMIT for _, count in rows[memory.WARM_STEPS:])
     assert lines[-1] == f"steps after step 4 above 100 faults: {above} of 6"
+
+
+def test_workspace_line_gives_the_steppers_arrays():
+    proc = subprocess.run(
+        [sys.executable, str(Path(memory.__file__)), "--n", "16"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    line = next(line for line in proc.stdout.splitlines() if line.startswith("Stepper workspace in MiB: "))
+    stepper = nsac.integrate.Stepper(nsac.Grid(dim=3, n=16, length=2 * np.pi), nsac.PhysParams())
+    arrays = {"hats": stepper.work.hats, "physical slab": stepper.work.phys, "phi^2": stepper.work.phi2,
+              "prev": stepper.prev}
+    listed = ", ".join(f"{name} {a.nbytes / MIB:.3f}" for name, a in arrays.items())
+    total = sum(a.nbytes for a in arrays.values()) / MIB
+    assert line == f"Stepper workspace in MiB: {listed}; total {total:.3f}"

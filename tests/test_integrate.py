@@ -260,7 +260,10 @@ class TestStepCost:
 
         count("forward", lambda arr: 1)
         count("inverse", lambda arr: int(np.prod(arr.shape[: -grid16.dim])))  # a stack counts each field
-        for name in ("forward_many", "inverse_many"):
+        # a batched transform is counted once, at its leading passes: the
+        # tendency runs its last-axis passes slab by slab, and forward_many
+        # and inverse_many call these two
+        for name in ("forward_leading", "inverse_leading"):
             count(name, lambda arr: arr.shape[0])
 
         # the observer only reads the counter: step 1 is the Euler bootstrap,
@@ -319,10 +322,20 @@ class TestStepCost:
     def test_workspace_fields(self, params, dim, complex_fields, real_fields):
         grid = Grid(dim=dim, n=16, length=2 * np.pi)
         stepper = nsac.integrate.Stepper(grid, params)
+        work = stepper.work
         spectral, physical = 16 * np.prod(grid.rshape), 8 * np.prod(grid.shape)
         # one transform window (10, 7, 5 rows) and the CNAB2 history (dim + 2)
-        assert stepper.work.hats.nbytes + stepper.prev.nbytes == complex_fields * spectral
-        assert stepper.work.phys.nbytes == real_fields * physical
+        assert work.hats.nbytes + stepper.prev.nbytes == complex_fields * spectral
+        # at 16^dim one physical slab holds every plane of its rows; phi^2 is a whole field
+        assert work.phys.nbytes == real_fields * physical and work.phi2.nbytes == physical
+        arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == work.hats.nbytes + work.phys.nbytes + work.phi2.nbytes
+
+    def test_physical_workspace_is_one_slab_at_64(self, params):
+        # 13 real rows of 4 of the 64 planes (1.625 MiB), where whole fields took 26 MiB
+        work = nsac.integrate.Stepper(Grid(dim=3, n=64, length=2 * np.pi), params).work
+        assert work.phys.shape == (13, 4, 64, 64) and work.phys.nbytes == 1_703_936
+        assert work.phi2.nbytes == 8 * 64**3
 
 
 class TestWorkspaceReuse:
@@ -420,7 +433,9 @@ class TestRunHolds:
         finally:
             tracemalloc.stop()
         assert summary.steps == 5
-        # in spectral fields: 44.4 and 59.3 here; 47.4 and 62.3 with two
+        # in spectral fields: 45.3 and 60.3 here, where at 16^3 one physical
+        # slab holds every plane beside the whole phi^2 field; 44.4 and 59.3
+        # with phi^2 formed in a physical row, 47.4 and 62.3 with two
         # alternating transform windows, and 52.7 and 87.3 while a State the
         # run had stepped from kept its cache
         field = 16 * grid16.n**2 * (grid16.n // 2 + 1)
@@ -485,6 +500,59 @@ class TestWholeStep:
             s = State(grid, s.t + dt, new[0], new[1:-1], new[-1])
             prev, dt_prev = n, dt
         assert held["state"].stacked().tobytes() == s.stacked().tobytes()
+
+
+class TestDimensionReduction:
+    """A state that does not vary along the added axes, with no velocity along
+    them, evolves as the lower-dimensional run (ROADMAP item 10(d)).
+
+    The higher-dimensional run goes through `Grid.slabs`, the physical plane
+    slabs and the pruned transforms' line sets of its own dim, the lower one
+    through those of its dim; with one plane per slab the higher run splits
+    its physical work at every plane.
+    """
+
+    #: Defect relative to the run's increment of sigma and phi; measured 1.0e-15
+    #: (1 -> 2, 1 -> 3) and 2.5e-15 (2 -> 3). The ledger's components agree to 8.3e-16.
+    BOUND = 1e-13
+
+    @staticmethod
+    def _final(state, params):
+        holder = {}
+        summary = run(state, StepConfig(dt=0.01, t_end=0.05), params,
+                      observers=(lambda i, s: holder.update(s=s),), cadence=10**9)
+        assert summary.termination == "t_end" and summary.dt_limits == {"cap": 5, "cfl": 0, "t_end": 0}
+        return holder["s"]
+
+    @pytest.mark.parametrize("slab_bytes", [nsac.spectral.SLAB_BYTES, 1])
+    @pytest.mark.parametrize("lo, hi", [(1, 2), (1, 3), (2, 3)])
+    def test_replicated_state_evolves_as_the_lower_dim_run(self, params, lo, hi, slab_bytes, monkeypatch):
+        monkeypatch.setattr(nsac.spectral, "SLAB_BYTES", slab_bytes)
+        low, high = (Grid(dim=d, n=16, length=2 * np.pi) for d in (lo, hi))
+        start = random_admissible_state(np.random.default_rng(5), low, amplitude=0.1, max_mode=4)
+        added = (np.newaxis,) * (hi - lo)
+        replicate = lambda f: np.broadcast_to(f[(Ellipsis, *added)], f.shape[:-lo] + high.shape)
+        u = np.zeros((hi,) + high.shape)
+        u[:lo] = replicate(start.u())
+        high_start = State.from_physical(high, 0.0, replicate(start.sigma()), u, replicate(start.phi()))
+        end_low, end_high = self._final(start, params), self._final(high_start, params)
+
+        line = (Ellipsis, *(0,) * (hi - lo))  # the lower grid inside the higher one
+        increment = max(np.max(np.abs(end_low.sigma() - start.sigma())), np.max(np.abs(end_low.phi() - start.phi())))
+        defects = [
+            end_high.sigma()[line] - end_low.sigma(),
+            end_high.phi()[line] - end_low.phi(),
+            end_high.u()[:lo][line] - end_low.u(),
+            end_high.u()[lo:],  # no velocity along the added axes
+            end_high.sigma() - replicate(end_high.sigma()[line]),  # no variation along them
+        ]
+        assert max(np.max(np.abs(d)) for d in defects) <= self.BOUND * increment
+        # every integral gains the added axes' length L^(hi - lo)
+        scale = (2 * np.pi) ** (hi - lo)
+        ledger_low, ledger_high = energy_ledger(end_low, params), energy_ledger(end_high, params)
+        for name, value in vars(ledger_low).items():
+            assert getattr(ledger_high, name) == pytest.approx(scale * value, rel=self.BOUND)
+        assert end_high.mass(params) == pytest.approx(scale * end_low.mass(params), rel=self.BOUND)
 
 
 class TestConservation:

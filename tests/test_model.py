@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nsac.spectral
 from nsac import Grid, PhysParams, State, VacuumError
 from nsac.diagnostics import energy_ledger
 from nsac.model import (
     LinearSymbol,
+    TendencyWorkspace,
     chemical_potential,
     enthalpy_remainder,
     g_potential,
@@ -440,6 +442,18 @@ class TestRhs:
         defect = rhs(State(grid, state.t, boosted[0], boosted[1:-1], boosted[-1]), params) - expected
         assert np.max(np.abs(defect)) <= 1e-13 * np.max(np.abs(tend))
 
+    @pytest.mark.parametrize("dim, n", [(3, 16), (2, 32), (1, 64)])
+    def test_tendency_bytes_do_not_depend_on_the_slab_size(self, params, dim, n, monkeypatch):
+        # one plane per slab, spectral and physical, against the default's one
+        # physical slab; a run compared with a loop that calls the tendency
+        # under the same slab size cannot see a bug at a slab's edge
+        grid = Grid(dim=dim, n=n, length=2 * np.pi)
+        state = random_state(np.random.default_rng(dim), grid, amplitude=0.1, max_mode=4)
+        whole = nonlinear_terms(state, params).copy()
+        monkeypatch.setattr(nsac.spectral, "SLAB_BYTES", 1)
+        assert len(TendencyWorkspace(grid).planes) == (1 if dim == 1 else n)  # a 1-D axis 0 is the rfft axis
+        assert nonlinear_terms(state, params).tobytes() == whole.tobytes()
+
     def test_mass_in_divergence_form(self, grid16, params):
         rng = np.random.default_rng(12)
         state = random_admissible_state(rng, grid16)
@@ -471,8 +485,8 @@ class TestRhs:
         finally:
             tracemalloc.stop()
         field = 16 * grid16.n**2 * (grid16.n // 2 + 1)
-        # a fresh workspace with one 8-field transform buffer (34 spectral
-        # fields) and the transforms' own temporaries: 37.1 spectral fields
+        # a fresh workspace (at 16^3 one physical slab holds every plane) and
+        # the transforms' own temporaries: 23.6 spectral fields
         assert (peak - held) / field <= 39
 
 

@@ -109,6 +109,20 @@ class TestGrid:
         for planes in g.slabs():
             assert g.cut_to_band(coeffs[:, planes].copy(), slab=True).tobytes() == whole[:, planes].tobytes()
 
+    @pytest.mark.parametrize("slab_bytes", [nsac.spectral.SLAB_BYTES, 1])
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_plane_slabs_partition_every_physical_plane(self, dim, n, slab_bytes, monkeypatch):
+        monkeypatch.setattr(nsac.spectral, "SLAB_BYTES", slab_bytes)
+        slabs = Grid(dim=dim, n=n, length=1.0).plane_slabs()
+        assert [p for s in slabs for p in range(s.start, s.stop)] == list(range(n))
+        assert all(s.start < s.stop and s.step is None for s in slabs)
+        if dim == 1:  # axis 0 is the real transform's axis
+            assert slabs == (slice(0, n),)
+        else:  # at most SLAB_BYTES per two real fields, or a single plane
+            plane_bytes = 16 * n ** (dim - 1)
+            assert all(s.stop - s.start == 1 or (s.stop - s.start) * plane_bytes <= slab_bytes for s in slabs)
+
 
 class TestBatchedTransforms:
     """numpy's per-axis routes against scipy's one-dispatch transforms.
@@ -175,6 +189,22 @@ class TestBatchedTransforms:
             g.inverse_many(coeffs.copy(), out=phys)
         assert np.array_equal(out, sp_fft.rfftn(values, axes=axes, norm="forward"))
         assert np.array_equal(phys, sp_fft.irfftn(coeffs, s=g.shape, axes=axes, norm="forward"))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_last_axis_passes_by_plane_slab_match_the_whole(self, dim, monkeypatch):
+        # the leading passes on the whole stack and the last axis one plane at a time
+        monkeypatch.setattr(nsac.spectral, "SLAB_BYTES", 1)
+        g, values, coeffs, _ = self._data(dim)
+        phys = np.empty((4,) + g.shape)
+        work = g.inverse_leading(coeffs.copy())
+        for planes in g.plane_slabs():
+            g.inverse_last(work[:, planes], out=phys[:, planes])
+        assert phys.tobytes() == g.inverse_many(coeffs.copy(), out=np.empty_like(phys)).tobytes()
+        out = np.empty((4,) + g.rshape, dtype=np.complex128)
+        for planes in g.plane_slabs():
+            g.forward_last(values[:, planes], out=out[:, planes])
+        whole = g.forward_many(values, out=np.empty_like(out))
+        assert g.forward_leading(out).tobytes() == whole.tobytes()
 
     def test_complex_passes_skip_the_lines_beyond_the_cut(self, monkeypatch):
         # n = 16, two fields: the band keeps 6 of the 9 half-axis modes and the
