@@ -101,23 +101,6 @@ class LevelEnergy:
         return self.sigma_hk + self.u_hk + self.phi_grad + self.phi_sq
 
 
-def phi_sq_minus_one_hat(state: State) -> np.ndarray:
-    """De-aliased coefficients of ``phi^2 - 1`` (cached on the snapshot)."""
-
-    def build():
-        g = state.grid
-        phi = state.phi()
-        c = g.forward_product(phi * phi)
-        c[(0,) * g.dim] -= 1.0
-        return c
-
-    return state._phys("phisq_hat", build)
-
-
-def _phisq_spectrum(state: State) -> np.ndarray:
-    return state._phys("phisq_shells", lambda: state.grid.shell_spectrum(phi_sq_minus_one_hat(state)))
-
-
 def level_energy(state: State, l: int) -> LevelEnergy:
     """Evaluate the level-``l`` norm combination from the cached shell spectra."""
     if l not in (0, 1, 2):
@@ -129,7 +112,7 @@ def level_energy(state: State, l: int) -> LevelEnergy:
         u_hk=g.shell_window(state.spectrum("u"), l, 3),
         # ||D^(l+1) phi||^2 summed through total order 3 equals the gradient block
         phi_grad=g.shell_window(state.spectrum("phi"), l + 1, 3),
-        phi_sq=g.shell_sum(_phisq_spectrum(state)),
+        phi_sq=g.shell_sum(state.spectrum("phisq")),
     )
 
 
@@ -168,7 +151,7 @@ def negative_functional(state: State, s: float) -> NegativeFunctional:
     u_neg = g.shell_sum(state.spectrum("u"), -s)
     # sum_i |k_i phi|^2 = |k|^2 |phi|^2, so grad phi has the spectrum k^2 S_phi
     gradphi_neg = g.shell_sum(g.shell_k2 * state.spectrum("phi"), -s)
-    phisq_neg = g.shell_sum(_phisq_spectrum(state), -s)
+    phisq_neg = g.shell_sum(state.spectrum("phisq"), -s)
     total = sigma_neg + u_neg + gradphi_neg + phisq_neg
     return NegativeFunctional(
         s=s,
@@ -179,7 +162,7 @@ def negative_functional(state: State, s: float) -> NegativeFunctional:
         total=total,
         sigma_mean=g.mean_value(state.sigma_hat),
         u_mean=tuple(g.mean_value(c) for c in state.u_hat),
-        phisq_mean=g.mean_value(phi_sq_minus_one_hat(state)),
+        phisq_mean=g.mean_value(state.phisq_hat),
     )
 
 

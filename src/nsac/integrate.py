@@ -31,6 +31,7 @@ from .model import (
     TendencyWorkspace,
     check_state,
     nonlinear_terms,
+    pressure_prime,
 )
 from .spectral import Grid
 
@@ -85,7 +86,8 @@ def adaptive_dt(state: State, cfg: StepConfig, params: PhysParams) -> float:
 
     ``c = sqrt(p')``. The acoustic coupling at ``rho_bar`` is solved
     implicitly, so only advection and the pressure correction beyond it carry
-    a speed; a quiescent state (speed zero) gets ``cfg.dt``.
+    a speed; a quiescent state (speed zero) gets ``cfg.dt``. ``p'(rho)``, read
+    by nothing else, lives in temporaries (``VacuumError`` at ``rho <= 0``).
     """
     u = state.u()
     speed = np.multiply(u[0], u[0])  # |u|^2 summed in np.sum's order, then |u| + |c - c_bar|
@@ -93,7 +95,7 @@ def adaptive_dt(state: State, cfg: StepConfig, params: PhysParams) -> float:
     for j in range(1, state.grid.dim):
         speed += np.multiply(u[j], u[j], out=scratch)
     np.sqrt(speed, out=speed)
-    c = np.sqrt(state.p_prime(params), out=scratch)
+    c = np.sqrt(pressure_prime(params.rho_bar + state.sigma(), params), out=scratch)
     c -= np.sqrt(params.p_prime_bar)
     speed += np.abs(c, out=c)
     vmax = float(np.max(speed))

@@ -167,8 +167,8 @@ def enthalpy_remainder(sigma, params: PhysParams, out: np.ndarray | None = None)
     (``x - log1p(x)`` for ``g = 1``). Like `g_potential`, the expm1/log1p
     route keeps the error at a few ulps of ``x`` although ``H`` is O(x^2);
     ``H(0) = 0`` exactly. Written into ``out`` if given, with no other array.
-    The density must be positive (the tendency checks through
-    ``State.p_prime``).
+    The density must be positive (the tendency checks it on the State's
+    scan).
     """
     g, rb = params.pressure_gamma, params.rho_bar
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -198,10 +198,11 @@ class State:
 
     The cache makes repeated evaluation (tendency, energy ledger, invariant
     monitor) share transforms, and every norm is read off cached shell
-    spectra, taken once per field however many norms a sample reports; a
-    State is immutable, so a cache entry never goes stale and snapshots are
-    safe to share. `run` empties the cache of a State it has stepped from; a
-    later read rebuilds the same view.
+    spectra, taken once per field however many norms a sample reports. It
+    holds only what the coefficients determine, under keys only this module
+    names. A State is immutable, so an entry never goes stale and snapshots
+    are safe to share. `run` empties the cache of a State it has stepped
+    from; a later read rebuilds the same view.
     """
 
     grid: Grid
@@ -274,15 +275,20 @@ class State:
     def lap_phi(self) -> np.ndarray:
         return self._phys("lap_phi", lambda: self.grid.inverse(-self.grid.k2 * self.phi_hat))
 
-    def p_prime(self, params: PhysParams) -> np.ndarray:
-        """``p'(rho_bar + sigma)`` on the grid, evaluated once per State and params.
+    @property
+    def phisq_hat(self) -> np.ndarray:
+        """De-aliased coefficients of ``phi^2 - 1``, cached like the views."""
 
-        The CFL bound and the tendency both read it; raises ``VacuumError`` at ``rho <= 0``.
-        """
-        return self._phys(("p_prime", params), lambda: pressure_prime(params.rho_bar + self.sigma(), params))
+        def build():
+            phi = self.phi()
+            c = self.grid.forward_product(phi * phi)
+            c[(0,) * self.grid.dim] -= 1.0
+            return c
+
+        return self._phys("phisq_hat", build)
 
     def spectrum(self, name: str) -> np.ndarray:
-        """Shell spectrum of ``"sigma"``, ``"u"`` (components summed) or ``"phi"``."""
+        """Shell spectrum of ``"sigma"``, ``"u"`` (components summed), ``"phi"`` or ``"phisq"``."""
         return self._phys(name + "_shells", lambda: self.grid.shell_spectrum(getattr(self, name + "_hat")))
 
     def mass(self, params: PhysParams) -> float:
@@ -301,18 +307,23 @@ def energy_monotone(energies) -> bool:
     return bool(np.all(np.diff(e) <= ENERGY_RISE_TOL * e[0])) if e.size > 1 else True
 
 
-def _nonfinite_fields(state: State) -> tuple[str, ...]:
-    arrays = (("sigma", state.sigma_hat), ("u", state.u_hat), ("phi", state.phi_hat))
-    return tuple(name for name, arr in arrays if not np.all(np.isfinite(arr)))
-
-
-def _scan(state: State, rho_bar: float) -> tuple:
-    """``(rho_min, rho_max, max |phi|, non-finite fields)``: the part of a report that needs no reference."""
+def _scan(state: State) -> tuple:
+    """``(min sigma, max sigma, max |phi|, non-finite fields)``, from the views' own extrema: no State-sized array."""
     sigma, phi = state.sigma(), state.phi()
-    # rounding is monotone, so rho_bar + min(sigma) is min(rho_bar + sigma): no
-    # State-sized temporary
-    rho_min, rho_max = rho_bar + sigma.min(), rho_bar + sigma.max()
-    return float(rho_min), float(rho_max), float(max(phi.max(), -phi.min())), _nonfinite_fields(state)
+    arrays = (("sigma", state.sigma_hat), ("u", state.u_hat), ("phi", state.phi_hat))
+    nonfinite = tuple(name for name, arr in arrays if not np.all(np.isfinite(arr)))
+    return float(sigma.min()), float(sigma.max()), float(max(phi.max(), -phi.min())), nonfinite
+
+
+def _scanned(state: State) -> tuple:  # every judgment of a State's input reads this one entry
+    return state._phys("scan", lambda: _scan(state))
+
+
+def _require_density(state: State, params: PhysParams, where: str) -> None:
+    """Raise ``VacuumError`` at ``rho <= 0``, read off the scan; a NaN is left to the finiteness check."""
+    rho_min = params.rho_bar + _scanned(state)[0]  # rounding is monotone: the least density
+    if rho_min <= 0:
+        raise VacuumError(f"{where}: vacuum state (min rho = {rho_min:.6g})")
 
 
 def _location(arr: np.ndarray, index) -> tuple[int, ...]:
@@ -361,23 +372,22 @@ def invariant_monitor(
 ) -> InvariantReport:
     """Judge a snapshot against the admissible set (see ``InvariantReport``).
 
-    Costs no transform beyond the cached ``state.sigma()`` and ``state.phi()``,
-    and the scan of those views is cached on the State as well: `run`'s
-    `check_state` and a sampling observer judge the same State. The scan
-    reads the extrema of sigma and phi themselves, so it allocates no
-    State-sized array.
+    Costs no transform beyond the cached ``state.sigma()`` and ``state.phi()``.
+    It reads the State's one cached `_scan`, which holds no ``rho_bar``:
+    `run`'s `check_state`, a sampling observer and the tendency judge a
+    State through the same scan.
     """
     mass = state.mass(params)
     drift = None
     if mass_reference is not None:
         drift = (mass - mass_reference) / max(abs(mass_reference), 1e-300)
-    rho_min, rho_max, phi_max, nan_fields = state._phys(("scan", params.rho_bar), lambda: _scan(state, params.rho_bar))
+    sigma_min, sigma_max, phi_max, nan_fields = _scanned(state)
     return InvariantReport(
         mass=mass,
         mass_drift=drift,
         phi_max=phi_max,
-        rho_min=rho_min,
-        rho_max=rho_max,
+        rho_min=params.rho_bar + sigma_min,
+        rho_max=params.rho_bar + sigma_max,
         nan_fields=nan_fields,
         phi_tol=phi_tol,
         rho_window=(RHO_WINDOW[0] * params.rho_bar, RHO_WINDOW[1] * params.rho_bar),
@@ -430,10 +440,9 @@ def chemical_potential(state: State, params: PhysParams) -> np.ndarray:
     ``phi**3`` where ``phi >= 0``, exactly odd in ``phi``, and off numpy's
     slow ``pow`` path for negative bases.
     """
+    _require_density(state, params, "chemical_potential")
     phi = state.phi()
     rho = params.rho_bar + state.sigma()
-    if np.any(rho <= 0):
-        raise VacuumError("chemical_potential: vacuum state")
     eps = params.epsilon
     # in place, in the formula's operand order: rho and mu are the only
     # fields allocated
@@ -575,7 +584,8 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     """Spectral tendency of every nonlinear / variable-coefficient term.
 
     Returns one ``(dim + 2, *rshape)`` array in the layout of
-    ``State.stacked``. The constant-coefficient part ``B`` (`LinearSymbol`:
+    ``State.stacked``; raises ``VacuumError`` at ``rho <= 0``, read off the
+    State's cached scan. The constant-coefficient part ``B`` (`LinearSymbol`:
     acoustic coupling, viscosity, phase diffusion) is excluded so the time
     integrator can treat it exactly per mode. Given a ``work`` space the
     tendency allocates nothing beyond a few wavenumber-sized arrays and the
@@ -615,7 +625,7 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
     eps = params.epsilon
     work = TendencyWorkspace(g) if work is None else work
 
-    state.p_prime(params)  # the vacuum check: raises VacuumError at rho <= 0; the CFL bound shares it
+    _require_density(state, params, "nonlinear_terms")
     sigma = state.sigma()
     u = state.u()
     phi = state.phi()
@@ -729,7 +739,7 @@ def nonlinear_terms(state: State, params: PhysParams, work: TendencyWorkspace | 
 
 def rhs(state: State, params: PhysParams) -> np.ndarray:
     """Full right-hand side at a state, stacked like ``State.stacked``."""
-    nonfinite = _nonfinite_fields(state)
+    nonfinite = _scanned(state)[3]
     if nonfinite:
         raise InvariantViolation(nonfinite[0], "non-finite field passed to rhs")
     return nonlinear_terms(state, params) + LinearSymbol(state.grid, params).apply(state.stacked())

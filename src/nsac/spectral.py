@@ -412,9 +412,9 @@ def gn_ratios(grid: Grid, coeffs: np.ndarray, cases) -> list[float]:
     """Ratio ``||D^l f||_p / (||D^s f||_r^(1-th) * ||D^k f||_q^th)`` of each case ``(l, p, s, r, k, q, th)``.
 
     Each case's exponents must satisfy the dimensional balance
-    ``l/d - 1/p = (s/d - 1/r)(1-th) + (k/d - 1/q) th`` with ``l/k <= th <= 1``
-    and ``0 <= l, s < k``; otherwise the ratio is meaningless and an error is
-    raised, before any transform, carrying the balance residual. Derivatives
+    ``l/d - 1/p = (s/d - 1/r)(1-th) + (k/d - 1/q) th`` with ``l/k <= th <= 1``,
+    ``0 <= l, s < k`` and ``p, r, q`` in ``[1, inf]``; otherwise an error is raised
+    before any transform, naming the exponent or carrying the balance residual. Derivatives
     of non-integer Lebesgue flavor are measured through the ``|k|^m``
     multiplier applied before the grid norm. Each distinct power is
     transformed once for all cases; a single case is a one-element list.
@@ -422,12 +422,15 @@ def gn_ratios(grid: Grid, coeffs: np.ndarray, cases) -> list[float]:
     d = float(grid.dim)
     inv = lambda e: 0.0 if e == np.inf else 1.0 / e
     for l, p, s, r, k, q, theta in cases:
+        for name, e in (("p", p), ("r", r), ("q", q)):
+            if not 1 <= e <= np.inf:  # also false for a NaN
+                raise ValueError(f"Lebesgue exponent {name} must lie in [1, inf], got {e}")
         if not (0 <= l < k and 0 <= s < k):
             raise ValueError(f"need 0 <= l, s < k, got l={l}, s={s}, k={k}")
         if not (l / k <= theta <= 1.0):
             raise ValueError(f"theta must lie in [l/k, 1] = [{l / k}, 1], got {theta}")
         residual = (l / d - inv(p)) - (1.0 - theta) * (s / d - inv(r)) - theta * (k / d - inv(q))
-        if not abs(residual) <= 1e-12:  # also true for a NaN exponent
+        if not abs(residual) <= 1e-12:
             raise ValueError(
                 f"exponent relation violated: dimensional balance residual {residual:.3e}"
             )

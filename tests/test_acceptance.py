@@ -110,6 +110,7 @@ def decay_run(params):
     return {"series": series, "columns": columns}
 
 
+@pytest.mark.slow
 class TestNonlinearRun:
     def test_criterion_3_invariants(self, decay_run):
         col = decay_run["columns"]
@@ -176,6 +177,7 @@ class TestNonlinearRun:
 
 
 class TestOracleSolverEquivalence:
+    @pytest.mark.slow
     def test_criterion_6(self, params):
         # single seeded mode at delta = 1e-4: quadratic feedback onto the seed
         # is third order, so the comparison isolates integrator fidelity

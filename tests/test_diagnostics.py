@@ -168,9 +168,7 @@ class TestNegativeFunctional:
         assert nf.gradphi_neg == pytest.approx(
             sum(neg_sq(g.ik[i] * state.phi_hat) for i in range(3)), rel=1e-12
         )
-        from nsac.diagnostics import phi_sq_minus_one_hat
-
-        assert nf.phisq_neg == pytest.approx(neg_sq(phi_sq_minus_one_hat(state)), rel=1e-12)
+        assert nf.phisq_neg == pytest.approx(neg_sq(state.phisq_hat), rel=1e-12)
 
     def test_mean_removal_reported(self, grid16):
         delta = 1e-2
@@ -259,6 +257,20 @@ class TestInvariantMonitor:
         # make_initial's check scanned the first State; then run's check_state
         # and the observer's report share each new State's scan
         assert marks == [0, 1, 2, 3, 4, 5]
+
+    def test_one_scan_judges_a_state_under_every_reference_density(self, grid16):
+        # the scan holds sigma's extrema, not the density's, so one entry serves
+        # every rho_bar, and each report adds its own
+        state = random_admissible_state(np.random.default_rng(30), grid16)
+        reports = {rb: invariant_monitor(state, PhysParams(rho_bar=rb)) for rb in (1.0, 1.3)}
+        assert [key for key in state._cache if "scan" in key] == ["scan"]
+        sigma, phi = state.sigma(), state.phi()
+        for rho_bar, rep in reports.items():
+            assert rep.rho_min == float(np.min(rho_bar + sigma))
+            assert rep.rho_max == float(np.max(rho_bar + sigma))
+            assert rep.phi_max == float(np.max(np.abs(phi)))
+            assert rep.rho_window == (0.5 * rho_bar, 2.0 * rho_bar)
+            assert rep.clean
 
 
 def _boundary_state(grid, params, kind):

@@ -292,7 +292,7 @@ class TestStepCost:
         marks = []
         summary = run(state, cfg.step, params, observers=(lambda i, s: marks.append(calls[0]),))
         assert summary.steps == 5
-        # the CFL bound and the tendency share the State's evaluation
+        # the CFL bound evaluates it once; the tendency's vacuum check reads the scan
         assert np.diff(marks).tolist() == [1] * 5
 
     def test_allocation_per_cnab2_step(self, grid16, params):

@@ -347,11 +347,11 @@ class TestRhs:
 
     def test_cache_holds_only_the_state_views(self, grid16, params):
         # derived fields stay with the tendency; the state caches its own views
-        # and p'(rho), which the CFL bound reads as well
+        # and the scan that judges its input, nothing that depends on params
         rng = np.random.default_rng(10)
         state = random_admissible_state(rng, grid16)
         rhs(state, params)
-        assert set(state._cache) == {"sigma", "u", "phi", ("p_prime", params)}
+        assert set(state._cache) == {"sigma", "u", "phi", "scan"}
 
     def test_a_view_survives_its_cache_being_emptied(self, grid16):
         # the run empties the cache of a State it has stepped from while an
@@ -466,6 +466,14 @@ class TestRhs:
         state = State.from_physical(grid16, 0.0, sigma, np.zeros((3,) + grid16.shape), np.ones(grid16.shape))
         with pytest.raises(VacuumError):
             rhs(state, params)
+
+    @pytest.mark.parametrize("call", [nonlinear_terms, chemical_potential])
+    def test_vacuum_error_without_rhs(self, grid16, params, call):
+        # rho = -0.5 everywhere, called directly rather than through rhs
+        sigma = np.full(grid16.shape, -1.5)
+        state = State.from_physical(grid16, 0.0, sigma, np.zeros((3,) + grid16.shape), np.ones(grid16.shape))
+        with pytest.raises(VacuumError, match="min rho = -0.5"):
+            call(state, params)
 
     def test_nan_rejected(self, grid16, params):
         sigma = np.zeros(grid16.shape)

@@ -255,6 +255,9 @@ class TestNonFiniteExponents:
         "call",
         [
             pytest.param(lambda g, c: gn_ratios(g, c, [(0, np.nan, 0, 2.0, 1, 2.0, 1.0)])[0], id="gn_ratio-p-nan"),
+            pytest.param(lambda g, c: gn_ratios(g, c, [(0, 0.0, 0, 2.0, 1, 2.0, 1.0)])[0], id="gn_ratio-p-zero"),
+            pytest.param(lambda g, c: gn_ratios(g, c, [(0, 6.0, 0, 0.0, 1, 2.0, 1.0)])[0], id="gn_ratio-r-zero"),
+            pytest.param(lambda g, c: gn_ratios(g, c, [(0, 6.0, 0, 2.0, 1, 0.0, 1.0)])[0], id="gn_ratio-q-zero"),
             pytest.param(lambda g, c: gn_ratios(g, c, [(0, 6.0, 0, 2.0, 1, np.nan, 1.0)])[0], id="gn_ratio-q-nan"),
             pytest.param(
                 lambda g, c: gn_ratios(g, c, [(0, 6.0, 0, np.nan, 1, 2.0, 1.0)])[0], id="gn_ratio-r-nan-theta-1"
@@ -268,10 +271,21 @@ class TestNonFiniteExponents:
         ],
     )
     def test_rejected(self, grid16, call):
-        # each returned NaN or a finite number before: NaN compares false with every bound
+        # each returned NaN or a finite number, or raised ZeroDivisionError, before: NaN
+        # compares false with every bound
         c = random_zero_mean_field(np.random.default_rng(10), grid16, 4)
         with pytest.raises(ValueError):
             call(grid16, c)
+
+    @pytest.mark.parametrize(
+        "name, case",
+        [("p", (0, 0.0, 0, 2.0, 1, 2.0, 1.0)), ("r", (0, 6.0, 0, 0.5, 1, 2.0, 1.0)), ("q", (0, 6.0, 0, 2.0, 1, -1.0, 1.0))],
+    )
+    def test_gn_ratio_names_a_lebesgue_exponent_below_one(self, grid16, name, case):
+        # checked before the balance and before the coefficients' layout is read
+        bad_layout = np.zeros(grid16.shape, dtype=np.complex128)
+        with pytest.raises(ValueError, match=f"Lebesgue exponent {name} must lie in"):
+            gn_ratios(grid16, bad_layout, [case])
 
 
 class TestFractionalLaplacian:
@@ -549,7 +563,7 @@ class TestShellSums:
             assert hk_norm_sq(state.grid, state.sigma_hat, k) == pytest.approx(ref, rel=1e-13)
 
     def test_level_energy(self, dim, n):
-        from nsac.diagnostics import level_energy, phi_sq_minus_one_hat
+        from nsac.diagnostics import level_energy
 
         state = self._state(dim, n)
         g = state.grid
@@ -559,11 +573,11 @@ class TestShellSums:
             u_ref = sum(_reference_window(g, state.u_hat[i], l, 3) for i in range(dim))
             assert lv.u_hk == pytest.approx(u_ref, rel=1e-13)
             assert lv.phi_grad == pytest.approx(_reference_window(g, state.phi_hat, l + 1, 3), rel=1e-13)
-            phisq_ref = _reference_mode_sum(g, phi_sq_minus_one_hat(state), 0.0)
+            phisq_ref = _reference_mode_sum(g, state.phisq_hat, 0.0)
             assert lv.phi_sq == pytest.approx(phisq_ref, rel=1e-13)
 
     def test_negative_functional(self, dim, n):
-        from nsac.diagnostics import negative_functional, phi_sq_minus_one_hat
+        from nsac.diagnostics import negative_functional
 
         state = self._state(dim, n)
         g = state.grid
@@ -575,5 +589,5 @@ class TestShellSums:
             # explicit gradient arrays i k_j phi_hat
             grad_ref = sum(_reference_mode_sum(g, g.ik[j] * state.phi_hat, -s) for j in range(dim))
             assert nf.gradphi_neg == pytest.approx(grad_ref, rel=1e-13)
-            phisq_ref = _reference_mode_sum(g, phi_sq_minus_one_hat(state), -s)
+            phisq_ref = _reference_mode_sum(g, state.phisq_hat, -s)
             assert nf.phisq_neg == pytest.approx(phisq_ref, rel=1e-13)
