@@ -17,6 +17,7 @@ import errno
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -49,14 +50,16 @@ def _build_config(args) -> RunConfig:
 
 
 def _check_outputs(*outputs: tuple[str, str]) -> None:
-    """Raise ``OSError`` for the first ``(name, path)`` that cannot be created: its directory
-    does not exist or the path is a directory. Raise ``ValueError`` if two of them resolve to
-    the same file, which the later write would overwrite.
+    """Raise ``OSError`` for the first ``(name, path)`` that cannot be created: it is empty, its
+    directory does not exist or the path is a directory. Raise ``ValueError`` if two of them
+    resolve to the same file, which the later write would overwrite.
 
     Called before any work, so a bad path costs no run and writes no file.
     """
     seen: dict[str, str] = {}
     for name, path in outputs:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, f"{name}: empty path", path)
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise FileNotFoundError(errno.ENOENT, f"{name}: no such directory", directory)
@@ -85,15 +88,7 @@ def cmd_simulate(args) -> int:
         state = make_initial(cfg)
         observe = (lambda i, s: writer.write(series(i, s)),)
         result = run(state, cfg.step, cfg.phys, observers=observe, cadence=cfg.diag.cadence)
-        summary.update(
-            termination=result.termination,
-            steps=result.steps,
-            t_final=result.t_final,
-            dt_limits=result.dt_limits,
-            violation=result.violation,
-            decay_fits=series.decay_fits(),
-            **series.verdicts(),
-        )
+        summary.update(**asdict(result), decay_fits=series.decay_fits(), **series.verdicts())
     except InfeasibleInitialCondition as err:
         summary.update(termination="infeasible_initial_condition", error=str(err))
     except Exception as err:

@@ -4,8 +4,9 @@ The on-disk format is one ``key = value`` pair per line with ``#`` comments.
 A key is ``<section>.<field>``: a section is a field of `RunConfig` and the
 field is an ``__init__`` field of that section's dataclass, parsed by its
 annotated type (``phys.lambda`` is ``PhysParams.lam``). The same keys are
-accepted as command-line overrides. A text value holds no ``#`` and no line
-break, so that every configuration serializes to text that loads back.
+accepted as command-line overrides. A text value is not empty and holds no
+``#`` and no line break, so that every configuration serializes to text that
+loads back.
 """
 
 from __future__ import annotations
@@ -141,6 +142,8 @@ def _parse(key: str, value: str, kind):
         if not entries:  # an empty list would serialize to a line that does not load back
             raise ConfigError(f"{key} {value!r} holds no entry")
         return entries
+    if kind is str and not value:  # parse_config_text rejects an empty value, so it would not load back
+        raise ConfigError(f"{key}: the value is empty, which a configuration line cannot hold")
     if kind is str and ("#" in value or "".join(value.splitlines()) != value):  # the text format would cut it there
         raise ConfigError(f"{key}: {value!r} holds a '#' or a line break, which a configuration line cannot hold")
     try:

@@ -106,20 +106,24 @@ class PhysParams:
         return self.epsilon / self.rho_bar**2
 
 
-def pressure(rho, params: PhysParams):
-    """Barotropic pressure ``a rho^gamma``; rejects vacuum states."""
+def _positive_density(rho, law: str) -> np.ndarray:
+    """``rho`` as a float64 array; ``VacuumError`` naming ``law`` at ``rho <= 0``."""
     rho = np.asarray(rho, dtype=np.float64)
     if np.any(rho <= 0):
-        raise VacuumError(f"pressure undefined at rho <= 0 (min rho = {rho.min():.6g})")
+        raise VacuumError(f"{law} undefined at rho <= 0 (min rho = {rho.min():.6g})")
+    return rho
+
+
+def pressure(rho, params: PhysParams):
+    """Barotropic pressure ``a rho^gamma``; rejects vacuum states."""
+    rho = _positive_density(rho, "pressure")
     out = params.pressure_a * rho**params.pressure_gamma
     return float(out) if out.ndim == 0 else out
 
 
 def pressure_prime(rho, params: PhysParams):
     """``p'(rho) = a gamma rho^(gamma-1) > 0``."""
-    rho = np.asarray(rho, dtype=np.float64)
-    if np.any(rho <= 0):
-        raise VacuumError(f"pressure_prime undefined at rho <= 0 (min rho = {rho.min():.6g})")
+    rho = _positive_density(rho, "pressure_prime")
     out = params.pressure_a * params.pressure_gamma * rho ** (params.pressure_gamma - 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -141,9 +145,7 @@ def g_potential(rho, params: PhysParams):
     cancellation once ``x ~ sqrt(eps)``, which would put a spurious noise
     floor under the energy ledger of decayed states.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    if np.any(rho <= 0):
-        raise VacuumError(f"g_potential undefined at rho <= 0 (min rho = {rho.min():.6g})")
+    rho = _positive_density(rho, "g_potential")
     a, g, rb = params.pressure_a, params.pressure_gamma, params.rho_bar
     x = rho / rb - 1.0
     if g == 1.0:

@@ -70,16 +70,6 @@ class DataProfile:
     def beta(self) -> float:
         return 0.0 if self.kind == "l1" else self.s - 1.5 + PROFILE_MARGIN
 
-    def amplitude(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        inside = r <= 1.0
-        if self.kind == "l1":
-            return inside.astype(np.float64)
-        with np.errstate(divide="ignore"):
-            a = np.where(r > 0, r, 1.0) ** self.beta
-        at_zero = 1.0 if self.beta == 0 else 0.0
-        return np.where(inside & (r > 0), a, np.where(inside, at_zero, 0.0))
-
 
 # ---------------------------------------------------------------------------
 # Closed-form longitudinal gains, vectorized over |k|^2

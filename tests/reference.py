@@ -4,6 +4,8 @@ The dense per-mode linear operator, evolved with scipy's ``expm``, is the
 independent reference for ``model.LinearSymbol``, the oracle's closed-form
 longitudinal gains and criterion 6. The Sobolev-type norms are plain mode
 sums, which the diagnostics' shell-spectrum paths are checked against.
+`profile_amplitude` writes out the radial amplitude an ``oracle.DataProfile``
+stands for.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from nsac.model import PhysParams
+from nsac.oracle import DataProfile
 from nsac.spectral import Grid, _require_zero_mean
 
 
@@ -84,3 +87,15 @@ def negative_norm(grid: Grid, coeffs: np.ndarray, s: float) -> float:
         raise ValueError(f"negative-order index s must lie in (0, 1.5), got {s}")
     _require_zero_mean(grid, coeffs, "negative_norm")
     return float(np.sqrt(grid.shell_sum(grid.shell_spectrum(coeffs), -s)))
+
+
+def profile_amplitude(profile: DataProfile, r: np.ndarray) -> np.ndarray:
+    """The radial amplitude ``a(r)`` of ``profile``: ``r^beta`` (flat for ``l1``) on ``r <= 1``, zero beyond."""
+    r = np.asarray(r, dtype=np.float64)
+    inside = r <= 1.0
+    if profile.kind == "l1":
+        return inside.astype(np.float64)
+    with np.errstate(divide="ignore"):
+        a = np.where(r > 0, r, 1.0) ** profile.beta
+    at_zero = 1.0 if profile.beta == 0 else 0.0
+    return np.where(inside & (r > 0), a, np.where(inside, at_zero, 0.0))

@@ -18,9 +18,8 @@ from nsac.oracle import DataProfile, decay_norms
 from nsac.spectral import fractional_laplacian, interpolation_check
 from nsac.verify import GN_STABLE_CASES, GN_SUP_CAP, GN_SUP_CASE, gn_ensemble_max
 
-from conftest import random_zero_mean_field
+from conftest import observed_order, random_zero_mean_field
 from reference import build_symbol, evolve_mode, hk_norm_sq
-from test_integrate import observed_order
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:

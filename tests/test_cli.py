@@ -17,6 +17,8 @@ from nsac.config import build_run_config
 from nsac.diagnostics import SeriesObserver
 from nsac.io import read_csv
 
+from conftest import TRANSFORMS, grid_counts, nsac_output
+
 
 def base_overrides(tmp_path, tag=""):
     return [
@@ -89,6 +91,23 @@ class TestSimulate:
         }
         assert list(last) == list(expected)
         assert last == pytest.approx(expected, rel=1e-10)
+
+    def test_summary_holds_every_run_summary_field(self, tmp_path, monkeypatch):
+        from dataclasses import asdict
+
+        from nsac import cli
+
+        results = []
+
+        def kept_run(*args, **kwargs):
+            results.append(nsac.run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run", kept_run)
+        assert main(["simulate", "ic.kind=equilibrium"] + base_overrides(tmp_path)) == 0
+        summary = json.loads((tmp_path / "run.json").read_text())
+        (result,) = results
+        assert {name: summary[name] for name in asdict(result)} == asdict(result)
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -276,6 +295,8 @@ class TestInputErrors:
              "--l", "0", "--s", "nan"],
             ["fit", "--csv", "{tmp}/two_series.csv", "--column", "value", "--where", "component=a",
              "--l", "0", "--s", "inf"],
+            ["linear-decay", "--out-json", ""],
+            ["linear-decay", "--out-csv", ""],
         ],
         ids=[
             "fit_header_only_csv",
@@ -322,6 +343,8 @@ class TestInputErrors:
             "linear_decay_json_is_csv",
             "fit_s_nan",
             "fit_s_inf",
+            "linear_decay_json_empty",
+            "linear_decay_csv_empty",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a warning printed before the error line counts as a second line
@@ -359,6 +382,17 @@ class TestInputErrors:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error: out.csv: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", ["out.csv", "out.snapshot", "out.summary"])
+    def test_empty_output_path_is_one_config_error(self, tmp_path, capsys, key):
+        # an empty value cannot load back from the summary's configuration text
+        argv = ["simulate", "grid.n=16", "step.t_end=0.02",
+                f"out.csv={tmp_path}/x.csv", f"out.snapshot={tmp_path}/x.nsac", f"out.summary={tmp_path}/x.json"]
+        assert main(argv + [f"{key}="]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {key}: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not any(tmp_path.iterdir())
 
@@ -430,46 +464,31 @@ class TestSampleCost:
 
     def test_fft_fields_and_spectra_per_sample(self, tmp_path, monkeypatch):
         from nsac.initial import make_initial
-        from nsac.spectral import Grid
 
         cfg = build_run_config(
             {"grid.n": "16", "ic.kind": "random_perturbation", "diag.l_list": "0,1,2", "diag.s_list": "0.5,1.0"}
         )
         # the IC check caches sigma and phi, as check_state does before a run samples a state
         state = make_initial(cfg)
-        counts = {"fft_fields": 0, "spectra": 0}
-
-        def count(name, key, fields):
-            original = getattr(Grid, name)
-
-            def counted(self, arr, *args, **kwargs):
-                counts[key] += fields(arr)
-                return original(self, arr, *args, **kwargs)
-
-            monkeypatch.setattr(Grid, name, counted)
-
-        count("forward", "fft_fields", lambda arr: 1)
-        count("inverse", "fft_fields", lambda arr: int(np.prod(arr.shape[: -cfg.grid.dim])))  # a stack counts each field
-        for name in ("forward_many", "inverse_many"):
-            count(name, "fft_fields", lambda arr: arr.shape[0])
-        count("shell_spectrum", "spectra", lambda arr: 1)
+        fields, calls = grid_counts(monkeypatch, TRANSFORMS + ("shell_spectrum",))
 
         SeriesObserver(cfg)(0, state)
+        fft_fields = sum(fields[name] for name in TRANSFORMS)
         # u (3 fields), Lap phi and phi^2; spectra of sigma, u, phi and phi^2 - 1
-        assert counts == {"fft_fields": 5, "spectra": 4}
+        assert {"fft_fields": fft_fields, "spectra": calls["shell_spectrum"]} == {"fft_fields": 5, "spectra": 4}
 
 
 class TestVerify:
-    def test_fresh_build_passes(self, capsys):
-        rc = main(["verify", "--n", "16", "--seed", "3"])
-        out = capsys.readouterr().out
+    """The two runs are the fingerprint table's ``verify`` cases, shared through `nsac_output`."""
+
+    def test_fresh_build_passes(self):
+        rc, out = nsac_output("verify", "--n", "16", "--seed", "3")
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 9
 
-    def test_injected_fault_detected(self, capsys):
-        rc = main(["verify", "--n", "16", "--inject-fault", "no_dealias"])
-        out = capsys.readouterr().out
+    def test_injected_fault_detected(self):
+        rc, out = nsac_output("verify", "--n", "16", "--seed", "3", "--inject-fault", "no_dealias")
         assert rc == 1
         assert "FAIL quadratic_product_alias_free" in out
 

@@ -9,7 +9,7 @@ from nsac.model import check_state, invariant_monitor
 from nsac.oracle import DataProfile, decay_norms
 
 import test_model as model_tests
-from conftest import random_admissible_state
+from conftest import final_state, random_admissible_state
 from reference import hk_norm_sq, negative_norm
 
 V = (2 * np.pi) ** 3
@@ -23,17 +23,15 @@ class TestEnergyLedger:
     def test_time_differencing_matches_dissipation(self, params):
         # finite difference of the total over one small step approximates the
         # negative dissipation to O(dt)
-        from nsac import run
-
         grid = Grid(dim=3, n=16, length=2 * np.pi)
         rng = np.random.default_rng(31)
         state = random_admissible_state(rng, grid, amplitude=5e-3, max_mode=2)
         dt = 1e-4
         cfg = StepConfig(dt=dt, t_end=dt, scheme_order=2)
-        held = {}
-        assert run(state, cfg, params, observers=(lambda i, s: held.update(state=s),)).steps == 1
+        stepped, summary = final_state(state, cfg, params)
+        assert summary.steps == 1
         rep0 = energy_ledger(state, params)
-        rep1 = energy_ledger(held["state"], params)
+        rep1 = energy_ledger(stepped, params)
         fd = (rep1.total - rep0.total) / dt
         diss = rep0.diss_visc + rep0.diss_div + rep0.diss_mu
         assert fd == pytest.approx(-diss, rel=0.02)

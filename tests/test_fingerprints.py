@@ -14,10 +14,8 @@ re-records the table and says which entries moved and why:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
-import io
 import json
 import math
 import sys
@@ -28,12 +26,13 @@ import numpy as np
 import pytest
 
 import nsac.spectral
-from nsac.cli import main
 from nsac.config import ICSpec, RunConfig
 from nsac.initial import make_initial
-from nsac.integrate import StepConfig, run
+from nsac.integrate import StepConfig
 from nsac.model import PhysParams, State
 from nsac.spectral import Grid
+
+from conftest import final_state, nsac_output
 
 TABLE = Path(__file__).with_name("fingerprints.json")
 RECORD = "PYTHONPATH=src python tests/test_fingerprints.py --record"
@@ -45,7 +44,7 @@ RUNS = {
     for scheme, order in (("cnab2", 2), ("euler", 1))
     for slab_name, slab_bytes in (("default", nsac.spectral.SLAB_BYTES), ("1", 1))
 }
-#: Verify cases: ``id -> argv`` of ``nsac verify``.
+#: Verify cases: ``id -> argv`` of ``nsac verify``; `test_cli.py::TestVerify` asserts on the same two runs.
 VERIFY = {
     "verify": ["verify", "--n", "16", "--seed", "3"],
     "verify-no_dealias": ["verify", "--n", "16", "--seed", "3", "--inject-fault", "no_dealias"],
@@ -66,20 +65,12 @@ def run_digest(case: str) -> str:
     dim, n, order, slab_bytes = RUNS[case]
     s = _initial(dim, n)
     state = State(s.grid, s.t, s.sigma_hat, s.u_hat, s.phi_hat)  # no cache shared between cases
-    last = []
     default, nsac.spectral.SLAB_BYTES = nsac.spectral.SLAB_BYTES, slab_bytes
     try:
-        summary = run(
-            state,
-            replace(STEP, scheme_order=order),
-            PhysParams(),
-            observers=(lambda _i, st: last.append(st),),
-            cadence=10**6,  # the first and the last State only
-        )
+        final, summary = final_state(state, replace(STEP, scheme_order=order), PhysParams())
     finally:
         nsac.spectral.SLAB_BYTES = default
     assert summary.termination == "t_end"
-    final = last[-1]
     digest = hashlib.sha256(repr(final.t).encode())
     for a in (final.sigma_hat, final.u_hat, final.phi_hat):
         digest.update(a.tobytes())
@@ -88,10 +79,7 @@ def run_digest(case: str) -> str:
 
 def verify_digest(case: str) -> str:
     """sha256 of the stdout of one ``nsac verify`` case."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main(VERIFY[case])
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return hashlib.sha256(nsac_output(*VERIFY[case])[1].encode()).hexdigest()
 
 
 def _digest(case: str) -> str:

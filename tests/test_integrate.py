@@ -16,7 +16,7 @@ from nsac.model import LinearSymbol, TendencyWorkspace, nonlinear_terms, pressur
 from nsac.verify import _coarse_modes, disable_dealiasing
 
 import test_model as model_tests
-from conftest import random_admissible_state, two_thirds_band
+from conftest import grid_counts, final_state, observed_order, random_admissible_state, two_thirds_band
 
 
 class TestStepConfig:
@@ -39,18 +39,11 @@ class TestStepConfig:
 
 
 class TestStep:
-    @staticmethod
-    def _last_state(state, cfg, params):
-        """The last state a `run` of ``state`` under ``cfg`` accepts, with its summary."""
-        held = {}
-        summary = run(state, cfg, params, observers=(lambda i, s: held.update(state=s),))
-        return held["state"], summary
-
     @pytest.mark.parametrize("order", [1, 2])
     def test_equilibrium_fixed_point(self, grid16, params, order):
         cfg = StepConfig(dt=0.05, t_end=0.05, scheme_order=order)
         state = State.equilibrium(grid16)
-        new, summary = self._last_state(state, cfg, params)
+        new, summary = final_state(state, cfg, params)
         assert summary.steps == 1
         assert new.t == pytest.approx(0.05)
         assert np.array_equal(new.sigma_hat, state.sigma_hat)
@@ -71,7 +64,7 @@ class TestStep:
         T = 0.2
         errors = []
         for dt in (0.01, 0.005):
-            state, summary = self._last_state(state0, StepConfig(dt=dt, t_end=T, scheme_order=2), params)
+            state, summary = final_state(state0, StepConfig(dt=dt, t_end=T, scheme_order=2), params)
             assert summary.steps == round(T / dt)
             amp = 2.0 * abs(state.phi_hat[(1, 0, 0)])
             exact = delta * np.exp(-rate * T)
@@ -150,10 +143,9 @@ class TestRun:
 
     def test_lands_exactly_on_t_end(self, grid16, params):
         cfg = StepConfig(dt=0.03, t_end=0.1)
-        holder = {}
-        summary = run(State.equilibrium(grid16), cfg, params, observers=(lambda i, s: holder.update(t=s.t),))
+        last, summary = final_state(State.equilibrium(grid16), cfg, params)
         assert summary.t_final == 0.1
-        assert holder["t"] == 0.1
+        assert last.t == 0.1
 
     @pytest.mark.parametrize(
         "speed, dt, t_end, dt_limits",
@@ -247,29 +239,12 @@ class TestStepCost:
     def test_fft_fields_per_cnab2_step(self, grid16, params, monkeypatch):
         cfg = _five_step_run(grid16, params)
         state = make_initial(cfg)
-        fields = [0]
-
-        def count(name, per_call):
-            original = getattr(Grid, name)
-
-            def counted(self, arr, *args, **kwargs):
-                fields[0] += per_call(arr)
-                return original(self, arr, *args, **kwargs)
-
-            monkeypatch.setattr(Grid, name, counted)
-
-        count("forward", lambda arr: 1)
-        count("inverse", lambda arr: int(np.prod(arr.shape[: -grid16.dim])))  # a stack counts each field
-        # a batched transform is counted once, at its leading passes: the
-        # tendency runs its last-axis passes slab by slab, and forward_many
-        # and inverse_many call these two
-        for name in ("forward_leading", "inverse_leading"):
-            count(name, lambda arr: arr.shape[0])
+        fields, _ = grid_counts(monkeypatch)
 
         # the observer only reads the counter: step 1 is the Euler bootstrap,
         # steps 2 onwards are CNAB2 with their CFL bound and post-step check
         marks = []
-        summary = run(state, cfg.step, params, observers=(lambda i, s: marks.append(fields[0]),))
+        summary = run(state, cfg.step, params, observers=(lambda i, s: marks.append(fields.total()),))
         assert summary.termination == "t_end" and summary.steps == 5
         per_step = np.diff(marks)
         # views of sigma, u, phi (5), the derivative stack (10), phi^2 (2),
@@ -476,8 +451,7 @@ class TestWholeStep:
         cfg = _five_step_run(grid, params)
         step_cfg = replace(cfg.step, scheme_order=scheme_order)
         state = make_initial(cfg)
-        held = {}
-        summary = run(state, step_cfg, params, observers=(lambda i, s: held.update(state=s),))
+        last, summary = final_state(state, step_cfg, params)
         assert summary.termination == "t_end" and summary.steps == 5
 
         shift = 2.0 / (params.epsilon * params.rho_bar)
@@ -499,7 +473,7 @@ class TestWholeStep:
             grid.cut_to_band(new)
             s = State(grid, s.t + dt, new[0], new[1:-1], new[-1])
             prev, dt_prev = n, dt
-        assert held["state"].stacked().tobytes() == s.stacked().tobytes()
+        assert last.stacked().tobytes() == s.stacked().tobytes()
 
 
 class TestDimensionReduction:
@@ -518,11 +492,9 @@ class TestDimensionReduction:
 
     @staticmethod
     def _final(state, params):
-        holder = {}
-        summary = run(state, StepConfig(dt=0.01, t_end=0.05), params,
-                      observers=(lambda i, s: holder.update(s=s),), cadence=10**9)
+        end, summary = final_state(state, StepConfig(dt=0.01, t_end=0.05), params)
         assert summary.termination == "t_end" and summary.dt_limits == {"cap": 5, "cfl": 0, "t_end": 0}
-        return holder["s"]
+        return end
 
     @pytest.mark.parametrize("slab_bytes", [nsac.spectral.SLAB_BYTES, 1])
     @pytest.mark.parametrize("lo, hi", [(1, 2), (1, 3), (2, 3)])
@@ -636,45 +608,8 @@ class TestConservation:
         assert max(phimax) <= 1.0 + 1e-6
 
 
-def observed_order(params, scheme_order, amplitude=0.05, n=16, t_end=0.5, dt=0.02):
-    """Richardson-style order estimate against a dt/16 reference trajectory."""
-    grid = Grid(dim=3, n=n, length=2 * np.pi)
-    cfg0 = RunConfig(
-        grid=grid,
-        phys=params,
-        step=StepConfig(dt=dt, t_end=t_end, scheme_order=scheme_order),
-        ic=ICSpec(kind="manufactured", amplitude=amplitude),
-    )
-    state0 = make_initial(cfg0)
-
-    def final_state(step_dt):
-        holder = {}
-        cfg = StepConfig(dt=step_dt, t_end=t_end, scheme_order=scheme_order)
-        summary = run(state0, cfg, params, observers=(lambda i, s: holder.update(s=s),), cadence=10**9)
-        assert summary.termination == "t_end"
-        return holder["s"]
-
-    ref = final_state(dt / 16)
-
-    def err(state):
-        out = 0.0
-        for a, b in (
-            (state.sigma_hat, ref.sigma_hat),
-            (state.u_hat, ref.u_hat),
-            (state.phi_hat, ref.phi_hat),
-        ):
-            out = max(out, float(np.max(np.abs(a - b))))
-        return out
-
-    e1 = err(final_state(dt))
-    e2 = err(final_state(dt / 2))
-    return np.log2(e1 / e2)
-
-
 class TestTemporalConvergence:
-    def test_second_order(self, params):
-        order = observed_order(params, scheme_order=2)
-        assert order >= 1.8
+    """CNAB2's order is criterion 8 (`test_acceptance.py`)."""
 
     def test_first_order(self, params):
         order = observed_order(params, scheme_order=1)
@@ -712,12 +647,11 @@ class TestSpatialRefinement:
         ic[-1][(0,) * dim] -= grids[32].inverse(embed(grids[32])[-1]).max() - 1.0
 
         def coarse_modes_at_half(grid):
-            y, holder = embed(grid), {}
+            y = embed(grid)
             cfg = StepConfig(dt=0.01, t_end=0.5, scheme_order=2)
-            summary = run(State(grid, 0.0, y[0], y[1:-1], y[-1]), cfg, params,
-                          observers=(lambda i, s: holder.update(s=s),), cadence=10**9)
+            end, summary = final_state(State(grid, 0.0, y[0], y[1:-1], y[-1]), cfg, params)
             assert summary.termination == "t_end" and summary.steps == 50
-            return holder["s"].stacked()[(slice(None),) + _coarse_modes(coarse, grid)]
+            return end.stacked()[(slice(None),) + _coarse_modes(coarse, grid)]
 
         ref = coarse_modes_at_half(grids[32])
         for n, bound in self.BOUNDS[dim].items():
@@ -744,11 +678,9 @@ class TestRunSymmetries:
         mapped = apply(grid, state.stacked())
 
         def final(y):
-            holder = {}
-            summary = run(State(grid, 0.0, y[0], y[1:-1], y[-1]), StepConfig(dt=0.01, t_end=0.05), params,
-                          observers=(lambda i, s: holder.update(s=s),), cadence=10**9)
+            end, summary = final_state(State(grid, 0.0, y[0], y[1:-1], y[-1]), StepConfig(dt=0.01, t_end=0.05), params)
             assert summary.termination == "t_end" and summary.dt_limits == {"cap": 5, "cfl": 0, "t_end": 0}
-            return holder["s"].stacked()
+            return end.stacked()
 
         end = final(state.stacked())
         defect = final(mapped) - apply(grid, end)

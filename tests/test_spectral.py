@@ -11,7 +11,7 @@ from nsac import Grid
 from nsac.spectral import fractional_laplacian, gn_ratios, interpolation_check, lp_norm
 from nsac.verify import GN_STABLE_CASES, GN_SUP_CASE, check_gn_ensemble, disable_dealiasing
 
-from conftest import random_zero_mean_field, two_thirds_band
+from conftest import grid_counts, random_zero_mean_field, two_thirds_band
 from reference import hk_norm_sq, negative_norm, sobolev_norm
 
 V = (2 * np.pi) ** 3  # box volume for the standard test grid
@@ -458,17 +458,10 @@ class TestGnRatio:
         assert gn_ratios(grid16, f, cases) == [gn_ratios(grid16, f, [case])[0] for case in cases]
 
     def test_ensemble_transforms_each_power_once(self, monkeypatch):
-        calls = [0]
-        original = Grid.inverse
-
-        def counted(self, coeffs):
-            calls[0] += 1
-            return original(self, coeffs)
-
-        monkeypatch.setattr(Grid, "inverse", counted)
+        fields, _ = grid_counts(monkeypatch, ("inverse",))
         assert check_gn_ensemble(4).passed
         # 2 seeds x 100 fields x the powers 0, 1 and 2 of the four cases
-        assert calls[0] == 600
+        assert fields["inverse"] == 600
 
     def test_sobolev_embedding_case_bounded(self, grid32):
         # ||f||_L6 <= C ||grad f||_L2 across an ensemble; ratios finite and stable
